@@ -16,7 +16,6 @@ from .catalog import (
     serialize_catalog,
 )
 from .launcher import (
-    ExecMode,
     ExecutionReport,
     Step,
     StepKind,
@@ -54,7 +53,6 @@ from .simulator import (
 from .transfer import (
     ImageCache,
     RegistryClient,
-    TransferKind,
     TransferRequest,
     TransferResult,
     batch_transfer,

@@ -11,7 +11,7 @@ by the simulator and the staging-bypass policy; both default to 0 / false.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import yaml
 
@@ -366,10 +366,3 @@ def resolve_transformation(
                 (namespace, name, version, site):
             return entry, cat.container_for(entry)
     raise NotFound(f"no transformation {logical_id!r} at site {site!r}")
-
-
-def with_container(cat: Catalog, cdef: ContainerDef) -> Catalog:
-    """Return a copy of the catalog with one container added/replaced."""
-    containers = dict(cat.containers)
-    containers[cdef.name] = cdef
-    return replace(cat, containers=containers)

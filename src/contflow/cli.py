@@ -84,10 +84,9 @@ def cmd_run(args) -> int:
     if args.fail_step:
         job_id, _, step = args.fail_step.partition(":")
         fail_step = (job_id, launcher.StepKind(step))
-    mode = launcher.ExecMode(args.mode)
     try:
         rep = launcher.execute_local(
-            ewf, plans, mode, slots=args.slots, node_count=args.nodes,
+            ewf, plans, slots=args.slots, node_count=args.nodes,
             fail_step=fail_step,
         )
     except LaunchError as exc:
@@ -142,11 +141,10 @@ def cmd_simulate(args) -> int:
     ewf = parse_executable(_read(args.executable))
     topo = parse_topology(_read(args.topology))
     cfg = SimConfig(
-        seed=args.seed,
         docker_load_dedup=args.dedup_load,
         fair_share=not args.no_fair_share,
     )
-    res = simulator.simulate(ewf, None, topo, cfg)
+    res = simulator.simulate(ewf, topo, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "result.json").write_text(
@@ -180,8 +178,7 @@ def cmd_sweep(args) -> int:
             cleanup=bool(raw.get("cleanup", True)),
         )
         ewf = planner.plan(wf, cat, sites, cfg)
-        scenarios.append((str(raw["label"]), ewf, topo,
-                          SimConfig(seed=int(raw.get("seed", 0)))))
+        scenarios.append((str(raw["label"]), ewf, topo, SimConfig()))
     rows = simulator.sweep(scenarios)
     print(simulator.format_sweep(rows))
     return 0
@@ -216,10 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="wrappers")
     p.set_defaults(func=cmd_wrappers)
 
-    p = sub.add_parser("run", help="execute locally (mock by default)")
+    p = sub.add_parser("run", help="execute locally with the mock runtime")
     p.add_argument("executable")
     p.add_argument("catalog")
-    p.add_argument("--mode", choices=["mock", "real"], default="mock")
+    p.add_argument("--mode", choices=["mock"], default="mock",
+                   help="accepted for compatibility; mock is the only executor")
     p.add_argument("--slots", type=int, default=4)
     p.add_argument("--nodes", type=int, default=1)
     p.add_argument("--dedup-load", type=_onoff, default=True)
@@ -230,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate an executable workflow")
     p.add_argument("executable")
     p.add_argument("topology")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dedup-load", type=_onoff, default=True)
     p.add_argument("--no-fair-share", action="store_true")
     p.add_argument("--out", default="simout")

@@ -100,10 +100,6 @@ class StepFailed(LaunchError):
         super().__init__(f"job {job_id}: step {step_kind} failed{': ' + message if message else ''}")
 
 
-class MissingRuntime(LaunchError):
-    pass
-
-
 # --- transfer --------------------------------------------------------------
 
 class TransferError(ContflowError):

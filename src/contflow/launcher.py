@@ -3,21 +3,19 @@
 Every compute job gets a WrapperPlan: an ordered list of host steps wrapping
 an ordered list of in-container steps.  The job directory is mounted as
 /scratch for Docker and Shifter and as /srv for Singularity.  Plans render to
-deterministic shell-like scripts and can be executed locally, either mocked
-(always available) or against real runtimes.
+deterministic shell-like scripts, and a mock executor runs them locally.
 """
 
 from __future__ import annotations
 
 import enum
-import shutil
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .catalog import ContainerDef, ContainerRuntime, MountSpec
-from .errors import InconsistentPlacement, MissingRuntime, StepFailed
+from .errors import InconsistentPlacement, StepFailed
 from .planner import (
     Catalog,
     ComputePayload,
@@ -27,6 +25,7 @@ from .planner import (
     PlacementMode,
     PlanConfig,
 )
+from .workflow import ReadySet
 
 JOB_DIR_MOUNT = {
     ContainerRuntime.DOCKER: "/scratch",
@@ -261,11 +260,6 @@ def build_plans(
 
 # --- local execution -------------------------------------------------------
 
-class ExecMode(enum.Enum):
-    MOCK = "mock"
-    REAL = "real"
-
-
 @dataclass
 class StepRecord:
     job_id: str
@@ -308,7 +302,6 @@ class _MockRuntime:
     def __init__(self):
         self.lock = threading.Lock()
         self.loaded: set[tuple[str, str]] = set()  # (image, node)
-        self.files: set[str] = set()
 
     def load_image(self, image: str, node: str, dedup: bool) -> str:
         with self.lock:
@@ -322,30 +315,22 @@ class _MockRuntime:
 def execute_local(
     ewf: ExecutableWorkflow,
     plans: dict[str, WrapperPlan],
-    mode: ExecMode = ExecMode.MOCK,
     *,
     slots: int = 4,
     node_count: int = 1,
     fail_step: tuple[str, StepKind] | None = None,
 ) -> ExecutionReport:
-    """Execute jobs locally respecting DAG order with <= slots parallelism.
+    """Mock-execute jobs locally respecting DAG order with <= slots parallelism.
 
-    Mock mode simulates each step and records effects.  Real mode requires
-    the referenced container runtimes to exist on the host.
+    Each step is simulated and its effect recorded.  A step that fails, by
+    injection or by raising, fails its job, skips the job's descendants and
+    makes the call raise StepFailed once every other job has finished.
     """
-    if mode is ExecMode.REAL:
-        needed = {p.backend.value for p in plans.values() if p.backend}
-        for runtime in sorted(needed):
-            if shutil.which(runtime) is None:
-                raise MissingRuntime(f"runtime {runtime!r} not found on host")
-
     report = ExecutionReport()
-    parents = ewf.parents()
-    children = ewf.children()
-    state = {j.id: "pending" for j in ewf.jobs}
+    jobs = {j.id: j for j in ewf.jobs}
+    ready = ReadySet(jobs, ewf.edges)
     state_lock = threading.Lock()
     runtime = _MockRuntime()
-    dispatch_counter = [0]
     first_error: list[StepFailed] = []
 
     def run_steps(job: Job, node: str) -> JobReport:
@@ -366,71 +351,68 @@ def execute_local(
         for step in steps:
             t0 = time.monotonic()
             effect = ""
-            if fail_step is not None and fail_step == (job.id, step.kind):
+            try:
+                if fail_step is not None and fail_step == (job.id, step.kind):
+                    jr.error = f"injected failure at {step.kind.value}"
+                elif step.kind is StepKind.LOAD_IMAGE:
+                    effect = runtime.load_image(
+                        step.args["image"], node, bool(step.args.get("dedup"))
+                    )
+                elif step.kind is StepKind.STAGE_OUT:
+                    effect = "files-written"
+            except Exception as exc:  # a malformed step fails its job, not the run
+                jr.error = f"{type(exc).__name__}: {exc}"
+            if jr.error:
                 jr.status = "failed"
-                jr.error = f"injected failure at {step.kind.value}"
                 jr.steps.append(StepRecord(job.id, step.kind, node, t0, time.monotonic()))
                 return jr
-            if step.kind is StepKind.LOAD_IMAGE:
-                effect = runtime.load_image(
-                    step.args["image"], node, bool(step.args.get("dedup"))
-                )
-            elif step.kind is StepKind.STAGE_OUT:
-                for fname, _ in step.args["files"]:
-                    with runtime.lock:
-                        runtime.files.add(fname)
-                effect = "files-written"
             jr.steps.append(
                 StepRecord(job.id, step.kind, node, t0, time.monotonic(), effect)
             )
         return jr
 
-    def ready_jobs() -> list[Job]:
-        out = []
-        for j in ewf.jobs:
-            if state[j.id] != "pending":
-                continue
-            if all(state[p] == "ok" for p in parents[j.id]):
-                out.append(j)
-        return sorted(out, key=lambda j: j.id)
-
     with ThreadPoolExecutor(max_workers=max(1, slots)) as pool:
-        futures = {}
         done_event = threading.Event()
+        running = 0
+        dispatched = 0
 
         def submit_ready():
-            for job in ready_jobs():
-                state[job.id] = "running"
-                node = f"node{dispatch_counter[0] % max(1, node_count)}"
-                dispatch_counter[0] += 1
-                futures[job.id] = pool.submit(worker, job, node)
+            nonlocal running, dispatched
+            while ready:
+                job = jobs[ready.pop()]
+                node = f"node{dispatched % max(1, node_count)}"
+                dispatched += 1
+                running += 1
+                pool.submit(worker, job, node)
+            if running == 0:
+                done_event.set()
 
         def mark_skipped(job_id: str):
-            for child in children[job_id]:
-                if state[child] == "pending":
-                    state[child] = "skipped"
-                    report.jobs[child] = JobReport(job_id=child, status="skipped")
-                    mark_skipped(child)
+            stack = [job_id]
+            while stack:
+                for child in ready.children[stack.pop()]:
+                    if child not in report.jobs:
+                        report.jobs[child] = JobReport(job_id=child, status="skipped")
+                        stack.append(child)
 
         def worker(job: Job, node: str):
+            nonlocal running
             jr = run_steps(job, node)
             with state_lock:
-                state[job.id] = jr.status
+                running -= 1
                 report.jobs[job.id] = jr
-                if jr.status == "failed":
+                if jr.status == "ok":
+                    ready.release(job.id)
+                else:
                     if not first_error:
                         first_error.append(
                             StepFailed(job.id, jr.steps[-1].kind.value, jr.error)
                         )
                     mark_skipped(job.id)
                 submit_ready()
-                if all(s not in ("pending", "running") for s in state.values()):
-                    done_event.set()
 
         with state_lock:
             submit_ready()
-            if not ewf.jobs:
-                done_event.set()
         done_event.wait()
 
     if first_error:

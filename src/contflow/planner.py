@@ -57,14 +57,8 @@ class Site:
     name: str
     shared_fs: bool = False
     staging_site: str = ""
-    worker_count: int = 1
-    slots_per_worker: int = 1
     runtimes_available: frozenset[ContainerRuntime] = frozenset()
     cvmfs_like_paths: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.worker_count < 1 or self.slots_per_worker < 1:
-            raise PlanError(f"site {self.name!r}: worker/slot counts must be >= 1")
 
     @property
     def staging(self) -> str:
@@ -559,8 +553,6 @@ def parse_sites(text: str) -> list[Site]:
             name=str(raw["name"]),
             shared_fs=bool(raw.get("shared_fs", False)),
             staging_site=str(raw.get("staging_site", "")),
-            worker_count=int(raw.get("worker_count", 1)),
-            slots_per_worker=int(raw.get("slots_per_worker", 1)),
             runtimes_available=frozenset(
                 ContainerRuntime(r) for r in raw.get("runtimes") or []
             ),

@@ -112,14 +112,12 @@ cont:
 def demo_sites(shared_fs: bool = False) -> list[Site]:
     runtimes = frozenset(ContainerRuntime)
     return [
-        Site(name=SUBMIT_SITE, worker_count=1, slots_per_worker=1),
-        Site(name=NFS_SITE, shared_fs=True, worker_count=1, slots_per_worker=1),
+        Site(name=SUBMIT_SITE),
+        Site(name=NFS_SITE, shared_fs=True),
         Site(
             name=COMPUTE_SITE,
             shared_fs=shared_fs,
             staging_site=NFS_SITE if shared_fs else SUBMIT_SITE,
-            worker_count=4,
-            slots_per_worker=24,
             runtimes_available=runtimes,
         ),
     ]

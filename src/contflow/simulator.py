@@ -23,7 +23,6 @@ from pathlib import Path
 from .catalog import ContainerRuntime
 from .errors import DestinationUnwritable, MissingSize, SimError, UnmappedSite
 from .planner import (
-    CleanupPayload,
     ComputePayload,
     ExecutableWorkflow,
     Job,
@@ -31,6 +30,7 @@ from .planner import (
     PlacementMode,
     TransferPayload,
 )
+from .workflow import ReadySet, topological_order
 
 _EPS = 1e-9
 
@@ -64,12 +64,6 @@ class Topology:
     def node_names(self) -> list[str]:
         return [n.name for n in self.nodes()]
 
-    def node(self, name: str) -> NodeSpec:
-        for n in self.nodes():
-            if n.name == name:
-                return n
-        raise UnmappedSite(f"no topology node named {name!r}")
-
     def nodes_for_site(self, site: str) -> list[NodeSpec]:
         out = [
             n for n in self.nodes()
@@ -90,8 +84,6 @@ class Topology:
 
 @dataclass(frozen=True)
 class SimConfig:
-    seed: int = 0
-    placement_override: PlacementMode | None = None
     docker_load_dedup: bool = True
     fair_share: bool = True
 
@@ -163,7 +155,6 @@ class _Flow:
 class _Engine:
     def __init__(self, ewf: ExecutableWorkflow, topo: Topology, cfg: SimConfig):
         topo.validate()
-        self.ewf = ewf
         self.topo = topo
         self.cfg = cfg
         self.now = 0.0
@@ -180,11 +171,11 @@ class _Engine:
         }
         self.untar_done_at: dict[tuple[str, str], float] = {}
 
-        self.parents = ewf.parents()
-        self.children = ewf.children()
-        self.state = {j.id: "pending" for j in ewf.jobs}
+        self.jobs = {j.id: j for j in ewf.jobs}
+        self.ready = ReadySet(self.jobs, ewf.edges)
+        self.waiting: list[str] = []  # ready compute jobs that found no free slot
+        self.done: set[str] = set()
         self.timeline: dict[str, tuple[float, float, str]] = {}
-        self.job_node: dict[str, str] = {}
 
         self.egress_buckets: dict[str, list[float]] = {n.name: [] for n in topo.nodes()}
         self.egress_totals: dict[str, float] = {n.name: 0.0 for n in topo.nodes()}
@@ -309,34 +300,28 @@ class _Engine:
         return self.topo.nodes_for_site(site)[0].name
 
     def dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            ready = sorted(
-                j.id for j in self.ewf.jobs
-                if self.state[j.id] == "pending"
-                and all(self.state[p] == "done" for p in self.parents[j.id])
-            )
-            for jid in ready:
-                job = self.ewf.job_by_id(jid)
-                if self.start_job(job):
-                    progress = True
+        # One pass suffices: no job finishes inside it and slots only fill, so
+        # a job that finds no slot here cannot find one later in the same pass.
+        released = []
+        while self.ready:
+            released.append(self.ready.pop())
+        waiting = []
+        for jid in heapq.merge(self.waiting, released):
+            if not self.start_job(self.jobs[jid]):
+                waiting.append(jid)
+        self.waiting = waiting
 
     def start_job(self, job: Job) -> bool:
         if job.kind is JobKind.COMPUTE:
             node = self._pick_worker(job.site)
             if node is None:
                 return False
-            self.state[job.id] = "running"
             self.running_on[node] += 1
-            self.job_node[job.id] = node
             self.timeline[job.id] = (self.now, -1.0, node)
             self._compute_image_phase(job, node)
             return True
 
-        self.state[job.id] = "running"
         if job.kind is JobKind.CLEANUP:
-            self.job_node[job.id] = ""
             self.timeline[job.id] = (self.now, -1.0, "")
             self.at(self.now, lambda j=job: self.finish_job(j))
             return True
@@ -353,7 +338,6 @@ class _Engine:
             if payload.src_site else self.topo.submit.name
         )
         dst = self._staging_node(payload.dst_site) if payload.dst_site else src
-        self.job_node[job.id] = dst
         self.timeline[job.id] = (self.now, -1.0, dst)
         self.start_flow(
             src, dst, payload.total_bytes, kind, lambda j=job: self.finish_job(j)
@@ -418,7 +402,8 @@ class _Engine:
         )
 
     def finish_job(self, job: Job) -> None:
-        self.state[job.id] = "done"
+        self.done.add(job.id)
+        self.ready.release(job.id)
         start, _, node = self.timeline[job.id]
         self.timeline[job.id] = (start, self.now, node)
         if job.kind is JobKind.COMPUTE:
@@ -439,7 +424,7 @@ class _Engine:
                 if r > 0:
                     t_next = min(t_next, self.now + f.remaining / r)
             if math.isinf(t_next):
-                stuck = [j for j, s in self.state.items() if s != "done"]
+                stuck = [j for j in self.jobs if j not in self.done]
                 raise SimError(f"simulation stalled; unfinished jobs: {stuck[:5]}")
             dt = max(t_next - self.now, 0.0)
             if dt > 0:
@@ -467,7 +452,7 @@ class _Engine:
                 _, _, cb = heapq.heappop(self.timers)
                 cb()
 
-        unfinished = [j for j, s in self.state.items() if s != "done"]
+        unfinished = [j for j in self.jobs if j not in self.done]
         if unfinished:
             raise SimError(f"jobs never became runnable: {unfinished[:5]}")
 
@@ -512,14 +497,8 @@ class _Engine:
         return series
 
 
-def simulate(
-    ewf: ExecutableWorkflow,
-    plans: dict | None,
-    topo: Topology,
-    cfg: SimConfig,
-) -> SimResult:
+def simulate(ewf: ExecutableWorkflow, topo: Topology, cfg: SimConfig) -> SimResult:
     """Run one deterministic simulated execution of an executable workflow."""
-    del plans  # job payloads already carry backend/placement/size information
     return _Engine(ewf, topo, cfg).run()
 
 
@@ -540,23 +519,9 @@ def critical_path_lower_bound(ewf: ExecutableWorkflow, topo: Topology) -> float:
             if p.src_site != p.dst_site:
                 w += p.total_bytes / max_bw
         weight[j.id] = w
-    order = []
-    indeg = {j.id: 0 for j in ewf.jobs}
-    children = ewf.children()
-    for _, v in ewf.edges:
-        indeg[v] += 1
-    stack = sorted(j for j, d in indeg.items() if d == 0)
-    while stack:
-        n = stack.pop(0)
-        order.append(n)
-        for c in children[n]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                stack.append(c)
-        stack.sort()
     dist: dict[str, float] = {}
     parents = ewf.parents()
-    for n in order:
+    for n in topological_order([j.id for j in ewf.jobs], ewf.edges):
         dist[n] = weight[n] + max((dist[p] for p in parents[n]), default=0.0)
     return max(dist.values(), default=0.0)
 
@@ -621,7 +586,7 @@ def sweep(
         raise SimError("sweep needs at least one scenario")
     rows = []
     for label, ewf, topo, cfg in scenarios:
-        res = simulate(ewf, None, topo, cfg)
+        res = simulate(ewf, topo, cfg)
         rows.append({
             "label": label,
             "makespan_s": res.makespan_s,

@@ -2,14 +2,12 @@
 
 Protocol handlers cover ``file://`` and ``http://`` reads and ``file://``
 writes.  Registry images are exported to image files through a local fixture
-registry (a directory of ``<locator>__<tag>`` files with ``.size`` sidecars);
-repeated exports of the same image hit the image cache and never touch the
-registry again.
+registry (a directory of ``<locator>__<tag>`` files); repeated exports of the
+same image hit the image cache and never touch the registry again.
 """
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import os
 import shutil
@@ -30,18 +28,11 @@ from .errors import (
 )
 
 
-class TransferKind(enum.Enum):
-    DATA = "data"
-    CONTAINER_IMAGE = "container_image"
-    EXECUTABLE = "executable"
-
-
 @dataclass(frozen=True)
 class TransferRequest:
     src: str
     dst: str
     bytes: int = 0
-    kind: TransferKind = TransferKind.DATA
     link_ok: bool = False
 
 
@@ -136,8 +127,7 @@ def batch_transfer(
 class RegistryClient:
     """Desk-scale container registry backed by a fixture directory.
 
-    Image files live at ``<root>/<locator>__<tag>`` with an optional
-    ``.size`` sidecar holding the advertised byte count.
+    Image files live at ``<root>/<locator>__<tag>``.
     """
 
     def __init__(self, root: str | Path):
@@ -153,13 +143,6 @@ class RegistryClient:
             raise RegistryMiss(f"no image {ref.url()!r} in registry at {self.root}")
         self.reads += 1
         return path.read_bytes()
-
-    def advertised_size(self, ref: ImageRef) -> int:
-        sidecar = self._path_for(ref).with_name(self._path_for(ref).name + ".size")
-        if sidecar.exists():
-            return int(sidecar.read_text().strip())
-        path = self._path_for(ref)
-        return path.stat().st_size if path.exists() else 0
 
     def publish(self, ref: ImageRef, data: bytes) -> None:
         path = self._path_for(ref)

@@ -7,6 +7,8 @@ explicit edge list plus the implied producer→consumer file flow.
 
 from __future__ import annotations
 
+import heapq
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import yaml
@@ -45,12 +47,6 @@ class AbstractWorkflow:
     edges: tuple[tuple[str, str], ...] = ()
     files: dict[str, FileMeta] = field(default_factory=dict)
 
-    def task_by_id(self, task_id: str) -> Task:
-        for t in self.tasks:
-            if t.id == task_id:
-                return t
-        raise KeyError(task_id)
-
     def file_meta(self, name: str) -> FileMeta:
         return self.files.get(name, FileMeta(name=name))
 
@@ -84,31 +80,75 @@ class AbstractWorkflow:
         return out
 
 
+class ReadySet:
+    """Kahn's algorithm driven by the caller: ready nodes come out in ascending order.
+
+    A node becomes ready once every edge into it has been released, counting
+    duplicate edges separately.  ``pop`` hands out the smallest ready node;
+    ``release(node)`` marks a handed-out node finished.
+    """
+
+    def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]]):
+        self.children: dict[str, list[str]] = {n: [] for n in nodes}
+        self._indeg = dict.fromkeys(self.children, 0)
+        for u, v in edges:
+            self.children[u].append(v)
+            self._indeg[v] += 1
+        self._ready = [n for n, d in self._indeg.items() if d == 0]
+        heapq.heapify(self._ready)
+
+    def __bool__(self) -> bool:
+        return bool(self._ready)
+
+    def pop(self) -> str:
+        return heapq.heappop(self._ready)
+
+    def release(self, node: str) -> None:
+        for child in self.children[node]:
+            self._indeg[child] -= 1
+            if self._indeg[child] == 0:
+                heapq.heappush(self._ready, child)
+
+
+def topological_order(
+    nodes: Iterable[str], edges: Iterable[tuple[str, str]]
+) -> list[str]:
+    """Kahn order, smallest ready node first; nodes on or after a cycle are left out."""
+    ready = ReadySet(nodes, edges)
+    order = []
+    while ready:
+        node = ready.pop()
+        order.append(node)
+        ready.release(node)
+    return order
+
+
 def _find_cycle(adj: dict[str, list[str]]) -> list[str] | None:
-    """Return one cycle as a node list, or None if the graph is acyclic."""
+    """Return one cycle as a node list, or None if the graph is acyclic.
+
+    Depth-first from each unvisited node in sorted order, following adjacency
+    lists in order; the first edge back into the current path closes the cycle.
+    """
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in adj}
-    stack: list[str] = []
-
-    def visit(node: str) -> list[str] | None:
-        color[node] = GRAY
-        stack.append(node)
-        for nxt in adj[node]:
-            if color[nxt] == GRAY:
-                return stack[stack.index(nxt):] + [nxt]
-            if color[nxt] == WHITE:
-                found = visit(nxt)
-                if found:
-                    return found
-        stack.pop()
-        color[node] = BLACK
-        return None
-
-    for node in sorted(adj):
-        if color[node] == WHITE:
-            found = visit(node)
-            if found:
-                return found
+    color = dict.fromkeys(adj, WHITE)
+    for root in sorted(adj):
+        if color[root] != WHITE:
+            continue
+        color[root] = GRAY
+        path = [root]
+        pending = [iter(adj[root])]  # unexplored successors of each path node
+        while pending:
+            for nxt in pending[-1]:
+                if color[nxt] == GRAY:
+                    return path[path.index(nxt):] + [nxt]
+                if color[nxt] == WHITE:
+                    color[nxt] = GRAY
+                    path.append(nxt)
+                    pending.append(iter(adj[nxt]))
+                    break
+            else:
+                color[path.pop()] = BLACK
+                pending.pop()
     return None
 
 
@@ -157,24 +197,13 @@ def validate_dag(wf: AbstractWorkflow) -> None:
 def topological_levels(wf: AbstractWorkflow) -> dict[str, int]:
     """Longest-path depth per task: roots at 0, level = 1 + max parent level."""
     validate_dag(wf)
+    edges = wf.effective_edges()
     parents: dict[str, list[str]] = {t.id: [] for t in wf.tasks}
-    children: dict[str, list[str]] = {t.id: [] for t in wf.tasks}
-    indeg: dict[str, int] = {t.id: 0 for t in wf.tasks}
-    for u, v in sorted(wf.effective_edges()):
+    for u, v in edges:
         parents[v].append(u)
-        children[u].append(v)
-        indeg[v] += 1
-
     levels: dict[str, int] = {}
-    ready = sorted(tid for tid, d in indeg.items() if d == 0)
-    while ready:
-        node = ready.pop(0)
+    for node in topological_order([t.id for t in wf.tasks], edges):
         levels[node] = max((levels[p] for p in parents[node]), default=-1) + 1
-        for c in children[node]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                ready.append(c)
-        ready.sort()
     return levels
 
 

@@ -89,8 +89,6 @@ def make_random_model(
             name=f"compute{i}",
             shared_fs=rng.random() < 0.3,
             staging_site=f"staging{i}",
-            worker_count=2,
-            slots_per_worker=4,
             runtimes_available=frozenset(RUNTIMES),
         )
         sites.append(s)

@@ -19,7 +19,6 @@ from contflow.catalog import (
     parse_catalog,
 )
 from contflow.launcher import (
-    ExecMode,
     JOB_DIR_MOUNT,
     StepKind,
     build_plans,
@@ -66,7 +65,7 @@ def sim_results():
     for container in (None, "docker", "singularity"):
         for k in (1, 12):
             ewf = demo_plan(container, cluster_size=k)
-            out[(container, k)] = simulate(ewf, None, topo, SimConfig())
+            out[(container, k)] = simulate(ewf, topo, SimConfig())
     return out
 
 
@@ -216,9 +215,9 @@ def test_criterion_7_symlink_optimization(capfd, sim_results):
                    capfd):
         topo = demo_topology()
         workers = [w.name for w in topo.workers]
-        docker_link = simulate(demo_plan("docker", shared_fs=True), None,
+        docker_link = simulate(demo_plan("docker", shared_fs=True),
                                topo, SimConfig())
-        sing_link = simulate(demo_plan("singularity", shared_fs=True), None,
+        sing_link = simulate(demo_plan("singularity", shared_fs=True),
                              topo, SimConfig())
         assert docker_link.container_bytes_from("submit") == \
             pytest.approx(DOCKER_IMAGE_BYTES)
@@ -239,16 +238,14 @@ def test_criterion_8_conservation_and_determinism(capfd, tmp_path):
                 shared_fs=rng.random() < 0.5,
                 n_tasks=rng.randint(5, 30),
             )
-            res = simulate(ewf, None, topo, SimConfig(seed=i))
+            res = simulate(ewf, topo, SimConfig())
             ledger_total = sum(f.bytes for f in res.flow_ledger)
             assert sum(res.egress_totals.values()) == pytest.approx(ledger_total)
             assert sum(res.ingress_totals.values()) == pytest.approx(ledger_total)
 
         ewf = demo_plan("docker", cluster_size=12)
-        files_a = report(simulate(ewf, None, topo, SimConfig(seed=4)),
-                         tmp_path / "a")
-        files_b = report(simulate(ewf, None, topo, SimConfig(seed=4)),
-                         tmp_path / "b")
+        files_a = report(simulate(ewf, topo, SimConfig()), tmp_path / "a")
+        files_b = report(simulate(ewf, topo, SimConfig()), tmp_path / "b")
         for fa, fb in zip(files_a, files_b):
             assert fa.read_bytes() == fb.read_bytes()
 
@@ -260,11 +257,11 @@ def test_criterion_9_docker_load_dedup(capfd):
         ewf, cat = shared_image_workflow(12)
         on = execute_local(
             ewf, build_plans(ewf, cat, PlanConfig(docker_load_dedup=True)),
-            ExecMode.MOCK, slots=8, node_count=1,
+            slots=8, node_count=1,
         )
         off = execute_local(
             ewf, build_plans(ewf, cat, PlanConfig(docker_load_dedup=False)),
-            ExecMode.MOCK, slots=8, node_count=1,
+            slots=8, node_count=1,
         )
         assert on.count_effects("load") == 1
         assert off.count_effects("load") == 12

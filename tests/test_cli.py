@@ -117,7 +117,7 @@ class TestSimulate:
         for name in ("simA", "simB"):
             out = tmp_path / name
             code = main(["simulate", str(ewf_path), str(inputs["topology"]),
-                         "--seed", "7", "--out", str(out)])
+                         "--out", str(out)])
             assert code == 0
             outs.append(out)
         for fname in ("result.json", "summary.txt", "egress.tsv",

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import random
+import threading
+from dataclasses import replace
 
 import pytest
 
 from contflow.catalog import ContainerDef, ContainerRuntime, MountSpec, parse_image_url
 from contflow.errors import StepFailed
 from contflow.launcher import (
-    ExecMode,
     JOB_DIR_MOUNT,
+    Step,
     StepKind,
     build_plans,
     build_wrapper_plan,
@@ -228,7 +230,7 @@ class TestExecuteLocal:
         ewf, cat = shared_image_workflow(3)
         ewf = ExecutableWorkflow(jobs=ewf.jobs, edges=(("j00", "j01"), ("j01", "j02")))
         plans = build_plans(ewf, cat, PlanConfig())
-        report = execute_local(ewf, plans, ExecMode.MOCK, slots=4)
+        report = execute_local(ewf, plans, slots=4)
         assert report.ok
         ends = {
             jid: max(s.ended for s in jr.steps)
@@ -243,14 +245,14 @@ class TestExecuteLocal:
     def test_dedup_one_load_for_colocated_jobs(self):
         ewf, cat = shared_image_workflow(12)
         plans = build_plans(ewf, cat, PlanConfig(docker_load_dedup=True))
-        report = execute_local(ewf, plans, ExecMode.MOCK, slots=8, node_count=1)
+        report = execute_local(ewf, plans, slots=8, node_count=1)
         assert report.count_effects("load") == 1
         assert report.count_effects("cache-hit") == 11
 
     def test_no_dedup_loads_every_time(self):
         ewf, cat = shared_image_workflow(12)
         plans = build_plans(ewf, cat, PlanConfig(docker_load_dedup=False))
-        report = execute_local(ewf, plans, ExecMode.MOCK, slots=8, node_count=1)
+        report = execute_local(ewf, plans, slots=8, node_count=1)
         assert report.count_effects("load") == 12
 
     def test_injected_failure_skips_downstream(self):
@@ -258,19 +260,38 @@ class TestExecuteLocal:
         ewf = ExecutableWorkflow(jobs=ewf.jobs, edges=(("j00", "j01"), ("j01", "j02")))
         plans = build_plans(ewf, cat, PlanConfig())
         with pytest.raises(StepFailed) as exc:
-            execute_local(ewf, plans, ExecMode.MOCK,
-                          fail_step=("j00", StepKind.STAGE_IN))
+            execute_local(ewf, plans, fail_step=("j00", StepKind.STAGE_IN))
         assert exc.value.job_id == "j00"
         assert exc.value.step_kind == StepKind.STAGE_IN.value
         report = exc.value.report
         assert report.jobs["j01"].status == "skipped"
         assert report.jobs["j02"].status == "skipped"
 
-    def test_missing_runtime_in_real_mode(self, monkeypatch):
-        import shutil as _shutil
-        from contflow.errors import MissingRuntime
-        ewf, cat = shared_image_workflow(1)
+    def test_raising_step_fails_job_instead_of_hanging(self):
+        ewf, cat = shared_image_workflow(3)
+        ewf = ExecutableWorkflow(jobs=ewf.jobs, edges=(("j00", "j01"), ("j01", "j02")))
         plans = build_plans(ewf, cat, PlanConfig())
-        monkeypatch.setattr(_shutil, "which", lambda name: None)
-        with pytest.raises(MissingRuntime):
-            execute_local(ewf, plans, ExecMode.REAL)
+        # a load step without its image argument raises KeyError inside the runtime
+        plans["j00"] = replace(plans["j00"], host_steps=tuple(
+            Step(StepKind.LOAD_IMAGE, {}) if s.kind is StepKind.LOAD_IMAGE else s
+            for s in plans["j00"].host_steps
+        ))
+        raised: list[StepFailed] = []
+
+        def call():
+            try:
+                execute_local(ewf, plans)
+            except StepFailed as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=call, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "execute_local hung on a raising step"
+        (exc,) = raised
+        assert exc.job_id == "j00"
+        assert exc.step_kind == StepKind.LOAD_IMAGE.value
+        assert "KeyError" in str(exc)
+        assert exc.report.jobs["j00"].status == "failed"
+        assert exc.report.jobs["j01"].status == "skipped"
+        assert exc.report.jobs["j02"].status == "skipped"

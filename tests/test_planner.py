@@ -30,7 +30,7 @@ from contflow.planner import (
 )
 from contflow.workflow import AbstractWorkflow, FileMeta, Task
 
-from conftest import IMAGE_URL, plan_random
+from conftest import IMAGE_URL, make_chain, plan_random
 
 
 def make_container(runtime=ContainerRuntime.DOCKER, **kw) -> ContainerDef:
@@ -126,6 +126,16 @@ class TestPlan:
         ewf = demo_plan("docker", cleanup=False)
         assert len(ewf.jobs_of_kind(JobKind.COMPUTE)) == 63
         assert len(ewf.jobs) == 66
+
+    def test_deep_chain(self):
+        cat = Catalog(transformations=(
+            TransformationEntry(namespace="ns", name="tool", version="1.0",
+                                site="compute", pfn="/opt/tool"),
+        ))
+        sites = [Site(name="staging0"),
+                 make_site(name="compute", staging_site="staging0")]
+        ewf = plan(make_chain(3000), cat, sites, PlanConfig())
+        assert len(ewf.jobs_of_kind(JobKind.COMPUTE)) == 3000
 
     def test_empty_workflow(self):
         ewf = plan(AbstractWorkflow(), Catalog(), [], PlanConfig())

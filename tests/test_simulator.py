@@ -63,7 +63,7 @@ def compute_job(jid="c0", *, container=None, placement=None, backend=None,
 class TestClosedFormOracles:
     def test_single_plain_job(self):
         # 100 MB in at 1e8 B/s = 1.0 s, run 10 s, 50 MB out = 0.5 s
-        res = simulate(ExecutableWorkflow(jobs=(compute_job(),)), None,
+        res = simulate(ExecutableWorkflow(jobs=(compute_job(),)),
                        tiny_topology(), SimConfig())
         assert res.makespan_s == pytest.approx(11.5, rel=1e-6)
         assert res.egress_totals["submit"] == pytest.approx(1e8)
@@ -73,7 +73,7 @@ class TestClosedFormOracles:
         # + 200 MB image copy (2.0 s) + untar at 1e8 B/s (2.0 s)
         job = compute_job(container="tools", placement=PlacementMode.STAGE_COPY,
                           backend=ContainerRuntime.DOCKER, image_bytes=200_000_000)
-        res = simulate(ExecutableWorkflow(jobs=(job,)), None,
+        res = simulate(ExecutableWorkflow(jobs=(job,)),
                        tiny_topology(), SimConfig())
         assert res.makespan_s == pytest.approx(15.5, rel=1e-6)
         assert res.container_bytes_from("submit") == pytest.approx(2e8)
@@ -83,7 +83,7 @@ class TestClosedFormOracles:
                           placement=PlacementMode.SHARED_FS_SYMLINK,
                           backend=ContainerRuntime.SINGULARITY,
                           image_bytes=200_000_000)
-        res = simulate(ExecutableWorkflow(jobs=(job,)), None,
+        res = simulate(ExecutableWorkflow(jobs=(job,)),
                        tiny_topology(), SimConfig())
         assert res.makespan_s == pytest.approx(11.5, rel=1e-6)
         assert res.container_bytes_from("submit") == 0
@@ -92,12 +92,12 @@ class TestClosedFormOracles:
         # two stage-ins on one 1e8 link: 100 MB each at 5e7 B/s = 2.0 s
         jobs = (compute_job("c0", runtime_s=0.0, outputs=()),
                 compute_job("c1", runtime_s=0.0, outputs=()))
-        res = simulate(ExecutableWorkflow(jobs=jobs), None,
+        res = simulate(ExecutableWorkflow(jobs=jobs),
                        tiny_topology(slots=2), SimConfig())
         assert res.makespan_s == pytest.approx(2.0, rel=1e-6)
 
     def test_empty_workflow(self):
-        res = simulate(ExecutableWorkflow(jobs=()), None, tiny_topology(),
+        res = simulate(ExecutableWorkflow(jobs=()), tiny_topology(),
                        SimConfig())
         assert res.makespan_s == 0.0
         assert res.flow_ledger == []
@@ -113,7 +113,7 @@ class TestClosedFormOracles:
             for i in range(2)
         )
         # copies share the link: both land at t=2.0; untars run 2..3 and 3..4
-        res = simulate(ExecutableWorkflow(jobs=jobs), None, tiny_topology(slots=2),
+        res = simulate(ExecutableWorkflow(jobs=jobs), tiny_topology(slots=2),
                        SimConfig(docker_load_dedup=False))
         assert res.makespan_s == pytest.approx(4.0, rel=1e-6)
 
@@ -126,9 +126,9 @@ class TestClosedFormOracles:
                         inputs=(), outputs=())
             for i in range(4)
         )
-        dedup = simulate(ExecutableWorkflow(jobs=jobs), None, tiny_topology(),
+        dedup = simulate(ExecutableWorkflow(jobs=jobs), tiny_topology(),
                          SimConfig(docker_load_dedup=True))
-        nodedup = simulate(ExecutableWorkflow(jobs=jobs), None, tiny_topology(),
+        nodedup = simulate(ExecutableWorkflow(jobs=jobs), tiny_topology(),
                            SimConfig(docker_load_dedup=False))
         assert dedup.makespan_s < nodedup.makespan_s
 
@@ -140,13 +140,13 @@ class TestErrors:
                         workers=(NodeSpec("elsewhere/w1"),),
                         links={("submit", "elsewhere/w1"): 1e8})
         with pytest.raises(UnmappedSite):
-            simulate(ExecutableWorkflow(jobs=(job,)), None, topo, SimConfig())
+            simulate(ExecutableWorkflow(jobs=(job,)), topo, SimConfig())
 
     def test_missing_image_size(self):
         job = compute_job(container="tools", placement=PlacementMode.STAGE_COPY,
                           backend=ContainerRuntime.DOCKER, image_bytes=0)
         with pytest.raises(MissingSize):
-            simulate(ExecutableWorkflow(jobs=(job,)), None, tiny_topology(),
+            simulate(ExecutableWorkflow(jobs=(job,)), tiny_topology(),
                      SimConfig())
 
     def test_bad_topology_link(self):
@@ -160,7 +160,7 @@ class TestConservationAndBounds:
         (None, 1), ("docker", 1), ("docker", 12), ("singularity", 12),
     ])
     def test_byte_conservation(self, container, k):
-        res = simulate(demo_plan(container, cluster_size=k), None,
+        res = simulate(demo_plan(container, cluster_size=k),
                        demo_topology(), SimConfig())
         # every byte leaving a node arrives at exactly one other node
         assert sum(res.egress_totals.values()) == \
@@ -179,35 +179,35 @@ class TestConservationAndBounds:
     def test_lower_bound_holds(self, container, k):
         ewf = demo_plan(container, cluster_size=k)
         topo = demo_topology()
-        res = simulate(ewf, None, topo, SimConfig())
+        res = simulate(ewf, topo, SimConfig())
         assert critical_path_lower_bound(ewf, topo) <= res.makespan_s + 1e-6
 
     def test_egress_never_exceeds_port_capacity(self):
-        res = simulate(demo_plan("docker"), None, demo_topology(), SimConfig())
+        res = simulate(demo_plan("docker"), demo_topology(), SimConfig())
         for bucket in res.per_node_egress["submit"]:
             assert bucket <= GBPS * (1 + 1e-6)
 
     def test_flow_ledger_times_ordered(self):
-        res = simulate(demo_plan("docker"), None, demo_topology(), SimConfig())
+        res = simulate(demo_plan("docker"), demo_topology(), SimConfig())
         for f in res.flow_ledger:
             assert 0 <= f.started <= f.ended <= res.makespan_s + 1e-9
 
 
 class TestContainerTrafficShape:
     def test_stage_copy_sends_one_image_per_compute_job(self):
-        res = simulate(demo_plan("docker", cluster_size=1), None,
+        res = simulate(demo_plan("docker", cluster_size=1),
                        demo_topology(), SimConfig())
         assert res.transfer_count_by_kind["container"] == 63
         assert res.container_bytes_from("submit") == \
             pytest.approx(63 * DOCKER_IMAGE_BYTES)
 
     def test_clustering_sends_one_image_per_cluster(self):
-        res = simulate(demo_plan("docker", cluster_size=12), None,
+        res = simulate(demo_plan("docker", cluster_size=12),
                        demo_topology(), SimConfig())
         assert res.transfer_count_by_kind["container"] == 6
 
     def test_symlink_sends_exactly_one_image_over_submit_link(self):
-        res = simulate(demo_plan("docker", shared_fs=True), None,
+        res = simulate(demo_plan("docker", shared_fs=True),
                        demo_topology(), SimConfig())
         assert res.container_bytes_from("submit") == \
             pytest.approx(DOCKER_IMAGE_BYTES)
@@ -224,21 +224,21 @@ class TestDeterminism:
         )
 
     def test_identical_runs(self):
-        args = (demo_plan("docker", cluster_size=12), None,
-                demo_topology(), SimConfig(seed=5))
+        args = (demo_plan("docker", cluster_size=12),
+                demo_topology(), SimConfig())
         assert self.same_result(simulate(*args), simulate(*args))
 
     def test_report_files_byte_identical(self, tmp_path):
         ewf, topo = demo_plan("singularity"), demo_topology()
-        files_a = report(simulate(ewf, None, topo, SimConfig()), tmp_path / "a")
-        files_b = report(simulate(ewf, None, topo, SimConfig()), tmp_path / "b")
+        files_a = report(simulate(ewf, topo, SimConfig()), tmp_path / "a")
+        files_b = report(simulate(ewf, topo, SimConfig()), tmp_path / "b")
         for fa, fb in zip(files_a, files_b):
             assert fa.read_bytes() == fb.read_bytes()
 
 
 class TestReport:
     def test_egress_columns_sum_to_totals(self, tmp_path):
-        res = simulate(demo_plan("docker"), None, demo_topology(), SimConfig())
+        res = simulate(demo_plan("docker"), demo_topology(), SimConfig())
         report(res, tmp_path)
         header, *rows = (tmp_path / "egress.tsv").read_text().splitlines()
         nodes = header.split("\t")[1:]
@@ -251,7 +251,7 @@ class TestReport:
 
     def test_timeline_covers_every_job(self, tmp_path):
         ewf = demo_plan("docker", cluster_size=12)
-        res = simulate(ewf, None, demo_topology(), SimConfig())
+        res = simulate(ewf, demo_topology(), SimConfig())
         report(res, tmp_path)
         rows = (tmp_path / "timeline.tsv").read_text().splitlines()[1:]
         assert {r.split("\t")[0] for r in rows} == {j.id for j in ewf.jobs}
@@ -278,6 +278,6 @@ class TestTopologySerialization:
     def test_math_isinf_regression(self):
         # a single instant local transfer must not be mistaken for a stall
         job = Job(id="noop", kind=JobKind.CLEANUP, site="submit", payload=None)
-        res = simulate(ExecutableWorkflow(jobs=(job,)), None, tiny_topology(),
+        res = simulate(ExecutableWorkflow(jobs=(job,)), tiny_topology(),
                        SimConfig())
         assert res.makespan_s == 0.0

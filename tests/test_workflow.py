@@ -16,10 +16,12 @@ from contflow.errors import (
 from contflow.workflow import (
     AbstractWorkflow,
     FileMeta,
+    ReadySet,
     Task,
     parse_workflow,
     serialize_workflow,
     topological_levels,
+    topological_order,
     validate_dag,
 )
 
@@ -111,6 +113,17 @@ class TestValidateDag:
         validate_dag(wf)
         assert dfs_acyclic_oracle(63, wf.effective_edges())
 
+    def test_deep_chain_is_not_recursive(self):
+        validate_dag(make_chain(3000))
+
+    def test_back_edge_after_deep_chain(self):
+        chain = make_chain(3000)
+        wf = AbstractWorkflow(tasks=chain.tasks, edges=(("t2999", "t2997"),),
+                              files=chain.files)
+        with pytest.raises(CycleDetected) as exc:
+            validate_dag(wf)
+        assert exc.value.cycle == ["t2997", "t2998", "t2999", "t2997"]
+
     def test_idempotent(self):
         wf = make_diamond()
         validate_dag(wf)
@@ -172,3 +185,68 @@ files:
 """)
         assert wf.tasks[0].expected_runtime_s == 1.0
         assert wf.files["f1"].size_bytes == 1_048_576
+
+
+def kahn_sort_every_pop(nodes, edges):
+    """Reference Kahn order: re-sort the ready list after every pop."""
+    children = {n: [] for n in nodes}
+    indeg = {n: 0 for n in nodes}
+    for u, v in edges:
+        children[u].append(v)
+        indeg[v] += 1
+    order = []
+    ready = sorted(n for n, d in indeg.items() if d == 0)
+    while ready:
+        node = ready.pop(0)
+        order.append(node)
+        for c in children[node]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                ready.append(c)
+        ready.sort()
+    return order
+
+
+@st.composite
+def small_dags(draw):
+    """Node names in random order; edges only go forward in that order, repeats allowed."""
+    names = draw(st.permutations([f"n{i}" for i in range(draw(st.integers(0, 9)))]))
+    if len(names) < 2:
+        return names, []
+    pairs = st.tuples(st.integers(0, len(names) - 1), st.integers(0, len(names) - 1))
+    edges = [
+        (names[min(i, j)], names[max(i, j)])
+        for i, j in draw(st.lists(pairs, max_size=30)) if i != j
+    ]
+    return names, edges
+
+
+class TestReadySet:
+    @settings(max_examples=200, deadline=None)
+    @given(small_dags())
+    def test_order_matches_sort_on_every_pop(self, dag):
+        nodes, edges = dag
+        assert topological_order(nodes, edges) == kahn_sort_every_pop(nodes, edges)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_dags(), st.data())
+    def test_incremental_release(self, dag, data):
+        nodes, edges = dag
+        ready = ReadySet(nodes, edges)
+        handed_out: list[str] = []
+        running: list[str] = []
+        released: set[str] = set()
+        while ready or running:
+            while ready:
+                node = ready.pop()
+                assert node not in handed_out
+                assert all(u in released for u, v in edges if v == node)
+                handed_out.append(node)
+                running.append(node)
+            node = running.pop(data.draw(st.integers(0, len(running) - 1)))
+            released.add(node)
+            ready.release(node)
+        assert sorted(handed_out) == sorted(nodes)
+
+    def test_cycle_members_never_ready(self):
+        assert topological_order(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "b")]) == ["a"]
