@@ -38,8 +38,6 @@ def _plan_config(args) -> PlanConfig:
         cluster_size=args.cluster_size,
         output_site=args.output_site,
         cleanup=args.cleanup,
-        staging_inside_container=args.staging_inside,
-        docker_load_dedup=args.dedup_load,
         placement_override=None if args.placement == "auto" else args.placement,
     )
 
@@ -198,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cluster-size", type=int, default=1)
     p.add_argument("--output-site", default="submit")
     p.add_argument("--cleanup", type=_onoff, default=True)
-    p.add_argument("--staging-inside", type=_onoff, default=True)
-    p.add_argument("--dedup-load", type=_onoff, default=True)
     p.add_argument("--placement", choices=["auto", "copy", "symlink", "bypass"],
                    default="auto")
     p.add_argument("--out", default="executable.yml")

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .catalog import ContainerDef, ContainerRuntime, MountSpec
-from .errors import InconsistentPlacement, StepFailed
+from .errors import CycleDetected, InconsistentPlacement, StepFailed
 from .planner import (
     Catalog,
     ComputePayload,
@@ -25,7 +25,7 @@ from .planner import (
     PlacementMode,
     PlanConfig,
 )
-from .workflow import ReadySet
+from .workflow import ReadySet, _find_cycle
 
 JOB_DIR_MOUNT = {
     ContainerRuntime.DOCKER: "/scratch",
@@ -63,10 +63,7 @@ class WrapperPlan:
     container_steps: tuple[Step, ...]
     backend: ContainerRuntime | None
     mounts: tuple[MountSpec, ...] = ()
-    env: dict[str, str] = field(default_factory=dict)
     staging_inside: bool = True
-    image: str | None = None
-    dedup_load: bool = True
 
 
 def build_wrapper_plan(
@@ -112,7 +109,6 @@ def build_wrapper_plan(
             container_steps=(),
             backend=None,
             staging_inside=False,
-            dedup_load=cfg.docker_load_dedup,
         )
 
     backend = cdef.runtime
@@ -158,10 +154,7 @@ def build_wrapper_plan(
         container_steps=tuple(container),
         backend=backend,
         mounts=mounts,
-        env=dict(cdef.profiles),
         staging_inside=staging_inside,
-        image=image_url,
-        dedup_load=cfg.docker_load_dedup,
     )
 
 
@@ -324,11 +317,15 @@ def execute_local(
 
     Each step is simulated and its effect recorded.  A step that fails, by
     injection or by raising, fails its job, skips the job's descendants and
-    makes the call raise StepFailed once every other job has finished.
+    makes the call raise StepFailed once every other job has finished.  A
+    cycle raises CycleDetected before any job starts.
     """
     report = ExecutionReport()
     jobs = {j.id: j for j in ewf.jobs}
     ready = ReadySet(jobs, ewf.edges)
+    cycle = _find_cycle({j: sorted(c) for j, c in ready.children.items()})
+    if cycle:
+        raise CycleDetected(cycle)
     state_lock = threading.Lock()
     runtime = _MockRuntime()
     first_error: list[StepFailed] = []

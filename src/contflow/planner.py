@@ -29,8 +29,9 @@ from .errors import (
     PlanError,
     RuntimeUnavailable,
     UnresolvableTransformation,
+    ValidationError,
 )
-from .workflow import AbstractWorkflow, topological_levels, validate_dag
+from .workflow import AbstractWorkflow, load_yaml, topological_levels, validate_dag
 from .workflow import _find_cycle  # shared cycle oracle
 
 
@@ -270,9 +271,7 @@ def cluster_jobs(ewf: ExecutableWorkflow, k: int) -> ExecutableWorkflow:
     return ExecutableWorkflow(jobs=tuple(new_jobs), edges=tuple(edges))
 
 
-def insert_container_fetch_jobs(
-    ewf: ExecutableWorkflow, cat: Catalog, sites: list[Site]
-) -> ExecutableWorkflow:
+def insert_container_fetch_jobs(ewf: ExecutableWorkflow, cat: Catalog) -> ExecutableWorkflow:
     """Add exactly one fetch job per (container, staging site) pair in use."""
     pairs: dict[tuple[str, str], list[str]] = {}
     for j in ewf.jobs_of_kind(JobKind.COMPUTE):
@@ -383,7 +382,7 @@ def plan(
 
     ewf = ExecutableWorkflow(jobs=tuple(jobs), edges=tuple(edges))
     ewf = cluster_jobs(ewf, cfg.cluster_size)
-    ewf = insert_container_fetch_jobs(ewf, cat, sites)
+    ewf = insert_container_fetch_jobs(ewf, cat)
 
     jobs = list(ewf.jobs)
     edges = list(ewf.edges)
@@ -511,7 +510,7 @@ def serialize_executable(ewf: ExecutableWorkflow) -> str:
 
 
 def parse_executable(text: str) -> ExecutableWorkflow:
-    doc = yaml.safe_load(text) or {}
+    doc = load_yaml(text, "executable")
     jobs: list[Job] = []
     for raw in doc.get("jobs") or []:
         kind = JobKind(raw["kind"])
@@ -544,9 +543,11 @@ def parse_executable(text: str) -> ExecutableWorkflow:
 
 
 def parse_sites(text: str) -> list[Site]:
-    doc = yaml.safe_load(text) or []
+    doc = load_yaml(text, "sites", (dict, list))
     if isinstance(doc, dict):
         doc = doc.get("sites") or []
+    if not isinstance(doc, list) or not all(isinstance(raw, dict) for raw in doc):
+        raise ValidationError("sites document must list one mapping per site")
     sites = []
     for raw in doc:
         sites.append(Site(

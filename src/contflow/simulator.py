@@ -30,7 +30,7 @@ from .planner import (
     PlacementMode,
     TransferPayload,
 )
-from .workflow import ReadySet, topological_order
+from .workflow import ReadySet, load_yaml, topological_order
 
 _EPS = 1e-9
 
@@ -140,16 +140,20 @@ class SimResult:
 
 
 class _Flow:
-    __slots__ = ("fid", "src", "dst", "total", "remaining", "kind", "done_cb")
+    __slots__ = ("src", "dst", "keys", "total", "remaining", "kind", "done_cb",
+                 "started", "rate")
 
-    def __init__(self, fid, src, dst, total, kind, done_cb):
-        self.fid = fid
+    def __init__(self, src, dst, total, kind, done_cb, started):
         self.src = src
         self.dst = dst
+        # constraints in solve order: node-pair link, sender egress, receiver ingress
+        self.keys = (("p", src, dst), ("e", src), ("i", dst))
         self.total = total
         self.remaining = float(total)
         self.kind = kind
         self.done_cb = done_cb
+        self.started = started
+        self.rate = 0.0
 
 
 class _Engine:
@@ -161,9 +165,9 @@ class _Engine:
         self.flows: list[_Flow] = []
         self.timers: list[tuple[float, int, object]] = []
         self._seq = 0
-        self._fid = 0
 
         self.node_by_name = {n.name: n for n in topo.nodes()}
+        self.site_nodes: dict[str, list[NodeSpec]] = {}
         self.running_on: dict[str, int] = {n.name: 0 for n in topo.nodes()}
         self.disk_free_at: dict[str, float] = {n.name: 0.0 for n in topo.nodes()}
         self.untar_records: dict[str, list[tuple[float, float, float, float]]] = {
@@ -183,14 +187,13 @@ class _Engine:
         self.count_by_kind: dict[str, int] = {}
         self.bytes_by_kind: dict[str, float] = {}
         self.ledger: list[FlowRecord] = []
-        self.flow_started: dict[int, float] = {}
 
-        # max link speed seen at each port bounds that port's capacity
-        self.egress_cap: dict[str, float] = {}
-        self.ingress_cap: dict[str, float] = {}
+        # capacity per _Flow constraint key; the fastest link at a port bounds it
+        self.caps: dict[tuple, float] = {}
         for (a, b), bw in topo.links.items():
-            self.egress_cap[a] = max(self.egress_cap.get(a, 0.0), bw)
-            self.ingress_cap[b] = max(self.ingress_cap.get(b, 0.0), bw)
+            self.caps[("p", a, b)] = bw
+            self.caps[("e", a)] = max(self.caps.get(("e", a), 0.0), bw)
+            self.caps[("i", b)] = max(self.caps.get(("i", b), 0.0), bw)
 
     # -- primitives ---------------------------------------------------------
 
@@ -204,60 +207,43 @@ class _Engine:
             return
         if (src, dst) not in self.topo.links:
             raise SimError(f"no link from {src!r} to {dst!r}")
-        self._fid += 1
-        flow = _Flow(self._fid, src, dst, nbytes, kind, done_cb)
-        self.flows.append(flow)
-        self.flow_started[flow.fid] = self.now
+        self.flows.append(_Flow(src, dst, nbytes, kind, done_cb, self.now))
 
-    def _rates(self) -> dict[int, float]:
-        if not self.flows:
-            return {}
+    def _solve_rates(self) -> None:
+        """Set every flow's rate: max-min fair over its constraints, or its tightest one."""
+        caps = self.caps
         if not self.cfg.fair_share:
-            out = {}
             for f in self.flows:
-                out[f.fid] = min(
-                    self.topo.links[(f.src, f.dst)],
-                    self.egress_cap[f.src],
-                    self.ingress_cap[f.dst],
-                )
-            return out
-        # max-min water filling over pair links and node ports
-        groups: dict[tuple, tuple[float, list[_Flow]]] = {}
+                f.rate = min(caps[k] for k in f.keys)
+            return
+        # Water filling: the constraint with the smallest fair share saturates
+        # and freezes its unfrozen members at that share.
+        members: dict[tuple, list[_Flow]] = {}
         for f in self.flows:
-            for key, cap in (
-                (("p", f.src, f.dst), self.topo.links[(f.src, f.dst)]),
-                (("e", f.src), self.egress_cap[f.src]),
-                (("i", f.dst), self.ingress_cap[f.dst]),
-            ):
-                if key in groups:
-                    groups[key][1].append(f)
-                else:
-                    groups[key] = (cap, [f])
-        alloc: dict[int, float] = {}
-        remaining = {k: cap for k, (cap, _) in groups.items()}
-        unfrozen = {f.fid for f in self.flows}
-        while unfrozen:
+            f.rate = None
+            for k in f.keys:
+                members.setdefault(k, []).append(f)
+        left = {k: caps[k] for k in members}
+        count = {k: len(m) for k, m in members.items()}  # unfrozen members
+        while count:
             best_key = None
             best_fair = math.inf
-            for key, (_, members) in groups.items():
-                n = sum(1 for m in members if m.fid in unfrozen)
-                if n == 0:
-                    continue
-                fair = remaining[key] / n
+            for k, n in count.items():
+                fair = left[k] / n
                 if fair < best_fair - _EPS:
                     best_fair = fair
-                    best_key = key
-            assert best_key is not None
-            for m in groups[best_key][1]:
-                if m.fid not in unfrozen:
+                    best_key = k
+            for m in members[best_key]:
+                if m.rate is not None:
                     continue
-                alloc[m.fid] = best_fair
-                unfrozen.discard(m.fid)
-                for key, (_, members) in groups.items():
-                    if key != best_key and any(x.fid == m.fid for x in members):
-                        remaining[key] -= best_fair
-            remaining[best_key] = 0.0
-        return alloc
+                m.rate = best_fair
+                for k in m.keys:
+                    if k != best_key:
+                        left[k] -= best_fair
+                        count[k] -= 1
+                        if count[k] == 0:
+                            del count[k]
+            del count[best_key]
 
     def _account(self, src: str, t0: float, t1: float, rate: float) -> None:
         buckets = self.egress_buckets[src]
@@ -283,21 +269,24 @@ class _Engine:
 
     # -- job lifecycle ------------------------------------------------------
 
+    def _nodes(self, site: str) -> list[NodeSpec]:
+        nodes = self.site_nodes.get(site)
+        if nodes is None:
+            nodes = self.site_nodes[site] = self.topo.nodes_for_site(site)
+        return nodes
+
     def _pick_worker(self, site: str) -> str | None:
-        candidates = self.topo.nodes_for_site(site)
-        best = None
-        for n in sorted(candidates, key=lambda n: n.name):
-            if self.running_on[n.name] < n.slots:
-                if best is None or self.running_on[n.name] < self.running_on[best]:
-                    best = n.name
-        return best
+        # least-loaded node with a free slot, ties to the smallest name
+        free = [n.name for n in self._nodes(site) if self.running_on[n.name] < n.slots]
+        return min(free, key=lambda name: (self.running_on[name], name), default=None)
 
     def _staging_node(self, site: str) -> str:
         # storage nodes are exact-name matches; never a /wN worker
-        for n in self.topo.nodes_for_site(site):
+        nodes = self._nodes(site)
+        for n in nodes:
             if n.name == site:
                 return n.name
-        return self.topo.nodes_for_site(site)[0].name
+        return nodes[0].name
 
     def dispatch(self) -> None:
         # One pass suffices: no job finishes inside it and slots only fill, so
@@ -415,36 +404,36 @@ class _Engine:
     def run(self) -> SimResult:
         self.dispatch()
         while self.flows or self.timers:
-            rates = self._rates()
-            t_next = math.inf
+            self._solve_rates()
+            ends = [
+                self.now + f.remaining / f.rate if f.rate > 0 else math.inf
+                for f in self.flows
+            ]
+            t_next = min(ends, default=math.inf)
             if self.timers:
-                t_next = self.timers[0][0]
-            for f in self.flows:
-                r = rates.get(f.fid, 0.0)
-                if r > 0:
-                    t_next = min(t_next, self.now + f.remaining / r)
+                t_next = min(t_next, self.timers[0][0])
             if math.isinf(t_next):
                 stuck = [j for j in self.jobs if j not in self.done]
                 raise SimError(f"simulation stalled; unfinished jobs: {stuck[:5]}")
-            dt = max(t_next - self.now, 0.0)
-            if dt > 0:
-                for f in self.flows:
-                    r = rates.get(f.fid, 0.0)
-                    if r > 0:
-                        f.remaining -= r * dt
-                        self._account(f.src, self.now, t_next, r)
+            dt = t_next - self.now
+            # a flow finishes at the event time it projected, whatever bytes
+            # rounding leaves; the others never drop below zero bytes
+            running, finished = [], []
+            for f, end in zip(self.flows, ends):
+                (finished if end == t_next else running).append(f)
+                if f.rate > 0:
+                    f.remaining = max(f.remaining - f.rate * dt, 0.0)
+                    self._account(f.src, self.now, t_next, f.rate)
+            self.flows = running
             self.now = t_next
 
-            finished = [f for f in self.flows if f.remaining <= 1e-3]
             for f in finished:
-                self.flows.remove(f)
                 self.egress_totals[f.src] += f.total
                 self.ingress_totals[f.dst] += f.total
                 self.count_by_kind[f.kind] = self.count_by_kind.get(f.kind, 0) + 1
                 self.bytes_by_kind[f.kind] = self.bytes_by_kind.get(f.kind, 0.0) + f.total
                 self.ledger.append(FlowRecord(
-                    f.src, f.dst, f.total, f.kind,
-                    self.flow_started[f.fid], self.now,
+                    f.src, f.dst, f.total, f.kind, f.started, self.now,
                 ))
             for f in finished:
                 f.done_cb()
@@ -598,9 +587,7 @@ def sweep(
 
 def parse_topology(text: str) -> Topology:
     """Parse the topology YAML document (submit / nfs / workers / links)."""
-    import yaml
-
-    doc = yaml.safe_load(text) or {}
+    doc = load_yaml(text, "topology")
 
     def node(raw: dict) -> NodeSpec:
         return NodeSpec(

@@ -207,14 +207,24 @@ def topological_levels(wf: AbstractWorkflow) -> dict[str, int]:
     return levels
 
 
-def parse_workflow(text: str) -> AbstractWorkflow:
-    """Parse the workflow YAML document (tasks / edges / files sections)."""
+def load_yaml(text: str, what: str, shape: type | tuple[type, ...] = dict):
+    """Parse the YAML document named ``what``; its top level must be a ``shape``.
+
+    An empty document reads as ``{}``.  Malformed YAML and any other top-level
+    type raise ValidationError.
+    """
     try:
         doc = yaml.safe_load(text) or {}
     except yaml.YAMLError as exc:
-        raise ValidationError(f"workflow document is not valid YAML: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValidationError("workflow document must be a mapping")
+        raise ValidationError(f"{what} document is not valid YAML: {exc}") from None
+    if not isinstance(doc, shape):
+        raise ValidationError(f"{what} document cannot be a {type(doc).__name__}")
+    return doc
+
+
+def parse_workflow(text: str) -> AbstractWorkflow:
+    """Parse the workflow YAML document (tasks / edges / files sections)."""
+    doc = load_yaml(text, "workflow")
     tasks = []
     for raw in doc.get("tasks") or []:
         tasks.append(Task(

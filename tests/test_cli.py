@@ -109,6 +109,19 @@ class TestRun:
         assert "error" in captured.err
         assert "skipped" in captured.out
 
+    def test_cyclic_executable_exits_1(self, tmp_path, capsys):
+        ewf_path = tmp_path / "cyclic.yml"
+        ewf_path.write_text("""
+jobs:
+  - {id: a, kind: cleanup, site: submit, payload: {target_job: ""}}
+  - {id: b, kind: cleanup, site: submit, payload: {target_job: ""}}
+edges: [[a, b], [b, a]]
+""")
+        catalog = tmp_path / "catalog.yml"
+        catalog.write_text(serialize_catalog(demo_catalog("docker")))
+        assert main(["run", str(ewf_path), str(catalog)]) == 1
+        assert "cycle detected" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_same_seed_same_files(self, inputs, tmp_path, capsys):
@@ -168,3 +181,34 @@ scenarios:
         empty = tmp_path / "empty.yml"
         empty.write_text("scenarios: []\n")
         assert main(["sweep", str(empty)]) == 2
+
+
+# Malformed YAML, and a top-level list of scalars where mappings belong.
+BAD_DOCUMENTS = ("{not valid", "- a\n- b\n")
+
+
+class TestMalformedInputs:
+    """Each input file kind fails with exit 1 and a message, never a traceback."""
+
+    def test_malformed_sites(self, inputs, tmp_path, capsys):
+        for text in BAD_DOCUMENTS:
+            inputs["sites"].write_text(text)
+            assert run_plan(inputs, tmp_path)[0] == 1
+            assert "error" in capsys.readouterr().err
+
+    def test_malformed_executable(self, inputs, tmp_path, capsys):
+        bad = tmp_path / "executable.yml"
+        for text in BAD_DOCUMENTS:
+            bad.write_text(text)
+            assert main(["wrappers", str(bad), str(inputs["catalog"]),
+                         "--out", str(tmp_path / "wrappers")]) == 1
+            assert "error" in capsys.readouterr().err
+
+    def test_malformed_topology(self, inputs, tmp_path, capsys):
+        _, ewf_path = run_plan(inputs, tmp_path, "--cluster-size", "12")
+        for text in BAD_DOCUMENTS:
+            inputs["topology"].write_text(text)
+            assert main(["simulate", str(ewf_path), str(inputs["topology"]),
+                         "--out", str(tmp_path / "sim")]) == 1
+            assert "error" in capsys.readouterr().err
+

@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from contflow.catalog import ContainerDef, ContainerRuntime, MountSpec, parse_image_url
-from contflow.errors import StepFailed
+from contflow.errors import CycleDetected, StepFailed
 from contflow.launcher import (
     JOB_DIR_MOUNT,
     Step,
@@ -20,6 +20,7 @@ from contflow.launcher import (
     render_wrapper,
 )
 from contflow.planner import (
+    CleanupPayload,
     ComputePayload,
     ExecutableWorkflow,
     Job,
@@ -295,3 +296,15 @@ class TestExecuteLocal:
         assert exc.report.jobs["j00"].status == "failed"
         assert exc.report.jobs["j01"].status == "skipped"
         assert exc.report.jobs["j02"].status == "skipped"
+
+    def test_cycle_raises_before_any_job_runs(self):
+        jobs = tuple(
+            Job(id=jid, kind=JobKind.CLEANUP, site="submit",
+                payload=CleanupPayload(target_job=""))
+            for jid in ("a", "b", "c")
+        )
+        ewf = ExecutableWorkflow(jobs=jobs,
+                                 edges=(("a", "b"), ("b", "c"), ("c", "b")))
+        with pytest.raises(CycleDetected) as exc:
+            execute_local(ewf, {})
+        assert exc.value.cycle == ["b", "c", "b"]

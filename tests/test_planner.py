@@ -205,7 +205,7 @@ class TestInsertContainerFetchJobs:
             jobs.append(_compute_job(f"j{i}", cname, staging))
         ewf = ExecutableWorkflow(jobs=tuple(jobs))
         cat = Catalog(containers=containers)
-        out = insert_container_fetch_jobs(ewf, cat, [])
+        out = insert_container_fetch_jobs(ewf, cat)
         assert len(out.jobs_of_kind(JobKind.CONTAINER_FETCH)) == 4
 
     def test_all_shifter_no_fetch(self):
@@ -215,13 +215,13 @@ class TestInsertContainerFetchJobs:
                          placement=PlacementMode.SHIFTER_LOCAL)
             for i in range(5)
         )
-        out = insert_container_fetch_jobs(ExecutableWorkflow(jobs=jobs), cat, [])
+        out = insert_container_fetch_jobs(ExecutableWorkflow(jobs=jobs), cat)
         assert out.jobs_of_kind(JobKind.CONTAINER_FETCH) == []
 
     def test_sixty_three_tasks_one_fetch(self):
         cat = Catalog(containers={"c1": make_container()})
         jobs = tuple(_compute_job(f"j{i:02d}", "c1", "staging0") for i in range(63))
-        out = insert_container_fetch_jobs(ExecutableWorkflow(jobs=jobs), cat, [])
+        out = insert_container_fetch_jobs(ExecutableWorkflow(jobs=jobs), cat)
         fetches = out.jobs_of_kind(JobKind.CONTAINER_FETCH)
         assert len(fetches) == 1
         assert sum(1 for u, _ in out.edges if u == fetches[0].id) == 63

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import math
+import threading
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contflow.catalog import ContainerRuntime
 from contflow.errors import MissingSize, SimError, UnmappedSite
@@ -14,16 +17,23 @@ from contflow.planner import (
     Job,
     JobKind,
     PlacementMode,
+    PlanConfig,
+    plan,
 )
 from contflow.scenarios import (
     DOCKER_IMAGE_BYTES,
     GBPS,
+    SUBMIT_SITE,
+    demo_catalog,
     demo_plan,
     demo_scenarios,
+    demo_sites,
     demo_topology,
+    demo_workflow,
 )
 from contflow.simulator import (
     NodeSpec,
+    _Engine,
     SimConfig,
     SimResult,
     Topology,
@@ -281,3 +291,130 @@ class TestTopologySerialization:
         res = simulate(ExecutableWorkflow(jobs=(job,)), tiny_topology(),
                        SimConfig())
         assert res.makespan_s == 0.0
+
+
+def simulate_within(ewf, topo, cfg, timeout=10.0) -> SimResult:
+    """simulate() in a daemon thread, so a livelock fails the test instead of hanging it."""
+    box = {}
+
+    def call():
+        try:
+            box["result"] = simulate(ewf, topo, cfg)
+        except Exception as exc:  # re-raised in the test thread below
+            box["error"] = exc
+
+    thread = threading.Thread(target=call, daemon=True)
+    thread.start()
+    thread.join(timeout=timeout)
+    assert not thread.is_alive(), "simulate did not finish"
+    if "error" in box:
+        raise box["error"]
+    return box["result"]
+
+
+class TestFlowCompletion:
+    """Flows finish at their projected event time, even when rounding leaves
+    a residue of bytes whose remaining time is below the clock's resolution."""
+
+    @pytest.mark.parametrize(
+        "n_tasks,input_bytes,output_bytes,k,shared_fs,cleanup,topo,makespan", [
+        # three data_in flows each used to be left with 0.00156 B at t = 1004.9 s
+        (7, 10_000_000, 1_000_000, 1, False, False,
+         demo_topology(submit_bw=1.25e11, worker_bw=1.25e11, slots=1), 2004.907944),
+        # the demo's own worker-link speed; used to spin at t = 20005.7 s
+        (44, 100_000_000, 100_000, 12, True, True,
+         demo_topology(n_workers=3, slots=1, submit_bw=1.25e9, worker_bw=1.25e9),
+         20005.677440),
+    ], ids=["fast_links", "demo_worker_links"])
+    def test_rounding_residue_does_not_livelock(
+        self, n_tasks, input_bytes, output_bytes, k, shared_fs, cleanup, topo, makespan
+    ):
+        wf = demo_workflow(n_tasks=n_tasks, runtime_s=1000.0,
+                           input_bytes=input_bytes, output_bytes=output_bytes)
+        ewf = plan(wf, demo_catalog("docker"), demo_sites(shared_fs=shared_fs),
+                   PlanConfig(cluster_size=k, output_site=SUBMIT_SITE, cleanup=cleanup))
+        res = simulate_within(ewf, topo, SimConfig())
+        assert f"{res.makespan_s:.6f}" == f"{makespan:.6f}"
+        assert sum(res.egress_totals.values()) == sum(res.ingress_totals.values())
+        assert res.total_transfer_bytes == sum(res.egress_totals.values())
+        assert len(res.job_timeline) == len(ewf.jobs)
+
+
+def reference_rates(links, pairs, fair_share):
+    """Reference rate solve: rebuilds every constraint group per solve and
+    rescans all groups for each frozen flow.  Returns one rate per pair."""
+    egress_cap: dict[str, float] = {}
+    ingress_cap: dict[str, float] = {}
+    for (a, b), bw in links.items():
+        egress_cap[a] = max(egress_cap.get(a, 0.0), bw)
+        ingress_cap[b] = max(ingress_cap.get(b, 0.0), bw)
+    flows = [SimpleNamespace(fid=i, src=a, dst=b) for i, (a, b) in enumerate(pairs)]
+    if not fair_share:
+        return [
+            min(links[(f.src, f.dst)], egress_cap[f.src], ingress_cap[f.dst])
+            for f in flows
+        ]
+    groups: dict[tuple, tuple[float, list]] = {}
+    for f in flows:
+        for key, cap in (
+            (("p", f.src, f.dst), links[(f.src, f.dst)]),
+            (("e", f.src), egress_cap[f.src]),
+            (("i", f.dst), ingress_cap[f.dst]),
+        ):
+            if key in groups:
+                groups[key][1].append(f)
+            else:
+                groups[key] = (cap, [f])
+    alloc: dict[int, float] = {}
+    remaining = {k: cap for k, (cap, _) in groups.items()}
+    unfrozen = {f.fid for f in flows}
+    while unfrozen:
+        best_key = None
+        best_fair = math.inf
+        for key, (_, members) in groups.items():
+            n = sum(1 for m in members if m.fid in unfrozen)
+            if n == 0:
+                continue
+            fair = remaining[key] / n
+            if fair < best_fair - 1e-9:
+                best_fair = fair
+                best_key = key
+        for m in groups[best_key][1]:
+            if m.fid not in unfrozen:
+                continue
+            alloc[m.fid] = best_fair
+            unfrozen.discard(m.fid)
+            for key, (_, members) in groups.items():
+                if key != best_key and any(x.fid == m.fid for x in members):
+                    remaining[key] -= best_fair
+        remaining[best_key] = 0.0
+    return [alloc[f.fid] for f in flows]
+
+
+@st.composite
+def links_and_flows(draw):
+    """Up to 5 nodes, random directed links, and flows over them with repeated pairs."""
+    names = ["submit"] + [f"w{i}" for i in range(draw(st.integers(1, 4)))]
+    pairs = [(a, b) for a in names for b in names if a != b]
+    bandwidth = st.one_of(st.sampled_from([1e6, 2.5e6, 1.25e8, 1.25e9]),
+                          st.floats(1e6, 1e12))
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=8, unique=True))
+    links = {pair: draw(bandwidth) for pair in chosen}
+    flows = draw(st.lists(st.sampled_from(chosen), min_size=1, max_size=12))
+    topo = Topology(submit=NodeSpec("submit"), nfs=None,
+                    workers=tuple(NodeSpec(n) for n in names[1:]), links=links)
+    return topo, flows
+
+
+class TestRateSolve:
+    @settings(max_examples=300, deadline=None)
+    @given(links_and_flows(), st.booleans())
+    def test_rates_equal_reference(self, case, fair_share):
+        topo, pairs = case
+        engine = _Engine(ExecutableWorkflow(), topo, SimConfig(fair_share=fair_share))
+        for src, dst in pairs:
+            engine.start_flow(src, dst, 1.0, "data_in", lambda: None)
+        engine._solve_rates()
+        assert [f.rate for f in engine.flows] == \
+            reference_rates(topo.links, pairs, fair_share)
+
