@@ -13,8 +13,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-import yaml
-
 from .errors import (
     CatalogSyntaxError,
     DanglingContainerRef,
@@ -24,7 +22,9 @@ from .errors import (
     NotFound,
     UnknownOption,
     UnknownScheme,
+    ValidationError,
 )
+from .workflow import dump_yaml, load_yaml
 
 MOUNT_OPTIONS = {"ro", "rw"}
 
@@ -264,11 +264,9 @@ def parse_catalog(text: str) -> Catalog:
     or a sequence of single-key mappings carrying the same content.
     """
     try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise CatalogSyntaxError(f"malformed catalog document: {exc}") from None
-    if doc is None:
-        doc = {}
+        doc = load_yaml(text, "catalog", (dict, list))
+    except ValidationError as exc:
+        raise CatalogSyntaxError(str(exc)) from None
     if isinstance(doc, list):
         merged: dict = {}
         for item in doc:
@@ -276,8 +274,6 @@ def parse_catalog(text: str) -> Catalog:
                 raise CatalogSyntaxError(f"unexpected top-level entry {item!r}")
             merged.update(item)
         doc = merged
-    if not isinstance(doc, dict):
-        raise CatalogSyntaxError("catalog document must be a mapping or sequence")
 
     containers: dict[str, ContainerDef] = {}
     for raw in doc.get("cont") or []:
@@ -339,10 +335,7 @@ def serialize_catalog(cat: Catalog) -> str:
         if cdef.site_local:
             raw["site_local"] = True
         conts.append(raw)
-    return yaml.safe_dump(
-        {"transformations": transformations, "cont": conts},
-        sort_keys=False, default_flow_style=False,
-    )
+    return dump_yaml({"transformations": transformations, "cont": conts})
 
 
 def parse_logical_id(logical_id: str) -> tuple[str, str, str]:

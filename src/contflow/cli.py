@@ -10,14 +10,12 @@ import json
 import sys
 from pathlib import Path
 
-import yaml
-
 from . import launcher, planner, simulator
 from .catalog import parse_catalog
 from .errors import ContflowError, LaunchError, SimError, TransferError
 from .planner import PlanConfig, parse_executable, parse_sites, serialize_executable
 from .simulator import SimConfig, SimResult, FlowRecord, parse_topology
-from .workflow import parse_workflow
+from .workflow import load_yaml, parse_workflow, yaml_mappings
 
 
 def _onoff(value: str) -> bool:
@@ -163,9 +161,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    doc = yaml.safe_load(_read(args.scenarios)) or {}
+    doc = load_yaml(_read(args.scenarios), "sweep")
     scenarios = []
-    for raw in doc.get("scenarios") or []:
+    for raw in yaml_mappings(doc, "scenarios", "sweep"):
         wf = parse_workflow(_read(raw["workflow"]))
         cat = parse_catalog(_read(raw["catalog"]))
         sites = parse_sites(_read(raw["sites"]))

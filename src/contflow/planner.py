@@ -13,8 +13,6 @@ import enum
 import math
 from dataclasses import dataclass, field, replace
 
-import yaml
-
 from .catalog import (
     Catalog,
     ContainerDef,
@@ -29,9 +27,16 @@ from .errors import (
     PlanError,
     RuntimeUnavailable,
     UnresolvableTransformation,
-    ValidationError,
 )
-from .workflow import AbstractWorkflow, load_yaml, topological_levels, validate_dag
+from .workflow import (
+    AbstractWorkflow,
+    dump_yaml,
+    load_yaml,
+    topological_levels,
+    validate_dag,
+    yaml_mappings,
+    yaml_pairs,
+)
 from .workflow import _find_cycle  # shared cycle oracle
 
 
@@ -506,13 +511,13 @@ def serialize_executable(ewf: ExecutableWorkflow) -> str:
         ],
         "edges": [[u, v] for u, v in ewf.edges],
     }
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)
+    return dump_yaml(doc)
 
 
 def parse_executable(text: str) -> ExecutableWorkflow:
     doc = load_yaml(text, "executable")
     jobs: list[Job] = []
-    for raw in doc.get("jobs") or []:
+    for raw in yaml_mappings(doc, "jobs", "executable"):
         kind = JobKind(raw["kind"])
         praw = raw.get("payload") or {}
         payload: ComputePayload | TransferPayload | CleanupPayload
@@ -538,18 +543,16 @@ def parse_executable(text: str) -> ExecutableWorkflow:
                 dst_site=praw.get("dst_site", ""),
             )
         jobs.append(Job(id=str(raw["id"]), kind=kind, site=str(raw["site"]), payload=payload))
-    edges = tuple((str(u), str(v)) for u, v in (doc.get("edges") or []))
+    edges = yaml_pairs(doc, "edges", "executable")
     return ExecutableWorkflow(jobs=tuple(jobs), edges=edges)
 
 
 def parse_sites(text: str) -> list[Site]:
     doc = load_yaml(text, "sites", (dict, list))
-    if isinstance(doc, dict):
-        doc = doc.get("sites") or []
-    if not isinstance(doc, list) or not all(isinstance(raw, dict) for raw in doc):
-        raise ValidationError("sites document must list one mapping per site")
+    if isinstance(doc, list):
+        doc = {"sites": doc}
     sites = []
-    for raw in doc:
+    for raw in yaml_mappings(doc, "sites", "sites"):
         sites.append(Site(
             name=str(raw["name"]),
             shared_fs=bool(raw.get("shared_fs", False)),

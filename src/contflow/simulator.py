@@ -21,7 +21,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .catalog import ContainerRuntime
-from .errors import DestinationUnwritable, MissingSize, SimError, UnmappedSite
+from .errors import (
+    DestinationUnwritable,
+    MissingSize,
+    SimError,
+    UnmappedSite,
+    ValidationError,
+)
 from .planner import (
     ComputePayload,
     ExecutableWorkflow,
@@ -30,7 +36,7 @@ from .planner import (
     PlacementMode,
     TransferPayload,
 )
-from .workflow import ReadySet, load_yaml, topological_order
+from .workflow import ReadySet, dump_yaml, load_yaml, topological_order, yaml_mappings
 
 _EPS = 1e-9
 
@@ -290,13 +296,19 @@ class _Engine:
 
     def dispatch(self) -> None:
         # One pass suffices: no job finishes inside it and slots only fill, so
-        # a job that finds no slot here cannot find one later in the same pass.
+        # a job that finds no slot here cannot find one later in the same pass,
+        # and once a site is full its later compute jobs wait without a look.
         released = []
         while self.ready:
             released.append(self.ready.pop())
         waiting = []
+        full: set[str] = set()
         for jid in heapq.merge(self.waiting, released):
-            if not self.start_job(self.jobs[jid]):
+            job = self.jobs[jid]
+            if job.kind is JobKind.COMPUTE and job.site in full:
+                waiting.append(jid)
+            elif not self.start_job(job):
+                full.add(job.site)
                 waiting.append(jid)
         self.waiting = waiting
 
@@ -589,7 +601,9 @@ def parse_topology(text: str) -> Topology:
     """Parse the topology YAML document (submit / nfs / workers / links)."""
     doc = load_yaml(text, "topology")
 
-    def node(raw: dict) -> NodeSpec:
+    def node(raw) -> NodeSpec:
+        if not isinstance(raw, dict):
+            raise ValidationError(f"topology document: node {raw!r} is not a mapping")
         return NodeSpec(
             name=str(raw["name"]),
             slots=int(raw.get("slots", 1)),
@@ -598,12 +612,12 @@ def parse_topology(text: str) -> Topology:
         )
 
     links: dict[tuple[str, str], float] = {}
-    for raw in doc.get("links") or []:
+    for raw in yaml_mappings(doc, "links", "topology"):
         links[(str(raw["src"]), str(raw["dst"]))] = float(raw["bandwidth"])
     topo = Topology(
         submit=node(doc["submit"]),
         nfs=node(doc["nfs"]) if doc.get("nfs") else None,
-        workers=tuple(node(w) for w in doc.get("workers") or []),
+        workers=tuple(node(w) for w in yaml_mappings(doc, "workers", "topology")),
         links=links,
     )
     topo.validate()
@@ -611,8 +625,6 @@ def parse_topology(text: str) -> Topology:
 
 
 def serialize_topology(topo: Topology) -> str:
-    import yaml
-
     def node(n: NodeSpec) -> dict:
         return {
             "name": n.name,
@@ -630,7 +642,7 @@ def serialize_topology(topo: Topology) -> str:
             for (a, b), bw in topo.links.items()
         ],
     }
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)
+    return dump_yaml(doc)
 
 
 def format_sweep(rows: list[dict]) -> str:

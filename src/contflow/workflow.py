@@ -207,6 +207,11 @@ def topological_levels(wf: AbstractWorkflow) -> dict[str, int]:
     return levels
 
 
+# libyaml's parser and emitter when PyYAML was built with it, else pure Python
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
 def load_yaml(text: str, what: str, shape: type | tuple[type, ...] = dict):
     """Parse the YAML document named ``what``; its top level must be a ``shape``.
 
@@ -214,19 +219,44 @@ def load_yaml(text: str, what: str, shape: type | tuple[type, ...] = dict):
     type raise ValidationError.
     """
     try:
-        doc = yaml.safe_load(text) or {}
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ValidationError(f"{what} document is not valid YAML: {exc}") from None
+    if doc is None:
+        doc = {}
     if not isinstance(doc, shape):
         raise ValidationError(f"{what} document cannot be a {type(doc).__name__}")
     return doc
+
+
+def dump_yaml(doc) -> str:
+    """Emit ``doc`` as block-style YAML, keys in insertion order."""
+    return yaml.dump(doc, Dumper=_DUMPER, sort_keys=False, default_flow_style=False)
+
+
+def yaml_mappings(doc: dict, key: str, what: str) -> list[dict]:
+    """The ``key`` section of document ``what``: a list of mappings, ``[]`` if absent."""
+    entries = doc.get(key) or []
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValidationError(f"{what} document: {key} must list one mapping per entry")
+    return entries
+
+
+def yaml_pairs(doc: dict, key: str, what: str) -> tuple[tuple[str, str], ...]:
+    """The ``key`` section of document ``what``: a list of ``[from, to]`` pairs."""
+    entries = doc.get(key) or []
+    if not isinstance(entries, list) or not all(
+        isinstance(e, list) and len(e) == 2 for e in entries
+    ):
+        raise ValidationError(f"{what} document: each {key} entry must be a [from, to] pair")
+    return tuple((str(u), str(v)) for u, v in entries)
 
 
 def parse_workflow(text: str) -> AbstractWorkflow:
     """Parse the workflow YAML document (tasks / edges / files sections)."""
     doc = load_yaml(text, "workflow")
     tasks = []
-    for raw in doc.get("tasks") or []:
+    for raw in yaml_mappings(doc, "tasks", "workflow"):
         tasks.append(Task(
             id=str(raw["id"]),
             transformation=str(raw["transformation"]),
@@ -234,9 +264,9 @@ def parse_workflow(text: str) -> AbstractWorkflow:
             outputs=tuple(str(f) for f in raw.get("outputs") or []),
             expected_runtime_s=float(raw.get("runtime", DEFAULT_RUNTIME_S)),
         ))
-    edges = tuple((str(u), str(v)) for u, v in (doc.get("edges") or []))
+    edges = yaml_pairs(doc, "edges", "workflow")
     files = {}
-    for raw in doc.get("files") or []:
+    for raw in yaml_mappings(doc, "files", "workflow"):
         meta = FileMeta(
             name=str(raw["name"]),
             size_bytes=int(raw.get("size_bytes", DEFAULT_FILE_BYTES)),
@@ -268,4 +298,4 @@ def serialize_workflow(wf: AbstractWorkflow) -> str:
             for m in wf.files.values()
         ],
     }
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)
+    return dump_yaml(doc)

@@ -212,3 +212,46 @@ class TestMalformedInputs:
                          "--out", str(tmp_path / "sim")]) == 1
             assert "error" in capsys.readouterr().err
 
+
+    def test_executable_job_not_a_mapping(self, inputs, tmp_path, capsys):
+        bad = tmp_path / "executable.yml"
+        bad.write_text("jobs: [1]\n")
+        for argv in (["wrappers", str(bad), str(inputs["catalog"]),
+                      "--out", str(tmp_path / "wrappers")],
+                     ["simulate", str(bad), str(inputs["topology"]),
+                      "--out", str(tmp_path / "sim")]):
+            assert main(argv) == 1
+            assert "executable document: jobs" in capsys.readouterr().err
+
+    def test_workflow_task_not_a_mapping(self, inputs, tmp_path, capsys):
+        inputs["workflow"].write_text("tasks: [1]\n")
+        assert run_plan(inputs, tmp_path)[0] == 1
+        assert "workflow document: tasks" in capsys.readouterr().err
+
+    def test_topology_link_not_a_mapping(self, inputs, tmp_path, capsys):
+        _, ewf_path = run_plan(inputs, tmp_path, "--cluster-size", "12")
+        inputs["topology"].write_text(
+            inputs["topology"].read_text().replace("links:", "links: [1]\nunused:")
+        )
+        assert main(["simulate", str(ewf_path), str(inputs["topology"]),
+                     "--out", str(tmp_path / "sim")]) == 1
+        assert "topology document: links" in capsys.readouterr().err
+
+    def test_edge_not_a_pair(self, inputs, tmp_path, capsys):
+        _, ewf_path = run_plan(inputs, tmp_path)
+        capsys.readouterr()
+        for edge in ("1", "[a]", "[a, b, c]", "ab"):
+            inputs["workflow"].write_text(f"edges: [{edge}]\n")
+            assert run_plan(inputs, tmp_path)[0] == 1
+            assert "workflow document: each edges entry" in capsys.readouterr().err
+            ewf_path.write_text(f"edges: [{edge}]\n")
+            assert main(["simulate", str(ewf_path), str(inputs["topology"]),
+                         "--out", str(tmp_path / "sim")]) == 1
+            assert "executable document: each edges entry" in capsys.readouterr().err
+
+    def test_malformed_sweep(self, tmp_path, capsys):
+        bad = tmp_path / "scenarios.yml"
+        for text in (*BAD_DOCUMENTS, "scenarios: [1]\n"):
+            bad.write_text(text)
+            assert main(["sweep", str(bad)]) == 1
+            assert "error" in capsys.readouterr().err

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 import threading
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -418,3 +420,66 @@ class TestRateSolve:
         assert [f.rate for f in engine.flows] == \
             reference_rates(topo.links, pairs, fair_share)
 
+
+
+def retry_every_waiting_job(engine):
+    """Reference dispatch pass: every waiting job asks for a slot, full site or not."""
+    released = []
+    while engine.ready:
+        released.append(engine.ready.pop())
+    waiting = []
+    for jid in heapq.merge(engine.waiting, released):
+        if not engine.start_job(engine.jobs[jid]):
+            waiting.append(jid)
+    engine.waiting = waiting
+
+
+class TestDispatch:
+    def two_one_slot_sites(self):
+        ws = (NodeSpec("other/w1", slots=1), NodeSpec("site/w1", slots=1))
+        links = {}
+        for w in ws:
+            links[("submit", w.name)] = 1e8
+            links[(w.name, "submit")] = 1e8
+        topo = Topology(submit=NodeSpec("submit"), nfs=None, workers=ws, links=links)
+        jobs = tuple(
+            replace(compute_job(f"c{i:02d}"), site="other" if i % 4 == 0 else "site")
+            for i in range(20)
+        )
+        return ExecutableWorkflow(jobs=jobs), topo
+
+    def test_full_site_is_asked_once_per_pass(self, monkeypatch):
+        ewf, topo = self.two_one_slot_sites()
+        passes: list[list[tuple[str, str | None]]] = []
+        real_dispatch, real_pick = _Engine.dispatch, _Engine._pick_worker
+
+        def dispatch(engine):
+            passes.append([])
+            real_dispatch(engine)
+
+        def pick(engine, site):
+            node = real_pick(engine, site)
+            passes[-1].append((site, node))
+            return node
+
+        monkeypatch.setattr(_Engine, "dispatch", dispatch)
+        monkeypatch.setattr(_Engine, "_pick_worker", pick)
+        simulate(ewf, topo, SimConfig())
+        # c00 and c01 start, c02 and c04 find their sites full, 16 more wait unasked
+        assert passes[0] == [("other", "other/w1"), ("site", "site/w1"),
+                             ("site", None), ("other", None)]
+        for calls in passes:
+            for site in ("other", "site"):
+                assert calls.count((site, None)) <= 1
+
+    def test_result_equals_retrying_every_job(self, monkeypatch):
+        scenarios = [
+            (*self.two_one_slot_sites(), SimConfig()),
+            (demo_plan("docker", cleanup=True), demo_topology(slots=1), SimConfig()),
+            (demo_plan("singularity", cluster_size=12, shared_fs=True),
+             demo_topology(n_workers=2, slots=2), SimConfig(fair_share=False)),
+        ]
+        skipping = [simulate(ewf, topo, cfg) for ewf, topo, cfg in scenarios]
+        monkeypatch.setattr(_Engine, "dispatch", retry_every_waiting_job)
+        retrying = [simulate(ewf, topo, cfg) for ewf, topo, cfg in scenarios]
+        assert skipping == retrying
