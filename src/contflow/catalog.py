@@ -24,7 +24,7 @@ from .errors import (
     UnknownScheme,
     ValidationError,
 )
-from .workflow import dump_yaml, load_yaml
+from .workflow import dump_yaml, load_yaml, yaml_mappings
 
 MOUNT_OPTIONS = {"ro", "rw"}
 
@@ -204,7 +204,10 @@ def _parse_container(raw: dict, seen: set[str]) -> ContainerDef:
         raise CatalogSyntaxError(
             f"container {name!r}: shifter containers require a shifter image URL"
         )
-    mounts = tuple(parse_mount_spec(str(m)) for m in raw.get("mount") or [])
+    mount_specs = raw.get("mount") or []
+    if not isinstance(mount_specs, list):
+        raise CatalogSyntaxError(f"container {name!r}: mount must be a sequence")
+    mounts = tuple(parse_mount_spec(str(m)) for m in mount_specs)
     profiles = _parse_profiles(raw.get("profile"), f"cont {name!r}")
     size = int(raw.get("image_size_bytes") or 0)
     if size < 0:
@@ -265,24 +268,26 @@ def parse_catalog(text: str) -> Catalog:
     """
     try:
         doc = load_yaml(text, "catalog", (dict, list))
+        if isinstance(doc, list):
+            merged: dict = {}
+            for item in doc:
+                if not isinstance(item, dict):
+                    raise CatalogSyntaxError(f"unexpected top-level entry {item!r}")
+                merged.update(item)
+            doc = merged
+        conts = yaml_mappings(doc, "cont", "catalog")
+        raw_transformations = yaml_mappings(doc, "transformations", "catalog")
     except ValidationError as exc:
         raise CatalogSyntaxError(str(exc)) from None
-    if isinstance(doc, list):
-        merged: dict = {}
-        for item in doc:
-            if not isinstance(item, dict):
-                raise CatalogSyntaxError(f"unexpected top-level entry {item!r}")
-            merged.update(item)
-        doc = merged
 
     containers: dict[str, ContainerDef] = {}
-    for raw in doc.get("cont") or []:
+    for raw in conts:
         cdef = _parse_container(raw, set(containers))
         containers[cdef.name] = cdef
 
     transformations: list[TransformationEntry] = []
     seen_keys: set[tuple[str, str, str, str]] = set()
-    for raw in doc.get("transformations") or []:
+    for raw in raw_transformations:
         for entry in _parse_transformation(raw):
             key = (entry.namespace, entry.name, entry.version, entry.site)
             if key in seen_keys:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import launcher, planner, simulator
@@ -58,13 +59,11 @@ def cmd_plan(args) -> int:
 def cmd_wrappers(args) -> int:
     ewf = parse_executable(_read(args.executable))
     cat = parse_catalog(_read(args.catalog))
-    cfg = PlanConfig(
-        staging_inside_container=args.staging_inside,
-        docker_load_dedup=args.dedup_load,
-    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    plans = launcher.build_plans(ewf, cat, cfg)
+    plans = launcher.build_plans(
+        ewf, cat, staging_inside=args.staging_inside, dedup_load=args.dedup_load
+    )
     for job_id in sorted(plans):
         (out / f"{job_id}.sh").write_text(launcher.render_wrapper(plans[job_id]))
     print(f"wrote {len(plans)} wrapper scripts to {out}")
@@ -74,8 +73,7 @@ def cmd_wrappers(args) -> int:
 def cmd_run(args) -> int:
     ewf = parse_executable(_read(args.executable))
     cat = parse_catalog(_read(args.catalog))
-    cfg = PlanConfig(docker_load_dedup=args.dedup_load)
-    plans = launcher.build_plans(ewf, cat, cfg)
+    plans = launcher.build_plans(ewf, cat, dedup_load=args.dedup_load)
     fail_step = None
     if args.fail_step:
         job_id, _, step = args.fail_step.partition(":")
@@ -103,34 +101,16 @@ def _print_run_table(rep: launcher.ExecutionReport) -> None:
 
 
 def _result_to_doc(res: SimResult) -> dict:
-    return {
-        "makespan_s": res.makespan_s,
-        "per_node_egress": res.per_node_egress,
-        "per_node_io_wait_ms": res.per_node_io_wait_ms,
-        "transfer_count_by_kind": res.transfer_count_by_kind,
-        "transfer_bytes_by_kind": res.transfer_bytes_by_kind,
-        "job_timeline": [list(row) for row in res.job_timeline],
-        "egress_totals": res.egress_totals,
-        "ingress_totals": res.ingress_totals,
-        "flow_ledger": [
-            [f.src, f.dst, f.bytes, f.kind, f.started, f.ended]
-            for f in res.flow_ledger
-        ],
-    }
+    doc = {f.name: getattr(res, f.name) for f in fields(SimResult)}
+    doc["flow_ledger"] = [tuple(vars(f).values()) for f in res.flow_ledger]
+    return doc
 
 
 def _result_from_doc(doc: dict) -> SimResult:
-    return SimResult(
-        makespan_s=doc["makespan_s"],
-        per_node_egress=doc["per_node_egress"],
-        per_node_io_wait_ms=doc["per_node_io_wait_ms"],
-        transfer_count_by_kind=doc["transfer_count_by_kind"],
-        transfer_bytes_by_kind=doc["transfer_bytes_by_kind"],
-        job_timeline=[tuple(row) for row in doc["job_timeline"]],
-        egress_totals=doc["egress_totals"],
-        ingress_totals=doc["ingress_totals"],
-        flow_ledger=[FlowRecord(*row) for row in doc["flow_ledger"]],
-    )
+    doc = {f.name: doc[f.name] for f in fields(SimResult)}
+    doc["job_timeline"] = [tuple(row) for row in doc["job_timeline"]]
+    doc["flow_ledger"] = [FlowRecord(*row) for row in doc["flow_ledger"]]
+    return SimResult(**doc)
 
 
 def cmd_simulate(args) -> int:

@@ -14,18 +14,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .catalog import ContainerDef, ContainerRuntime, MountSpec
-from .errors import CycleDetected, InconsistentPlacement, StepFailed
-from .planner import (
-    Catalog,
-    ComputePayload,
-    ExecutableWorkflow,
-    Job,
-    JobKind,
-    PlacementMode,
-    PlanConfig,
-)
-from .workflow import ReadySet, _find_cycle
+from .catalog import Catalog, ContainerDef, ContainerRuntime, MountSpec
+from .errors import InconsistentPlacement, StepFailed
+from .planner import ComputePayload, ExecutableWorkflow, Job, JobKind, PlacementMode
+from .workflow import ReadySet, require_acyclic
 
 JOB_DIR_MOUNT = {
     ContainerRuntime.DOCKER: "/scratch",
@@ -63,16 +55,21 @@ class WrapperPlan:
     container_steps: tuple[Step, ...]
     backend: ContainerRuntime | None
     mounts: tuple[MountSpec, ...] = ()
-    staging_inside: bool = True
 
 
 def build_wrapper_plan(
     job: Job,
     cdef: ContainerDef | None,
     placement: PlacementMode | None,
-    cfg: PlanConfig,
+    *,
+    staging_inside: bool = True,
+    dedup_load: bool = True,
 ) -> WrapperPlan:
-    """Build the wrapper plan for one compute job."""
+    """Build the wrapper plan for one compute job.
+
+    The task's own steps run inside the container, or on the host when the job
+    has none; the executor runs them where the rendered script does.
+    """
     assert job.kind is JobKind.COMPUTE
     payload = job.payload
     assert isinstance(payload, ComputePayload)
@@ -85,62 +82,41 @@ def build_wrapper_plan(
             f"job {job.id!r}: bypass placement requires a site-local container"
         )
 
-    staging_inside = cfg.staging_inside_container
     stage_in = Step(StepKind.STAGE_IN, {"files": list(payload.input_files)})
     stage_out = Step(StepKind.STAGE_OUT, {"files": list(payload.output_files)})
-    launches = [
-        Step(StepKind.LAUNCH_TASK, {"task": tid}) for tid in payload.task_ids
+    # without a container the host is where the task runs, so staging is inside
+    staging_inside = staging_inside or cdef is None
+    inner = [
+        Step(StepKind.WORKER_SETUP, {}),
+        Step(StepKind.ENV_SETUP, {"env": dict(cdef.profiles) if cdef else {}}),
     ]
+    if staging_inside:
+        inner.append(stage_in)
+    inner.extend(Step(StepKind.LAUNCH_TASK, {"task": tid}) for tid in payload.task_ids)
+    if staging_inside:
+        inner.append(stage_out)
 
+    host: list[Step] = [Step(StepKind.CREATE_JOB_DIR, {"job": job.id})]
     if cdef is None:
-        # degenerate case: no container, everything runs on the host
-        host = [
-            Step(StepKind.CREATE_JOB_DIR, {"job": job.id}),
-            Step(StepKind.WORKER_SETUP, {}),
-            Step(StepKind.ENV_SETUP, {"env": {}}),
-            stage_in,
-            *launches,
-            stage_out,
-            Step(StepKind.REMOVE_JOB_DIR, {"job": job.id}),
-        ]
-        return WrapperPlan(
-            job_id=job.id,
-            host_steps=tuple(host),
-            container_steps=(),
-            backend=None,
-            staging_inside=False,
-        )
+        host.extend(inner)
+        host.append(Step(StepKind.REMOVE_JOB_DIR, {"job": job.id}))
+        return WrapperPlan(job.id, tuple(host), container_steps=(), backend=None)
 
     backend = cdef.runtime
     mounts = (MountSpec("$jobdir", JOB_DIR_MOUNT[backend]),) + cdef.mounts
     image_url = cdef.image.url()
-
-    host: list[Step] = [Step(StepKind.CREATE_JOB_DIR, {"job": job.id})]
     if placement is PlacementMode.STAGE_COPY:
         host.append(Step(StepKind.MATERIALIZE_IMAGE, {"mode": "pull", "image": image_url}))
     elif placement is PlacementMode.SHARED_FS_SYMLINK:
         host.append(Step(StepKind.MATERIALIZE_IMAGE, {"mode": "symlink", "image": image_url}))
     # Bypass / ShifterLocal reference the image directly, no materialization
-
     if backend is ContainerRuntime.DOCKER:
-        host.append(Step(StepKind.LOAD_IMAGE,
-                         {"image": image_url, "dedup": cfg.docker_load_dedup}))
+        host.append(Step(StepKind.LOAD_IMAGE, {"image": image_url, "dedup": dedup_load}))
         host.append(Step(StepKind.ENSURE_USER, {"uid": "$host_uid", "gid": "$host_gid"}))
     if not staging_inside:
         host.append(stage_in)
     host.append(Step(StepKind.START_CONTAINER,
                      {"image": image_url, "mounts": [m.render() for m in mounts]}))
-
-    container: list[Step] = [
-        Step(StepKind.WORKER_SETUP, {}),
-        Step(StepKind.ENV_SETUP, {"env": dict(cdef.profiles)}),
-    ]
-    if staging_inside:
-        container.append(stage_in)
-    container.extend(launches)
-    if staging_inside:
-        container.append(stage_out)
-
     if backend is ContainerRuntime.DOCKER:
         host.append(Step(StepKind.STOP_CONTAINER, {}))
         host.append(Step(StepKind.UNLOAD_IMAGE, {"image": image_url}))
@@ -151,10 +127,9 @@ def build_wrapper_plan(
     return WrapperPlan(
         job_id=job.id,
         host_steps=tuple(host),
-        container_steps=tuple(container),
+        container_steps=tuple(inner),
         backend=backend,
         mounts=mounts,
-        staging_inside=staging_inside,
     )
 
 
@@ -239,7 +214,7 @@ def render_wrapper(plan: WrapperPlan) -> str:
 
 
 def build_plans(
-    ewf: ExecutableWorkflow, cat: Catalog, cfg: PlanConfig
+    ewf: ExecutableWorkflow, cat: Catalog, *, staging_inside: bool = True, dedup_load: bool = True
 ) -> dict[str, WrapperPlan]:
     """Wrapper plans for every compute job of an executable workflow."""
     plans: dict[str, WrapperPlan] = {}
@@ -247,7 +222,8 @@ def build_plans(
         payload = job.payload
         assert isinstance(payload, ComputePayload)
         cdef = cat.containers[payload.container] if payload.container else None
-        plans[job.id] = build_wrapper_plan(job, cdef, payload.placement, cfg)
+        plans[job.id] = build_wrapper_plan(job, cdef, payload.placement,
+                                           staging_inside=staging_inside, dedup_load=dedup_load)
     return plans
 
 
@@ -322,10 +298,8 @@ def execute_local(
     """
     report = ExecutionReport()
     jobs = {j.id: j for j in ewf.jobs}
+    require_acyclic(jobs, ewf.edges)
     ready = ReadySet(jobs, ewf.edges)
-    cycle = _find_cycle({j: sorted(c) for j, c in ready.children.items()})
-    if cycle:
-        raise CycleDetected(cycle)
     state_lock = threading.Lock()
     runtime = _MockRuntime()
     first_error: list[StepFailed] = []
@@ -335,14 +309,11 @@ def execute_local(
         plan = plans.get(job.id)
         steps: list[Step]
         if plan is not None:
-            steps = list(plan.host_steps)
-            if plan.staging_inside and plan.container_steps:
-                # container steps run between start and stop of the container
-                idx = next(
-                    i for i, s in enumerate(steps)
-                    if s.kind is StepKind.START_CONTAINER
-                )
-                steps = steps[: idx + 1] + list(plan.container_steps) + steps[idx + 1:]
+            steps = []
+            for step in plan.host_steps:
+                steps.append(step)
+                if step.kind is StepKind.START_CONTAINER:
+                    steps.extend(plan.container_steps)
         else:
             steps = [Step(StepKind.LAUNCH_TASK, {"task": job.id})]
         for step in steps:

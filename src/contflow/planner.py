@@ -19,25 +19,29 @@ from .catalog import (
     ContainerRuntime,
     ImageScheme,
     InstallType,
+    TransformationEntry,
     resolve_transformation,
 )
 from .errors import (
-    CycleDetected,
     InconsistentPlacement,
+    NotFound,
     PlanError,
     RuntimeUnavailable,
     UnresolvableTransformation,
+    ValidationError,
 )
 from .workflow import (
     AbstractWorkflow,
     dump_yaml,
     load_yaml,
+    require_acyclic,
     topological_levels,
     validate_dag,
+    yaml_list,
     yaml_mappings,
     yaml_pairs,
+    yaml_rows,
 )
-from .workflow import _find_cycle  # shared cycle oracle
 
 
 class JobKind(enum.Enum):
@@ -76,8 +80,6 @@ class PlanConfig:
     cluster_size: int = 1
     output_site: str = "submit"
     cleanup: bool = True
-    staging_inside_container: bool = True
-    docker_load_dedup: bool = True
     placement_override: str | None = None  # copy | symlink | bypass
 
 
@@ -151,14 +153,10 @@ def validate_executable(ewf: ExecutableWorkflow) -> None:
     ids = {j.id for j in ewf.jobs}
     if len(ids) != len(ewf.jobs):
         raise PlanError("duplicate job ids in executable workflow")
-    adj: dict[str, list[str]] = {j.id: [] for j in ewf.jobs}
     for u, v in ewf.edges:
         if u not in ids or v not in ids:
             raise PlanError(f"edge ({u!r}, {v!r}) references unknown job")
-        adj[u].append(v)
-    cycle = _find_cycle({k: sorted(v) for k, v in adj.items()})
-    if cycle:
-        raise CycleDetected(cycle)
+    require_acyclic(ids, ewf.edges)
 
     fetch_for: dict[str, tuple[str, str]] = {}
     for j in ewf.jobs_of_kind(JobKind.CONTAINER_FETCH):
@@ -309,27 +307,27 @@ def insert_container_fetch_jobs(ewf: ExecutableWorkflow, cat: Catalog) -> Execut
 
 def _bind_sites(
     wf: AbstractWorkflow, cat: Catalog, sites: list[Site], override: str | None
-) -> dict[str, tuple[Site, str | None, PlacementMode | None, ContainerRuntime | None]]:
+) -> dict[str, tuple[Site, TransformationEntry, ContainerDef | None, PlacementMode | None]]:
     """Round-robin tasks over sites able to run their transformation."""
-    binding: dict[str, tuple[Site, str | None, PlacementMode | None, ContainerRuntime | None]] = {}
+    binding = {}
     rr = 0
     for task in wf.tasks:
-        eligible: list[tuple[Site, str | None, PlacementMode | None, ContainerRuntime | None]] = []
+        eligible = []
         runtime_problem: Exception | None = None
         for s in sites:
             try:
                 entry, cdef = resolve_transformation(cat, task.transformation, s.name)
-            except Exception:
+            except NotFound:
                 continue
             if cdef is None:
-                eligible.append((s, None, None, None))
+                eligible.append((s, entry, None, None))
                 continue
             try:
                 placement = decide_placement(cdef, s, override)
             except (RuntimeUnavailable, InconsistentPlacement) as exc:
                 runtime_problem = exc
                 continue
-            eligible.append((s, cdef.name, placement, cdef.runtime))
+            eligible.append((s, entry, cdef, placement))
         if not eligible:
             if runtime_problem is not None:
                 raise RuntimeUnavailable(
@@ -359,18 +357,16 @@ def plan(
     edges: list[tuple[str, str]] = []
     compute_id = {t.id: f"compute_{t.id}" for t in wf.tasks}
     for task in wf.tasks:
-        site, cname, placement, backend = binding[task.id]
-        cdef = cat.containers[cname] if cname else None
+        site, entry, cdef, placement = binding[task.id]
         extra_inputs: list[tuple[str, int]] = []
-        entry, _ = resolve_transformation(cat, task.transformation, site.name)
         if entry.install_type is InstallType.STAGEABLE and entry.pfn:
             # stageable executables travel with the job; size unknown → 0
             extra_inputs.append((entry.pfn, 0))
         payload = ComputePayload(
             task_ids=(task.id,),
-            container=cname,
+            container=cdef.name if cdef else None,
             placement=placement,
-            backend=backend,
+            backend=cdef.runtime if cdef else None,
             staging_site=site.staging,
             level=levels[task.id],
             runtime_s=task.expected_runtime_s,
@@ -514,16 +510,23 @@ def serialize_executable(ewf: ExecutableWorkflow) -> str:
     return dump_yaml(doc)
 
 
+def _file_rows(praw: dict, key: str) -> tuple[tuple[str, int], ...]:
+    return tuple((f, int(s)) for f, s in yaml_rows(praw, key, "executable", ("name", "bytes")))
+
+
 def parse_executable(text: str) -> ExecutableWorkflow:
     doc = load_yaml(text, "executable")
     jobs: list[Job] = []
     for raw in yaml_mappings(doc, "jobs", "executable"):
         kind = JobKind(raw["kind"])
         praw = raw.get("payload") or {}
+        if not isinstance(praw, dict):
+            raise ValidationError(f"executable document: payload of job {raw.get('id')!r} "
+                                  f"must be a mapping")
         payload: ComputePayload | TransferPayload | CleanupPayload
         if kind is JobKind.COMPUTE:
             payload = ComputePayload(
-                task_ids=tuple(praw.get("task_ids") or []),
+                task_ids=tuple(yaml_list(praw, "task_ids", "executable")),
                 container=praw.get("container"),
                 placement=PlacementMode(praw["placement"]) if praw.get("placement") else None,
                 backend=ContainerRuntime(praw["backend"]) if praw.get("backend") else None,
@@ -531,14 +534,17 @@ def parse_executable(text: str) -> ExecutableWorkflow:
                 level=int(praw.get("level", 0)),
                 runtime_s=float(praw.get("runtime_s", 0.0)),
                 image_bytes=int(praw.get("image_bytes", 0)),
-                input_files=tuple((f, int(s)) for f, s in praw.get("input_files") or []),
-                output_files=tuple((f, int(s)) for f, s in praw.get("output_files") or []),
+                input_files=_file_rows(praw, "input_files"),
+                output_files=_file_rows(praw, "output_files"),
             )
         elif kind is JobKind.CLEANUP:
             payload = CleanupPayload(target_job=praw.get("target_job", ""))
         else:
             payload = TransferPayload(
-                transfers=tuple((a, b, int(n)) for a, b, n in praw.get("transfers") or []),
+                transfers=tuple(
+                    (a, b, int(n)) for a, b, n in
+                    yaml_rows(praw, "transfers", "executable", ("src", "dst", "bytes"))
+                ),
                 src_site=praw.get("src_site", ""),
                 dst_site=praw.get("dst_site", ""),
             )
@@ -558,8 +564,8 @@ def parse_sites(text: str) -> list[Site]:
             shared_fs=bool(raw.get("shared_fs", False)),
             staging_site=str(raw.get("staging_site", "")),
             runtimes_available=frozenset(
-                ContainerRuntime(r) for r in raw.get("runtimes") or []
+                ContainerRuntime(r) for r in yaml_list(raw, "runtimes", "sites")
             ),
-            cvmfs_like_paths=tuple(raw.get("cvmfs_like_paths") or []),
+            cvmfs_like_paths=tuple(yaml_list(raw, "cvmfs_like_paths", "sites")),
         ))
     return sites

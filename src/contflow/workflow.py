@@ -152,6 +152,20 @@ def _find_cycle(adj: dict[str, list[str]]) -> list[str] | None:
     return None
 
 
+def require_acyclic(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> None:
+    """Raise CycleDetected with one cycle's path if the graph has a cycle.
+
+    Successors are followed in sorted order, so the cycle reported does not
+    depend on the order the edges are listed in.
+    """
+    adj: dict[str, list[str]] = {n: [] for n in nodes}
+    for u, v in edges:
+        adj[u].append(v)
+    cycle = _find_cycle({n: sorted(succ) for n, succ in adj.items()})
+    if cycle:
+        raise CycleDetected(cycle)
+
+
 def validate_dag(wf: AbstractWorkflow) -> None:
     """Raise a ValidationError subclass if the workflow is malformed."""
     task_ids = [t.id for t in wf.tasks]
@@ -186,12 +200,7 @@ def validate_dag(wf: AbstractWorkflow) -> None:
                     f"task {t.id!r} input {f!r} has no producer and no initial location"
                 )
 
-    adj: dict[str, list[str]] = {tid: [] for tid in task_ids}
-    for u, v in sorted(wf.effective_edges()):
-        adj[u].append(v)
-    cycle = _find_cycle(adj)
-    if cycle:
-        raise CycleDetected(cycle)
+    require_acyclic(task_ids, wf.effective_edges())
 
 
 def topological_levels(wf: AbstractWorkflow) -> dict[str, int]:
@@ -234,6 +243,14 @@ def dump_yaml(doc) -> str:
     return yaml.dump(doc, Dumper=_DUMPER, sort_keys=False, default_flow_style=False)
 
 
+def yaml_list(doc: dict, key: str, what: str) -> list:
+    """The ``key`` section of document ``what``: a list, ``[]`` if absent."""
+    entries = doc.get(key) or []
+    if not isinstance(entries, list):
+        raise ValidationError(f"{what} document: {key} must be a list")
+    return entries
+
+
 def yaml_mappings(doc: dict, key: str, what: str) -> list[dict]:
     """The ``key`` section of document ``what``: a list of mappings, ``[]`` if absent."""
     entries = doc.get(key) or []
@@ -242,14 +259,21 @@ def yaml_mappings(doc: dict, key: str, what: str) -> list[dict]:
     return entries
 
 
-def yaml_pairs(doc: dict, key: str, what: str) -> tuple[tuple[str, str], ...]:
-    """The ``key`` section of document ``what``: a list of ``[from, to]`` pairs."""
+def yaml_rows(doc: dict, key: str, what: str, columns: tuple[str, ...]) -> list[list]:
+    """The ``key`` section of document ``what``: a list of lists, one item per column."""
     entries = doc.get(key) or []
     if not isinstance(entries, list) or not all(
-        isinstance(e, list) and len(e) == 2 for e in entries
+        isinstance(e, list) and len(e) == len(columns) for e in entries
     ):
-        raise ValidationError(f"{what} document: each {key} entry must be a [from, to] pair")
-    return tuple((str(u), str(v)) for u, v in entries)
+        raise ValidationError(
+            f"{what} document: each {key} entry must be a [{', '.join(columns)}] list"
+        )
+    return entries
+
+
+def yaml_pairs(doc: dict, key: str, what: str) -> tuple[tuple[str, str], ...]:
+    """The ``key`` section of document ``what``: a list of ``[from, to]`` pairs."""
+    return tuple((str(u), str(v)) for u, v in yaml_rows(doc, key, what, ("from", "to")))
 
 
 def parse_workflow(text: str) -> AbstractWorkflow:
@@ -260,8 +284,8 @@ def parse_workflow(text: str) -> AbstractWorkflow:
         tasks.append(Task(
             id=str(raw["id"]),
             transformation=str(raw["transformation"]),
-            inputs=tuple(str(f) for f in raw.get("inputs") or []),
-            outputs=tuple(str(f) for f in raw.get("outputs") or []),
+            inputs=tuple(str(f) for f in yaml_list(raw, "inputs", "workflow")),
+            outputs=tuple(str(f) for f in yaml_list(raw, "outputs", "workflow")),
             expected_runtime_s=float(raw.get("runtime", DEFAULT_RUNTIME_S)),
         ))
     edges = yaml_pairs(doc, "edges", "workflow")

@@ -29,7 +29,6 @@ from contflow.launcher import (
 from contflow.planner import (
     JobKind,
     PlacementMode,
-    PlanConfig,
     TRANSFERABLE_PLACEMENTS,
 )
 from contflow.scenarios import (
@@ -122,11 +121,11 @@ def test_criterion_3_wrapper_laws_and_goldens(capfd):
                 else rng.choice([PlacementMode.STAGE_COPY,
                                  PlacementMode.SHARED_FS_SYMLINK])
             )
-            cfg = PlanConfig(
-                staging_inside_container=rng.random() < 0.5,
-                docker_load_dedup=rng.random() < 0.5,
+            cfg = dict(
+                staging_inside=rng.random() < 0.5,
+                dedup_load=rng.random() < 0.5,
             )
-            plan = build_wrapper_plan(make_job(), make_cdef(runtime), placement, cfg)
+            plan = build_wrapper_plan(make_job(), make_cdef(runtime), placement, **cfg)
             assert plan.mounts[0].dst == JOB_DIR_MOUNT[runtime]
             kinds = [s.kind for s in plan.host_steps]
             assert kinds[0] is StepKind.CREATE_JOB_DIR
@@ -159,7 +158,7 @@ def test_criterion_3_wrapper_laws_and_goldens(capfd):
             ),
         }
         for fname, (cdef, placement) in golden.items():
-            plan = build_wrapper_plan(make_job(), cdef, placement, PlanConfig())
+            plan = build_wrapper_plan(make_job(), cdef, placement)
             assert render_wrapper(plan) == (GOLDEN / fname).read_text()
 
 
@@ -256,11 +255,11 @@ def test_criterion_9_docker_load_dedup(capfd):
         from test_launcher import shared_image_workflow
         ewf, cat = shared_image_workflow(12)
         on = execute_local(
-            ewf, build_plans(ewf, cat, PlanConfig(docker_load_dedup=True)),
+            ewf, build_plans(ewf, cat, dedup_load=True),
             slots=8, node_count=1,
         )
         off = execute_local(
-            ewf, build_plans(ewf, cat, PlanConfig(docker_load_dedup=False)),
+            ewf, build_plans(ewf, cat, dedup_load=False),
             slots=8, node_count=1,
         )
         assert on.count_effects("load") == 1

@@ -196,6 +196,14 @@ cont:
         with pytest.raises(CatalogSyntaxError):
             parse_catalog(text)
 
+    def test_mount_not_a_sequence(self):
+        text = """
+cont:
+  - {name: c1, image: "docker:///x/y:1", type: docker, mount: 5}
+"""
+        with pytest.raises(CatalogSyntaxError, match="mount must be a sequence"):
+            parse_catalog(text)
+
     def test_round_trip(self, listing_text):
         cat = parse_catalog(listing_text)
         assert parse_catalog(serialize_catalog(cat)) == cat

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from contflow.catalog import serialize_catalog
 from contflow.cli import main
+from contflow.planner import JobKind, parse_executable
 from contflow.scenarios import demo_catalog, demo_topology, demo_workflow
 from contflow.simulator import serialize_topology
 from contflow.workflow import serialize_workflow
@@ -77,6 +79,27 @@ class TestPlan:
                      str(inputs["sites"])])
         assert code == 1
 
+    @pytest.mark.parametrize("placement", ["copy", "symlink"])
+    def test_placement_override(self, inputs, tmp_path, placement):
+        code, out = run_plan(inputs, tmp_path, "--placement", placement)
+        assert code == 0
+        compute = parse_executable(out.read_text()).jobs_of_kind(JobKind.COMPUTE)
+        assert {j.payload.placement.value for j in compute} == {placement}
+
+    def test_placement_bypass_needs_site_local_container(self, inputs, tmp_path, capsys):
+        assert run_plan(inputs, tmp_path, "--placement", "bypass")[0] == 1
+        assert "bypass requires site_local" in capsys.readouterr().err
+        cat = demo_catalog("docker")
+        inputs["catalog"].write_text(serialize_catalog(replace(cat, containers={
+            name: replace(cdef, site_local=True) for name, cdef in cat.containers.items()
+        })))
+        code, out = run_plan(inputs, tmp_path, "--placement", "bypass")
+        assert code == 0
+        ewf = parse_executable(out.read_text())
+        assert {j.payload.placement.value
+                for j in ewf.jobs_of_kind(JobKind.COMPUTE)} == {"bypass"}
+        assert ewf.jobs_of_kind(JobKind.CONTAINER_FETCH) == []
+
 
 class TestWrappers:
     def test_one_script_per_compute_job(self, inputs, tmp_path, capsys):
@@ -88,6 +111,19 @@ class TestWrappers:
         scripts = sorted(out.glob("*.sh"))
         assert len(scripts) == 6
         assert all(s.read_text().startswith("#!") for s in scripts)
+
+    def test_staging_outside_without_load_dedup(self, inputs, tmp_path, capsys):
+        _, ewf_path = run_plan(inputs, tmp_path, "--cluster-size", "12")
+        out = tmp_path / "wrappers"
+        code = main(["wrappers", str(ewf_path), str(inputs["catalog"]), "--out", str(out),
+                     "--staging-inside", "off", "--dedup-load", "off"])
+        assert code == 0
+        for script in sorted(out.glob("*.sh")):
+            text = script.read_text()
+            assert "flock" not in text
+            assert "# [container] stage-in" not in text
+            assert (text.index("# [host] stage-in") < text.index("docker run")
+                    < text.index("# [host] stage-out"))
 
 
 class TestRun:
@@ -148,6 +184,19 @@ class TestSimulate:
         assert code == 0
         for fname in ("summary.txt", "egress.tsv", "timeline.tsv"):
             assert (rep_out / fname).read_bytes() == (sim_out / fname).read_bytes()
+
+    def test_sharing_and_load_dedup_flags(self, inputs, tmp_path, capsys):
+        _, ewf_path = run_plan(inputs, tmp_path, "--cluster-size", "12")
+        makespan = {}
+        for name, flags in (("default", []), ("no_fair_share", ["--no-fair-share"]),
+                            ("no_dedup", ["--dedup-load", "off"])):
+            out = tmp_path / name
+            assert main(["simulate", str(ewf_path), str(inputs["topology"]),
+                         "--out", str(out), *flags]) == 0
+            makespan[name] = json.loads((out / "result.json").read_text())["makespan_s"]
+        # without max-min sharing each flow gets its whole path; without dedup
+        # every co-located job untars the image again
+        assert makespan["no_fair_share"] < makespan["default"] < makespan["no_dedup"]
 
     def test_result_json_is_valid(self, inputs, tmp_path, capsys):
         _, ewf_path = run_plan(inputs, tmp_path, "--cluster-size", "12")
@@ -255,3 +304,42 @@ class TestMalformedInputs:
             bad.write_text(text)
             assert main(["sweep", str(bad)]) == 1
             assert "error" in capsys.readouterr().err
+
+    def test_executable_payload_not_a_mapping(self, inputs, tmp_path, capsys):
+        bad = tmp_path / "executable.yml"
+        bad.write_text("jobs:\n  - {id: a, kind: compute, site: condorpool, payload: 1}\n")
+        assert main(["simulate", str(bad), str(inputs["topology"]),
+                     "--out", str(tmp_path / "sim")]) == 1
+        assert "executable document: payload" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, payload, message", [
+        ("compute", "{task_ids: [t], input_files: [1]}", "each input_files entry"),
+        ("compute", "{task_ids: 5}", "task_ids must be a list"),
+        ("stage_in", "{transfers: [1]}", "each transfers entry"),
+    ])
+    def test_executable_payload_entry_malformed(self, inputs, tmp_path, capsys,
+                                                kind, payload, message):
+        bad = tmp_path / "executable.yml"
+        bad.write_text(f"jobs:\n  - {{id: a, kind: {kind}, site: condorpool, "
+                       f"payload: {payload}}}\n")
+        assert main(["wrappers", str(bad), str(inputs["catalog"]),
+                     "--out", str(tmp_path / "wrappers")]) == 1
+        assert f"executable document: {message}" in capsys.readouterr().err
+
+    def test_workflow_inputs_not_a_list(self, inputs, tmp_path, capsys):
+        inputs["workflow"].write_text(
+            "tasks:\n  - {id: a, transformation: 'radar::nowcast:1.0', inputs: 5}\n"
+        )
+        assert run_plan(inputs, tmp_path)[0] == 1
+        assert "workflow document: inputs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["cont", "transformations"])
+    def test_catalog_entry_not_a_mapping(self, inputs, tmp_path, capsys, section):
+        inputs["catalog"].write_text(f"{section}: [1]\n")
+        assert run_plan(inputs, tmp_path)[0] == 1
+        assert f"catalog document: {section}" in capsys.readouterr().err
+
+    def test_sites_runtimes_not_a_list(self, inputs, tmp_path, capsys):
+        inputs["sites"].write_text("sites:\n  - {name: condorpool, runtimes: 5}\n")
+        assert run_plan(inputs, tmp_path)[0] == 1
+        assert "sites document: runtimes" in capsys.readouterr().err

@@ -26,7 +26,6 @@ from contflow.planner import (
     Job,
     JobKind,
     PlacementMode,
-    PlanConfig,
 )
 
 from conftest import GOLDEN, IMAGE_URL
@@ -61,7 +60,7 @@ def step_kinds(steps):
 class TestBuildWrapperPlan:
     def test_docker_stage_copy_step_order(self):
         plan = build_wrapper_plan(
-            make_job(), make_cdef(), PlacementMode.STAGE_COPY, PlanConfig()
+            make_job(), make_cdef(), PlacementMode.STAGE_COPY
         )
         assert step_kinds(plan.host_steps) == [
             StepKind.CREATE_JOB_DIR, StepKind.MATERIALIZE_IMAGE,
@@ -77,7 +76,7 @@ class TestBuildWrapperPlan:
     def test_singularity_symlink(self):
         plan = build_wrapper_plan(
             make_job(), make_cdef(ContainerRuntime.SINGULARITY),
-            PlacementMode.SHARED_FS_SYMLINK, PlanConfig(),
+            PlacementMode.SHARED_FS_SYMLINK,
         )
         kinds = step_kinds(plan.host_steps)
         assert StepKind.LOAD_IMAGE not in kinds
@@ -92,14 +91,14 @@ class TestBuildWrapperPlan:
     def test_shifter_no_materialization(self):
         plan = build_wrapper_plan(
             make_job(), make_cdef(ContainerRuntime.SHIFTER),
-            PlacementMode.SHIFTER_LOCAL, PlanConfig(),
+            PlacementMode.SHIFTER_LOCAL,
         )
         assert StepKind.MATERIALIZE_IMAGE not in step_kinds(plan.host_steps)
         assert plan.mounts[0].dst == "/scratch"
 
     def test_no_container_runs_on_host(self):
         plan = build_wrapper_plan(
-            make_job(container=None), None, None, PlanConfig()
+            make_job(container=None), None, None
         )
         assert plan.backend is None
         assert plan.container_steps == ()
@@ -112,7 +111,7 @@ class TestBuildWrapperPlan:
     def test_staging_outside_container(self):
         plan = build_wrapper_plan(
             make_job(), make_cdef(), PlacementMode.STAGE_COPY,
-            PlanConfig(staging_inside_container=False),
+            staging_inside=False,
         )
         host = step_kinds(plan.host_steps)
         assert host.index(StepKind.STAGE_IN) < host.index(StepKind.START_CONTAINER)
@@ -122,7 +121,7 @@ class TestBuildWrapperPlan:
     def test_clustered_job_single_stagein_many_launches(self):
         plan = build_wrapper_plan(
             make_job(tasks=("a", "b", "c")), make_cdef(),
-            PlacementMode.STAGE_COPY, PlanConfig(),
+            PlacementMode.STAGE_COPY,
         )
         kinds = step_kinds(plan.container_steps)
         assert kinds.count(StepKind.STAGE_IN) == 1
@@ -146,13 +145,13 @@ class TestBuildWrapperPlan:
                 ContainerRuntime.SINGULARITY: rng.choice(
                     [PlacementMode.STAGE_COPY, PlacementMode.SHARED_FS_SYMLINK]),
             }[runtime]
-            cfg = PlanConfig(
-                staging_inside_container=rng.random() < 0.5,
-                docker_load_dedup=rng.random() < 0.5,
+            cfg = dict(
+                staging_inside=rng.random() < 0.5,
+                dedup_load=rng.random() < 0.5,
             )
             plan = build_wrapper_plan(
                 make_job(tasks=tuple(f"t{j}" for j in range(rng.randint(1, 4)))),
-                make_cdef(runtime), placement, cfg,
+                make_cdef(runtime), placement, **cfg,
             )
             assert plan.mounts[0].dst == JOB_DIR_MOUNT[runtime]
             kinds = step_kinds(plan.host_steps)
@@ -167,7 +166,7 @@ class TestBuildWrapperPlan:
 class TestRenderWrapper:
     def test_deterministic(self):
         plan = build_wrapper_plan(
-            make_job(), make_cdef(), PlacementMode.STAGE_COPY, PlanConfig()
+            make_job(), make_cdef(), PlacementMode.STAGE_COPY
         )
         assert render_wrapper(plan) == render_wrapper(plan)
 
@@ -190,15 +189,15 @@ class TestRenderWrapper:
         else:
             kwargs = {"image": "shub://hub.example.org/acme/tools"}
         plan = build_wrapper_plan(make_job(), make_cdef(runtime, **kwargs),
-                                  placement, PlanConfig())
+                                  placement)
         assert render_wrapper(plan) == (GOLDEN / fname).read_text()
 
     def test_dedup_guard_present_iff_flag(self):
         job, cdef = make_job(), make_cdef()
         guarded = render_wrapper(build_wrapper_plan(
-            job, cdef, PlacementMode.STAGE_COPY, PlanConfig(docker_load_dedup=True)))
+            job, cdef, PlacementMode.STAGE_COPY, dedup_load=True))
         plain = render_wrapper(build_wrapper_plan(
-            job, cdef, PlacementMode.STAGE_COPY, PlanConfig(docker_load_dedup=False)))
+            job, cdef, PlacementMode.STAGE_COPY, dedup_load=False))
         assert "flock" in guarded
         assert "flock" not in plain
         assert "docker load -i" in plain
@@ -230,7 +229,7 @@ class TestExecuteLocal:
     def test_three_job_chain_order(self):
         ewf, cat = shared_image_workflow(3)
         ewf = ExecutableWorkflow(jobs=ewf.jobs, edges=(("j00", "j01"), ("j01", "j02")))
-        plans = build_plans(ewf, cat, PlanConfig())
+        plans = build_plans(ewf, cat)
         report = execute_local(ewf, plans, slots=4)
         assert report.ok
         ends = {
@@ -245,21 +244,21 @@ class TestExecuteLocal:
 
     def test_dedup_one_load_for_colocated_jobs(self):
         ewf, cat = shared_image_workflow(12)
-        plans = build_plans(ewf, cat, PlanConfig(docker_load_dedup=True))
+        plans = build_plans(ewf, cat, dedup_load=True)
         report = execute_local(ewf, plans, slots=8, node_count=1)
         assert report.count_effects("load") == 1
         assert report.count_effects("cache-hit") == 11
 
     def test_no_dedup_loads_every_time(self):
         ewf, cat = shared_image_workflow(12)
-        plans = build_plans(ewf, cat, PlanConfig(docker_load_dedup=False))
+        plans = build_plans(ewf, cat, dedup_load=False)
         report = execute_local(ewf, plans, slots=8, node_count=1)
         assert report.count_effects("load") == 12
 
     def test_injected_failure_skips_downstream(self):
         ewf, cat = shared_image_workflow(3)
         ewf = ExecutableWorkflow(jobs=ewf.jobs, edges=(("j00", "j01"), ("j01", "j02")))
-        plans = build_plans(ewf, cat, PlanConfig())
+        plans = build_plans(ewf, cat)
         with pytest.raises(StepFailed) as exc:
             execute_local(ewf, plans, fail_step=("j00", StepKind.STAGE_IN))
         assert exc.value.job_id == "j00"
@@ -271,7 +270,7 @@ class TestExecuteLocal:
     def test_raising_step_fails_job_instead_of_hanging(self):
         ewf, cat = shared_image_workflow(3)
         ewf = ExecutableWorkflow(jobs=ewf.jobs, edges=(("j00", "j01"), ("j01", "j02")))
-        plans = build_plans(ewf, cat, PlanConfig())
+        plans = build_plans(ewf, cat)
         # a load step without its image argument raises KeyError inside the runtime
         plans["j00"] = replace(plans["j00"], host_steps=tuple(
             Step(StepKind.LOAD_IMAGE, {}) if s.kind is StepKind.LOAD_IMAGE else s
@@ -296,6 +295,27 @@ class TestExecuteLocal:
         assert exc.report.jobs["j00"].status == "failed"
         assert exc.report.jobs["j01"].status == "skipped"
         assert exc.report.jobs["j02"].status == "skipped"
+
+    def test_staging_outside_runs_every_in_container_step(self):
+        ewf, cat = shared_image_workflow(2)
+        clustered = make_job(jid="j02", tasks=("a", "b", "c"))
+        clustered = replace(clustered, payload=replace(
+            clustered.payload, placement=PlacementMode.STAGE_COPY))
+        plain = make_job(jid="j03", container=None, tasks=("d", "e"))
+        ewf = ExecutableWorkflow(jobs=ewf.jobs + (clustered, plain))
+        plans = build_plans(ewf, cat, staging_inside=False)
+        report = execute_local(ewf, plans)
+        assert report.ok
+        for job in ewf.jobs:
+            ran = [s.kind for s in report.jobs[job.id].steps]
+            assert ran.count(StepKind.WORKER_SETUP) == 1
+            assert ran.count(StepKind.ENV_SETUP) == 1
+            assert ran.count(StepKind.LAUNCH_TASK) == len(job.payload.task_ids)
+            assert ran.count(StepKind.STAGE_IN) == ran.count(StepKind.STAGE_OUT) == 1
+            if job.payload.container:
+                assert (ran.index(StepKind.STAGE_IN) < ran.index(StepKind.START_CONTAINER)
+                        < ran.index(StepKind.WORKER_SETUP) < ran.index(StepKind.STOP_CONTAINER)
+                        < ran.index(StepKind.STAGE_OUT))
 
     def test_cycle_raises_before_any_job_runs(self):
         jobs = tuple(

@@ -106,6 +106,19 @@ def test_only_workflow_module_uses_yaml():
     assert "safe_load" not in source and "safe_dump" not in source
 
 
+def test_no_module_imports_a_private_name_of_another():
+    package = Path(contflow.__file__).parent
+    private = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "contflow"
+            ):
+                private += [f"{path.name}: {a.name}" for a in node.names
+                            if a.name.startswith("_")]
+    assert private == []
+
+
 def test_long_escaped_string_loads_back_through_either_path():
     # the emitters may fold this string at different points; both read back equal
     doc = {"payload": {"target_job": "a\x01b \xe9 " * 30}}
