@@ -13,10 +13,10 @@ from pathlib import Path
 
 from . import launcher, planner, simulator
 from .catalog import parse_catalog
-from .errors import ContflowError, LaunchError, SimError, TransferError
+from .errors import ContflowError, LaunchError, SimError, TransferError, ValidationError
 from .planner import PlanConfig, parse_executable, parse_sites, serialize_executable
 from .simulator import SimConfig, SimResult, FlowRecord, parse_topology
-from .workflow import load_yaml, parse_workflow, yaml_mappings
+from .workflow import load_yaml, parse_workflow, yaml_mappings, yaml_rows
 
 
 def _onoff(value: str) -> bool:
@@ -106,10 +106,14 @@ def _result_to_doc(res: SimResult) -> dict:
     return doc
 
 
-def _result_from_doc(doc: dict) -> SimResult:
+def _result_from_doc(doc) -> SimResult:
+    if not isinstance(doc, dict):
+        raise ValidationError(f"result document cannot be a {type(doc).__name__}")
     doc = {f.name: doc[f.name] for f in fields(SimResult)}
-    doc["job_timeline"] = [tuple(row) for row in doc["job_timeline"]]
-    doc["flow_ledger"] = [FlowRecord(*row) for row in doc["flow_ledger"]]
+    doc["job_timeline"] = [tuple(row) for row in yaml_rows(
+        doc, "job_timeline", "result", ("job", "start", "end", "node"))]
+    doc["flow_ledger"] = [FlowRecord(*row) for row in yaml_rows(
+        doc, "flow_ledger", "result", tuple(f.name for f in fields(FlowRecord)))]
     return SimResult(**doc)
 
 

@@ -39,6 +39,7 @@ from .workflow import (
     validate_dag,
     yaml_list,
     yaml_mappings,
+    yaml_number,
     yaml_pairs,
     yaml_rows,
 )
@@ -237,15 +238,10 @@ def cluster_jobs(ewf: ExecutableWorkflow, k: int) -> ExecutableWorkflow:
                 continue
             payloads = [m.payload for m in chunk]
             produced = {f for p in payloads for f, _ in p.output_files}
-            inputs: list[tuple[str, int]] = []
-            outputs: list[tuple[str, int]] = []
-            for p in payloads:
-                for f in p.input_files:
-                    if f[0] not in produced and f not in inputs:
-                        inputs.append(f)
-                for f in p.output_files:
-                    if f not in outputs:
-                        outputs.append(f)
+            # dicts keep the first occurrence of each file in member order
+            inputs = dict.fromkeys(f for p in payloads for f in p.input_files
+                                   if f[0] not in produced)
+            outputs = dict.fromkeys(f for p in payloads for f in p.output_files)
             merged = replace(
                 payloads[0],
                 task_ids=tuple(t for p in payloads for t in p.task_ids),
@@ -390,7 +386,7 @@ def plan(
 
     # stage-in: workflow inputs land on each staging site used by consumers
     stagein_needs: dict[str, dict[str, int]] = {}
-    stagein_consumers: dict[str, list[str]] = {}
+    stagein_consumers: dict[str, dict[str, None]] = {}  # insertion-ordered set
     for j in ewf.jobs_of_kind(JobKind.COMPUTE):
         p = j.payload
         assert isinstance(p, ComputePayload)
@@ -401,9 +397,7 @@ def plan(
             if meta is None or meta.initial_location is None:
                 continue
             stagein_needs.setdefault(p.staging_site, {})[fname] = size
-            stagein_consumers.setdefault(p.staging_site, [])
-            if j.id not in stagein_consumers[p.staging_site]:
-                stagein_consumers[p.staging_site].append(j.id)
+            stagein_consumers.setdefault(p.staging_site, {})[j.id] = None
     for staging in sorted(stagein_needs):
         transfers = tuple(
             (wf.files[f].initial_location or "", f"file:///staging/{staging}/{f}", size)
@@ -511,7 +505,8 @@ def serialize_executable(ewf: ExecutableWorkflow) -> str:
 
 
 def _file_rows(praw: dict, key: str) -> tuple[tuple[str, int], ...]:
-    return tuple((f, int(s)) for f, s in yaml_rows(praw, key, "executable", ("name", "bytes")))
+    return tuple((f, yaml_number(s, int, "executable", key))
+                 for f, s in yaml_rows(praw, key, "executable", ("name", "bytes")))
 
 
 def parse_executable(text: str) -> ExecutableWorkflow:
@@ -531,9 +526,11 @@ def parse_executable(text: str) -> ExecutableWorkflow:
                 placement=PlacementMode(praw["placement"]) if praw.get("placement") else None,
                 backend=ContainerRuntime(praw["backend"]) if praw.get("backend") else None,
                 staging_site=praw.get("staging_site", ""),
-                level=int(praw.get("level", 0)),
-                runtime_s=float(praw.get("runtime_s", 0.0)),
-                image_bytes=int(praw.get("image_bytes", 0)),
+                level=yaml_number(praw.get("level", 0), int, "executable", "level"),
+                runtime_s=yaml_number(praw.get("runtime_s", 0.0), float, "executable",
+                                      "runtime_s"),
+                image_bytes=yaml_number(praw.get("image_bytes", 0), int, "executable",
+                                        "image_bytes"),
                 input_files=_file_rows(praw, "input_files"),
                 output_files=_file_rows(praw, "output_files"),
             )
@@ -542,8 +539,8 @@ def parse_executable(text: str) -> ExecutableWorkflow:
         else:
             payload = TransferPayload(
                 transfers=tuple(
-                    (a, b, int(n)) for a, b, n in
-                    yaml_rows(praw, "transfers", "executable", ("src", "dst", "bytes"))
+                    (a, b, yaml_number(n, int, "executable", "transfers")) for a, b, n
+                    in yaml_rows(praw, "transfers", "executable", ("src", "dst", "bytes"))
                 ),
                 src_site=praw.get("src_site", ""),
                 dst_site=praw.get("dst_site", ""),

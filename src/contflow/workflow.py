@@ -8,6 +8,8 @@ explicit edge list plus the implied producer→consumer file flow.
 from __future__ import annotations
 
 import heapq
+import math
+import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -72,12 +74,9 @@ class AbstractWorkflow:
     def workflow_outputs(self) -> list[str]:
         """Files produced by some task and consumed by none."""
         consumed = {f for t in self.tasks for f in t.inputs}
-        out = []
-        for t in self.tasks:
-            for f in t.outputs:
-                if f not in consumed and f not in out:
-                    out.append(f)
-        return out
+        return list(dict.fromkeys(
+            f for t in self.tasks for f in t.outputs if f not in consumed
+        ))
 
 
 class ReadySet:
@@ -220,17 +219,174 @@ def topological_levels(wf: AbstractWorkflow) -> dict[str, int]:
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
+# A string PyYAML writes unquoted and reads back as a string: ASCII, no spaces,
+# no leading indicator, digit, sign or dot, no trailing ':' and no word that
+# YAML 1.1 reads as a bool or null.
+_PLAIN = re.compile(r"[A-Za-z_/][\w./:@+~-]*", re.ASCII)
+_RESERVED = {"y", "n", "yes", "no", "true", "false", "on", "off", "null"}
+_LITERALS = {"null": None, "true": True, "false": False, "''": ""}
+_MAX_INDENT = 128  # the reader recurses once per level; deeper documents go to PyYAML
+
+
+class _Unsure(Exception):
+    """The fast path met text or a value that PyYAML may not handle its way."""
+
+
+def _plain(s: str) -> str:
+    if _PLAIN.fullmatch(s) and s[-1] != ":" and s.lower() not in _RESERVED:
+        return s
+    raise _Unsure
+
+
+def _scalar(x) -> str:
+    """A scalar, or an empty list or dict, exactly as ``dump_yaml`` writes it."""
+    t = type(x)
+    if t is str:
+        return _plain(x) if x else "''"
+    if t is int:
+        return str(x)
+    if t is float and math.isfinite(x):
+        r = repr(x).lower()
+        return r.replace("e", ".0e", 1) if "e" in r and "." not in r else r
+    if x is None or t is bool:
+        return "null" if x is None else ("true" if x else "false")
+    if t is dict and not x:
+        return "{}"
+    if t is list and not x:
+        return "[]"
+    raise _Unsure
+
+
+def _emit(node, first: str, rest: str, out: list[str]) -> None:
+    """Append the block lines of a non-empty dict or list to ``out``.
+
+    The first line starts with ``first`` and every later one with ``rest``; a
+    list under a key is not indented, as PyYAML writes it.
+    """
+    if type(node) is dict:
+        for key, value in node.items():
+            if type(key) is not str or len(key) >= 128:
+                raise _Unsure
+            if type(value) is dict and value:
+                out.append(f"{first}{_plain(key)}:")
+                _emit(value, rest + "  ", rest + "  ", out)
+            elif type(value) is list and value:
+                out.append(f"{first}{_plain(key)}:")
+                _emit(value, rest, rest, out)
+            else:
+                out.append(f"{first}{_plain(key)}: {_scalar(value)}")
+            first = rest
+    else:
+        for value in node:
+            if type(value) in (dict, list) and value:
+                _emit(value, first + "- ", rest + "  ", out)
+            else:
+                out.append(f"{first}- {_scalar(value)}")
+            first = rest
+
+
+def _fast_dump(doc) -> str:
+    """``dump_yaml``'s text for a non-empty dict or list of contflow's own shapes."""
+    if type(doc) not in (dict, list) or not doc:
+        raise _Unsure
+    out: list[str] = []
+    _emit(doc, "", "", out)
+    out.append("")
+    return "\n".join(out)
+
+
+def _value(token: str):
+    if token in _LITERALS:
+        return _LITERALS[token]
+    if token == "[]" or token == "{}":
+        return [] if token == "[]" else {}
+    if token and token[0] in "-0123456789":
+        try:
+            return int(token)
+        except ValueError:
+            try:
+                return float(token)
+            except ValueError:
+                pass
+    return token
+
+
+# row kinds: a "- " marker, a "key: value" or "key:" entry, a bare scalar
+_ITEM, _KEY, _BARE = range(3)
+
+
+def _node(rows: list[tuple], i: int, col: int):
+    """Read the dict or list whose first row is rows[i], at column ``col``."""
+    if col > _MAX_INDENT or rows[i][1] != col:
+        raise _Unsure
+    if rows[i][0] == _ITEM:
+        seq = []
+        while i < len(rows) and rows[i][0] == _ITEM and rows[i][1] == col:
+            if rows[i + 1][0] == _BARE:  # an item row is always followed by its content
+                seq.append(_value(rows[i + 1][3]))
+                i += 2
+            else:
+                value, i = _node(rows, i + 1, col + 2)
+                seq.append(value)
+        return seq, i
+    mapping = {}
+    while i < len(rows) and rows[i][0] == _KEY and rows[i][1] == col:
+        _, _, key, token = rows[i]
+        i += 1
+        if token is not None:
+            mapping[key] = _value(token)
+        elif i < len(rows) and rows[i][1] >= col:
+            mapping[key], i = _node(rows, i, col if rows[i][0] == _ITEM else col + 2)
+        else:
+            raise _Unsure
+    if not mapping:
+        raise _Unsure
+    return mapping, i
+
+
+def _fast_load(text: str):
+    """Read a document in ``_fast_dump``'s grammar; _Unsure unless it re-emits as ``text``."""
+    lines = text.split("\n")
+    if len(lines) < 2 or lines.pop():
+        raise _Unsure
+    rows = []
+    for line in lines:
+        s = line.lstrip(" ")
+        col = len(line) - len(s)
+        while s[:2] == "- ":
+            if col > _MAX_INDENT:
+                raise _Unsure
+            rows.append((_ITEM, col, None, None))
+            col += 2
+            s = s[2:]
+        key, sep, token = s.partition(": ")
+        if sep:
+            rows.append((_KEY, col, key, token))
+        elif s[-1:] == ":":
+            rows.append((_KEY, col, s[:-1], None))
+        else:
+            rows.append((_BARE, col, None, s))
+    doc, i = _node(rows, 0, 0)
+    if i != len(rows) or _fast_dump(doc) != text:
+        raise _Unsure
+    return doc
+
 
 def load_yaml(text: str, what: str, shape: type | tuple[type, ...] = dict):
     """Parse the YAML document named ``what``; its top level must be a ``shape``.
 
     An empty document reads as ``{}``.  Malformed YAML and any other top-level
-    type raise ValidationError.
+    type raise ValidationError.  A document in the block style ``dump_yaml``
+    writes is read by a line reader, whose result is kept only if it re-emits
+    to exactly ``text``; every other document goes to PyYAML.
     """
     try:
-        doc = yaml.load(text, Loader=_LOADER)
-    except yaml.YAMLError as exc:
-        raise ValidationError(f"{what} document is not valid YAML: {exc}") from None
+        doc = _fast_load(text)
+    except _Unsure:
+        try:
+            doc = yaml.load(text, Loader=_LOADER)
+        except yaml.YAMLError as exc:
+            raise ValidationError(f"{what} document is not valid YAML: {exc}") from None
     if doc is None:
         doc = {}
     if not isinstance(doc, shape):
@@ -239,8 +395,15 @@ def load_yaml(text: str, what: str, shape: type | tuple[type, ...] = dict):
 
 
 def dump_yaml(doc) -> str:
-    """Emit ``doc`` as block-style YAML, keys in insertion order."""
-    return yaml.dump(doc, Dumper=_DUMPER, sort_keys=False, default_flow_style=False)
+    """Emit ``doc`` as block-style YAML, keys in insertion order.
+
+    Dicts and lists of plain strings, numbers, bools and None are written
+    directly, byte for byte as PyYAML writes them; anything else goes to PyYAML.
+    """
+    try:
+        return _fast_dump(doc)
+    except _Unsure:
+        return yaml.dump(doc, Dumper=_DUMPER, sort_keys=False, default_flow_style=False)
 
 
 def yaml_list(doc: dict, key: str, what: str) -> list:
@@ -271,6 +434,16 @@ def yaml_rows(doc: dict, key: str, what: str, columns: tuple[str, ...]) -> list[
     return entries
 
 
+def yaml_number(value, kind: type[int] | type[float], what: str, key: str):
+    """``value``, read from field ``key`` of document ``what``, as a ``kind``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"{what} document: {key} must be a number, not {value!r}"
+        ) from None
+
+
 def yaml_pairs(doc: dict, key: str, what: str) -> tuple[tuple[str, str], ...]:
     """The ``key`` section of document ``what``: a list of ``[from, to]`` pairs."""
     return tuple((str(u), str(v)) for u, v in yaml_rows(doc, key, what, ("from", "to")))
@@ -286,14 +459,18 @@ def parse_workflow(text: str) -> AbstractWorkflow:
             transformation=str(raw["transformation"]),
             inputs=tuple(str(f) for f in yaml_list(raw, "inputs", "workflow")),
             outputs=tuple(str(f) for f in yaml_list(raw, "outputs", "workflow")),
-            expected_runtime_s=float(raw.get("runtime", DEFAULT_RUNTIME_S)),
+            expected_runtime_s=yaml_number(
+                raw.get("runtime", DEFAULT_RUNTIME_S), float, "workflow", "runtime"
+            ),
         ))
     edges = yaml_pairs(doc, "edges", "workflow")
     files = {}
     for raw in yaml_mappings(doc, "files", "workflow"):
         meta = FileMeta(
             name=str(raw["name"]),
-            size_bytes=int(raw.get("size_bytes", DEFAULT_FILE_BYTES)),
+            size_bytes=yaml_number(
+                raw.get("size_bytes", DEFAULT_FILE_BYTES), int, "workflow", "size_bytes"
+            ),
             initial_location=raw.get("initial_location"),
         )
         files[meta.name] = meta

@@ -316,6 +316,11 @@ class TestMalformedInputs:
         ("compute", "{task_ids: [t], input_files: [1]}", "each input_files entry"),
         ("compute", "{task_ids: 5}", "task_ids must be a list"),
         ("stage_in", "{transfers: [1]}", "each transfers entry"),
+        ("compute", "{task_ids: [t], input_files: [[a, null]]}",
+         "input_files must be a number"),
+        ("compute", "{task_ids: [t], level: null}", "level must be a number"),
+        ("compute", "{task_ids: [t], runtime_s: [1]}", "runtime_s must be a number"),
+        ("stage_in", "{transfers: [[a, b, null]]}", "transfers must be a number"),
     ])
     def test_executable_payload_entry_malformed(self, inputs, tmp_path, capsys,
                                                 kind, payload, message):
@@ -325,6 +330,32 @@ class TestMalformedInputs:
         assert main(["wrappers", str(bad), str(inputs["catalog"]),
                      "--out", str(tmp_path / "wrappers")]) == 1
         assert f"executable document: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, text", [
+        ("runtime", "tasks:\n  - {id: a, transformation: 'radar::nowcast:1.0', "
+                    "runtime: [1]}\n"),
+        ("size_bytes", "files:\n  - {name: f, size_bytes: null}\n"),
+    ], ids=["runtime", "size_bytes"])
+    def test_workflow_number_malformed(self, inputs, tmp_path, capsys, field, text):
+        inputs["workflow"].write_text(text)
+        assert run_plan(inputs, tmp_path)[0] == 1
+        assert f"workflow document: {field} must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mangle, message", [
+        (lambda doc: [doc], "result document cannot be a list"),
+        (lambda doc: {**doc, "flow_ledger": [row[:-1] for row in doc["flow_ledger"]]},
+         "result document: each flow_ledger entry"),
+    ], ids=["top-level-list", "short-ledger-row"])
+    def test_malformed_result(self, inputs, tmp_path, capsys, mangle, message):
+        _, ewf_path = run_plan(inputs, tmp_path, "--cluster-size", "12")
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", str(ewf_path), str(inputs["topology"]),
+                     "--out", str(sim_out)]) == 0
+        result = sim_out / "result.json"
+        result.write_text(json.dumps(mangle(json.loads(result.read_text()))))
+        capsys.readouterr()
+        assert main(["report", str(result), "--out", str(tmp_path / "rerender")]) == 1
+        assert message in capsys.readouterr().err
 
     def test_workflow_inputs_not_a_list(self, inputs, tmp_path, capsys):
         inputs["workflow"].write_text(

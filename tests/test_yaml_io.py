@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
@@ -11,8 +13,16 @@ from hypothesis import given, settings, strategies as st
 
 import contflow
 from contflow import workflow
-from contflow.planner import parse_executable, serialize_executable
-from contflow.scenarios import demo_plan, demo_topology
+from contflow.catalog import ContainerRuntime, parse_image_url
+from contflow.errors import ValidationError
+from contflow.planner import PlanConfig, parse_executable, plan, serialize_executable
+from contflow.scenarios import (
+    demo_catalog,
+    demo_plan,
+    demo_sites,
+    demo_topology,
+    demo_workflow,
+)
 from contflow.simulator import parse_topology, serialize_topology
 
 needs_libyaml = pytest.mark.skipif(
@@ -84,9 +94,197 @@ def round_trip():
 
 def test_pure_python_fallback_gives_the_same_bytes_and_objects(monkeypatch):
     default = round_trip()
+    # with the fast emitter and reader off, first libyaml then pure Python
+    monkeypatch.setattr(workflow, "_fast_load", mock.Mock(side_effect=workflow._Unsure))
+    monkeypatch.setattr(workflow, "_fast_dump", mock.Mock(side_effect=workflow._Unsure))
+    assert round_trip() == default
     monkeypatch.setattr(workflow, "_LOADER", yaml.SafeLoader)
     monkeypatch.setattr(workflow, "_DUMPER", yaml.SafeDumper)
     assert round_trip() == default
+
+
+# --- the fast emitter and reader --------------------------------------------
+
+SAFE_NAMES = [
+    "radar-tools", "compute_l0t0001", "file:///staging/submit/grid00", "x", "_x",
+    "docker:///imaging/radar-tools:latest", "condorpool/w1", "l0t0001.out",
+    "radar::nowcast:1.0", "a@b+c~d", "/usr/bin/x", "nan", "Yess", "nulls", "inf",
+]
+TRICKY_NAMES = [
+    "yes", "No", "on", "OFF", "null", "Null", "y", "n", "true", "False", "~", "",
+    "1abc", "0x1F", "1_000", "12", "-x", "+1", ".5", "-", "a:", "a::", "a:b:", "::",
+    "a b", " a", "a ", "a #b", "a#b", "#x", "é", "ünï", "?x", "@x", "%x", "!x",
+    "&x", "*x", "'q'", '"q"', "[x]", "{x}", "a,b", "=", "<<", ".inf", "2001-12-14",
+    "1:20", "a\tb", "a\nb", "---", "...", "a=b", "a|b", ">x",
+]
+safe_name = st.sampled_from(SAFE_NAMES)
+any_name = st.one_of(
+    safe_name, st.sampled_from(TRICKY_NAMES),
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=8),
+    st.text(max_size=4),
+)
+long_key = st.integers(120, 140).map(lambda n: "k" * n)
+safe_number = st.one_of(
+    st.integers(-(2**70), 2**70), st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e16, -0.0, 1e-7, 2.5, 1e300]),
+)
+any_number = safe_number | st.sampled_from([float("inf"), float("-inf"), float("nan")])
+small = st.none() | st.booleans() | st.builds(list) | st.builds(dict)
+safe_leaf = safe_name | safe_number | small
+any_leaf = any_name | any_number | small
+
+
+def executable_docs(name, leaf):
+    """Documents shaped like serialize_executable's, over the given strings and leaves."""
+    def rows(width):
+        return st.lists(st.lists(leaf, min_size=width, max_size=width), max_size=3)
+    payload = st.one_of(
+        st.fixed_dictionaries({
+            "task_ids": st.lists(name, max_size=3), "container": name | st.none(),
+            "placement": leaf, "backend": leaf, "staging_site": name, "level": leaf,
+            "runtime_s": leaf, "image_bytes": leaf,
+            "input_files": rows(2), "output_files": rows(2),
+        }),
+        st.fixed_dictionaries({"transfers": rows(3), "src_site": name, "dst_site": name}),
+        st.fixed_dictionaries({"target_job": name}),
+    )
+    return st.fixed_dictionaries({
+        "jobs": st.lists(st.fixed_dictionaries({
+            "id": name, "kind": name, "site": name, "payload": payload,
+        }), max_size=4),
+        "edges": rows(2),
+    })
+
+
+def nested_docs(key, leaf, max_leaves=12):
+    container = st.recursive(
+        leaf, lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(key, inner, max_size=3),
+        max_leaves=max_leaves,
+    )
+    return container.filter(lambda d: isinstance(d, (dict, list)))
+
+
+def libyaml_text(doc) -> str:
+    return emit(doc, workflow._DUMPER)
+
+
+def fast_text(doc) -> str | None:
+    try:
+        return workflow._fast_dump(doc)
+    except workflow._Unsure:
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(executable_docs(safe_name, safe_leaf) | nested_docs(safe_name, safe_leaf))
+def test_fast_emitter_writes_safe_documents_as_libyaml_does(doc):
+    # a bare top-level {} or [] is left to PyYAML
+    assert fast_text(doc) == (libyaml_text(doc) if doc else None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(executable_docs(any_name, any_leaf)
+       | nested_docs(any_name | long_key, any_leaf, max_leaves=3)
+       | st.tuples(any_name | long_key, any_leaf).flatmap(lambda kv: st.sampled_from([
+           {kv[0]: kv[1]}, [kv[1]], [[kv[1]]], {kv[0]: [kv[1]]}, [{kv[0]: kv[1]}]])))
+def test_fast_emitter_gives_up_or_matches_libyaml(doc):
+    text = fast_text(doc)
+    assert text is None or text == libyaml_text(doc)
+    assert workflow.dump_yaml(doc) == libyaml_text(doc)
+
+
+@pytest.mark.parametrize("value", [
+    "yes", "No", "on", "null", "y", "1abc", "-1", "+x", ".x", "a:", "a b", "#x", "",
+    "é", 1e16, -0.0, 1e-7, float("inf"), float("nan"), True, None, [], {},
+])
+def test_fast_emitter_on_each_awkward_scalar(value):
+    for doc in ({"k": value}, [value], {"k": [value]}, [{"k": value}]):
+        text = fast_text(doc)
+        assert text is None or text == libyaml_text(doc)
+
+
+def test_fast_emitter_leaves_keys_of_128_characters_to_pyyaml():
+    assert fast_text({"k" * 127: 1}) == libyaml_text({"k" * 127: 1})
+    assert fast_text({"k" * 128: 1}) is None
+
+
+def read(text: str):
+    """load_yaml's outcome: the repr of the document (types included), or the error."""
+    try:
+        return "ok", repr(workflow.load_yaml(text, "executable", (dict, list)))
+    except (ValidationError, ValueError) as exc:  # PyYAML: ValueError on a bad date
+        return type(exc).__name__, str(exc)
+
+
+def libyaml_read(text: str):
+    with mock.patch.object(workflow, "_fast_load", side_effect=workflow._Unsure):
+        return read(text)
+
+
+def mutate(text: str, op: str, pos: int, ch: str) -> str:
+    i = pos % (len(text) + 1)
+    if op == "insert":
+        return text[:i] + ch + text[i:]
+    if op == "replace":
+        return text[:i] + ch + text[i + 1:]
+    if op == "delete":
+        return text[:i] + text[i + 1:]
+    lines = text.split("\n")
+    j = pos % len(lines)
+    if op == "drop_line":
+        del lines[j]
+    elif op == "dup_line":
+        lines.insert(j, lines[j])
+    elif op == "swap_lines":
+        lines[j - 1], lines[j] = lines[j], lines[j - 1]
+    elif op == "indent":
+        lines[j] = "  " + lines[j]
+    else:
+        lines[j] = lines[j][2:]
+    return "\n".join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(executable_docs(safe_name, safe_leaf) | nested_docs(safe_name, safe_leaf),
+       st.sampled_from(["insert", "replace", "delete", "drop_line", "dup_line",
+                        "swap_lines", "indent", "dedent"]),
+       st.integers(0, 10**6), st.sampled_from(list(" -:'\n#a1.{[\t!&*?\"|>~")))
+def test_reader_agrees_with_libyaml_on_emitted_and_mutated_text(doc, op, pos, ch):
+    text = workflow.dump_yaml(doc)
+    if doc:
+        assert repr(workflow._fast_load(text)) == repr(doc)
+    for t in (text, mutate(text, op, pos, ch)):
+        assert read(t) == libyaml_read(t)
+
+
+def demo_plan_with(container, cluster_size, cleanup):
+    """demo_plan, and for shifter (not in the demo catalog) the docker entry as shifter."""
+    if container != "shifter":
+        return demo_plan(container, cluster_size=cluster_size, cleanup=cleanup)
+    cat = demo_catalog("docker")
+    image = parse_image_url("shifter:///imaging/radar-tools:latest")
+    cat = replace(cat, containers={
+        name: replace(c, runtime=ContainerRuntime.SHIFTER, image=image, image_size_bytes=0)
+        for name, c in cat.containers.items()
+    })
+    cfg = PlanConfig(cluster_size=cluster_size, output_site="submit", cleanup=cleanup)
+    return plan(demo_workflow(), cat, demo_sites(), cfg)
+
+
+@pytest.mark.parametrize("container", ["docker", "singularity", "shifter", None])
+def test_executables_round_trip_without_pyyaml(monkeypatch, container):
+    plans = [demo_plan_with(container, k, cleanup) for k in (1, 12) for cleanup in (False, True)]
+    assert container is None or any(
+        j.payload.backend is ContainerRuntime(container)
+        for j in plans[0].jobs if hasattr(j.payload, "backend")
+    )
+    refuse = mock.Mock(side_effect=AssertionError("PyYAML was called"))
+    monkeypatch.setattr(yaml, "load", refuse)
+    monkeypatch.setattr(yaml, "dump", refuse)
+    for ewf in plans:
+        assert parse_executable(serialize_executable(ewf)) == ewf
+    assert refuse.call_count == 0
 
 
 def test_only_workflow_module_uses_yaml():
