@@ -50,15 +50,6 @@ from .simulator import (
     simulate,
     sweep,
 )
-from .transfer import (
-    ImageCache,
-    RegistryClient,
-    TransferRequest,
-    TransferResult,
-    batch_transfer,
-    export_image,
-    transfer,
-)
 from .workflow import (
     AbstractWorkflow,
     FileMeta,

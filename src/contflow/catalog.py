@@ -24,7 +24,7 @@ from .errors import (
     UnknownScheme,
     ValidationError,
 )
-from .workflow import dump_yaml, load_yaml, yaml_mappings
+from .workflow import dump_yaml, load_yaml, read_record, read_value
 
 MOUNT_OPTIONS = {"ro", "rw"}
 
@@ -38,6 +38,11 @@ class ContainerRuntime(enum.Enum):
 class InstallType(enum.Enum):
     INSTALLED = "INSTALLED"
     STAGEABLE = "STAGEABLE"
+
+    @classmethod
+    def _missing_(cls, value):
+        # catalogs may spell the type in any case
+        return cls.__members__.get(value.upper()) if isinstance(value, str) else None
 
 
 class ImageScheme(enum.Enum):
@@ -90,11 +95,11 @@ class TransformationEntry:
     namespace: str
     name: str
     version: str
-    site: str
+    site: str = field(metadata={"key": "name"})
     arch: str = ""
     os: str = ""
     pfn: str = ""
-    install_type: InstallType = InstallType.INSTALLED
+    install_type: InstallType = field(default=InstallType.INSTALLED, metadata={"key": "type"})
     container: str | None = None
     profiles: dict[str, str] = field(default_factory=dict)
 
@@ -179,24 +184,24 @@ def _parse_profiles(raw: object, where: str) -> dict[str, str]:
                 raise CatalogSyntaxError(
                     f"{where}: only env profiles are supported, got {key!r}"
                 )
-            if not isinstance(values, dict):
-                raise CatalogSyntaxError(f"{where}: env profile must be a mapping")
-            for k, v in values.items():
-                env[str(k)] = str(v)
+            env.update(read_value(dict[str, str], values, "catalog", "env"))
     return env
 
 
+def _required(raw: dict, keys: tuple[str, ...], entry: str) -> list[str]:
+    """The values of ``keys`` in catalog entry ``raw``, each a string."""
+    for key in keys:
+        if key not in raw:
+            raise CatalogSyntaxError(f"{entry} missing field {key!r}")
+    return [read_value(str, raw[key], "catalog", key) for key in keys]
+
+
 def _parse_container(raw: dict, seen: set[str]) -> ContainerDef:
-    try:
-        name = str(raw["name"])
-        image_url = str(raw["image"])
-        runtime_s = str(raw["type"]).lower()
-    except KeyError as exc:
-        raise CatalogSyntaxError(f"cont entry missing field {exc}") from None
+    name, image_url, runtime_s = _required(raw, ("name", "image", "type"), "cont entry")
     if name in seen:
         raise DuplicateName(f"duplicate container name {name!r}")
     try:
-        runtime = ContainerRuntime(runtime_s)
+        runtime = ContainerRuntime(runtime_s.lower())
     except ValueError:
         raise CatalogSyntaxError(f"unknown container type {runtime_s!r}") from None
     image = parse_image_url(image_url)
@@ -207,29 +212,19 @@ def _parse_container(raw: dict, seen: set[str]) -> ContainerDef:
     mount_specs = raw.get("mount") or []
     if not isinstance(mount_specs, list):
         raise CatalogSyntaxError(f"container {name!r}: mount must be a sequence")
-    mounts = tuple(parse_mount_spec(str(m)) for m in mount_specs)
-    profiles = _parse_profiles(raw.get("profile"), f"cont {name!r}")
-    size = int(raw.get("image_size_bytes") or 0)
-    if size < 0:
-        raise CatalogSyntaxError(f"container {name!r}: negative image_size_bytes")
-    return ContainerDef(
-        name=name,
-        image=image,
-        runtime=runtime,
-        mounts=mounts,
-        profiles=profiles,
-        image_size_bytes=size,
-        site_local=bool(raw.get("site_local", False)),
+    cdef = read_record(
+        ContainerDef, raw, "catalog", name=name, image=image, runtime=runtime,
+        mounts=tuple(parse_mount_spec(str(m)) for m in mount_specs),
+        profiles=_parse_profiles(raw.get("profile"), f"cont {name!r}"),
     )
+    if cdef.image_size_bytes < 0:
+        raise CatalogSyntaxError(f"container {name!r}: negative image_size_bytes")
+    return cdef
 
 
 def _parse_transformation(raw: dict) -> list[TransformationEntry]:
-    try:
-        namespace = str(raw["namespace"])
-        name = str(raw["name"])
-        version = str(raw["version"])
-    except KeyError as exc:
-        raise CatalogSyntaxError(f"transformation missing field {exc}") from None
+    namespace, name, version = _required(
+        raw, ("namespace", "name", "version"), "transformation")
     sites = raw.get("site") or []
     if not isinstance(sites, list):
         raise CatalogSyntaxError(f"transformation {name!r}: site must be a sequence")
@@ -237,24 +232,9 @@ def _parse_transformation(raw: dict) -> list[TransformationEntry]:
     for site_raw in sites:
         if not isinstance(site_raw, dict) or "name" not in site_raw:
             raise CatalogSyntaxError(f"transformation {name!r}: bad site entry")
-        type_s = str(site_raw.get("type", "INSTALLED")).upper()
-        try:
-            install_type = InstallType(type_s)
-        except ValueError:
-            raise CatalogSyntaxError(
-                f"transformation {name!r}: unknown type {type_s!r}"
-            ) from None
-        container = site_raw.get("container")
-        entries.append(TransformationEntry(
-            namespace=namespace,
-            name=name,
-            version=version,
-            site=str(site_raw["name"]),
-            arch=str(site_raw.get("arch", "")),
-            os=str(site_raw.get("os", "")),
-            pfn=str(site_raw.get("pfn", "")),
-            install_type=install_type,
-            container=str(container) if container is not None else None,
+        entries.append(read_record(
+            TransformationEntry, site_raw, "catalog",
+            namespace=namespace, name=name, version=version,
             profiles=_parse_profiles(site_raw.get("profile"), f"transformation {name!r}"),
         ))
     return entries
@@ -275,8 +255,9 @@ def parse_catalog(text: str) -> Catalog:
                     raise CatalogSyntaxError(f"unexpected top-level entry {item!r}")
                 merged.update(item)
             doc = merged
-        conts = yaml_mappings(doc, "cont", "catalog")
-        raw_transformations = yaml_mappings(doc, "transformations", "catalog")
+        conts = read_value(list[dict], doc.get("cont", []), "catalog", "cont")
+        raw_transformations = read_value(
+            list[dict], doc.get("transformations", []), "catalog", "transformations")
     except ValidationError as exc:
         raise CatalogSyntaxError(str(exc)) from None
 

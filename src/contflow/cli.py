@@ -8,15 +8,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import launcher, planner, simulator
 from .catalog import parse_catalog
-from .errors import ContflowError, LaunchError, SimError, TransferError, ValidationError
+from .errors import ContflowError, LaunchError, SimError, ValidationError
 from .planner import PlanConfig, parse_executable, parse_sites, serialize_executable
-from .simulator import SimConfig, SimResult, FlowRecord, parse_topology
-from .workflow import load_yaml, parse_workflow, yaml_mappings, yaml_rows
+from .simulator import SimConfig, SimResult, parse_topology
+from .workflow import load_yaml, parse_workflow, read_record, read_value, write_record
 
 
 def _onoff(value: str) -> bool:
@@ -100,21 +100,10 @@ def _print_run_table(rep: launcher.ExecutionReport) -> None:
         print(f"{job_id:<36} {jr.status:<8} {jr.node}")
 
 
-def _result_to_doc(res: SimResult) -> dict:
-    doc = {f.name: getattr(res, f.name) for f in fields(SimResult)}
-    doc["flow_ledger"] = [tuple(vars(f).values()) for f in res.flow_ledger]
-    return doc
-
-
 def _result_from_doc(doc) -> SimResult:
     if not isinstance(doc, dict):
         raise ValidationError(f"result document cannot be a {type(doc).__name__}")
-    doc = {f.name: doc[f.name] for f in fields(SimResult)}
-    doc["job_timeline"] = [tuple(row) for row in yaml_rows(
-        doc, "job_timeline", "result", ("job", "start", "end", "node"))]
-    doc["flow_ledger"] = [FlowRecord(*row) for row in yaml_rows(
-        doc, "flow_ledger", "result", tuple(f.name for f in fields(FlowRecord)))]
-    return SimResult(**doc)
+    return read_record(SimResult, doc, "result")
 
 
 def cmd_simulate(args) -> int:
@@ -128,7 +117,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "result.json").write_text(
-        json.dumps(_result_to_doc(res), indent=1, sort_keys=True)
+        json.dumps(write_record(res), indent=1, sort_keys=True)
     )
     simulator.report(res, out)
     print(f"makespan: {res.makespan_s:.2f} s")
@@ -144,21 +133,29 @@ def cmd_report(args) -> int:
     return 0
 
 
+@dataclass(frozen=True)
+class Scenario:
+    """One entry of a sweep document, besides its PlanConfig fields."""
+    label: str
+    workflow: str
+    catalog: str
+    sites: str
+    topology: str
+
+
 def cmd_sweep(args) -> int:
     doc = load_yaml(_read(args.scenarios), "sweep")
     scenarios = []
-    for raw in yaml_mappings(doc, "scenarios", "sweep"):
-        wf = parse_workflow(_read(raw["workflow"]))
-        cat = parse_catalog(_read(raw["catalog"]))
-        sites = parse_sites(_read(raw["sites"]))
-        topo = parse_topology(_read(raw["topology"]))
-        cfg = PlanConfig(
-            cluster_size=int(raw.get("cluster_size", 1)),
-            output_site=str(raw.get("output_site", "submit")),
-            cleanup=bool(raw.get("cleanup", True)),
-        )
+    for raw in read_value(list[dict], doc.get("scenarios", []), "sweep", "scenarios"):
+        sc = read_record(Scenario, raw, "sweep")
+        wf = parse_workflow(_read(sc.workflow))
+        cat = parse_catalog(_read(sc.catalog))
+        sites = parse_sites(_read(sc.sites))
+        topo = parse_topology(_read(sc.topology))
+        # a sweep always places containers automatically
+        cfg = read_record(PlanConfig, raw, "sweep", placement_override=None)
         ewf = planner.plan(wf, cat, sites, cfg)
-        scenarios.append((str(raw["label"]), ewf, topo, SimConfig()))
+        scenarios.append((sc.label, ewf, topo, SimConfig()))
     rows = simulator.sweep(scenarios)
     print(simulator.format_sweep(rows))
     return 0
@@ -227,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SimError, LaunchError, TransferError) as exc:
+    except (SimError, LaunchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ContflowError as exc:

@@ -100,32 +100,6 @@ class StepFailed(LaunchError):
         super().__init__(f"job {job_id}: step {step_kind} failed{': ' + message if message else ''}")
 
 
-# --- transfer --------------------------------------------------------------
-
-class TransferError(ContflowError):
-    pass
-
-
-class SchemeNotExportable(TransferError):
-    pass
-
-
-class RegistryMiss(TransferError):
-    pass
-
-
-class SourceMissing(TransferError):
-    pass
-
-
-class DestinationUnwritable(TransferError):
-    pass
-
-
-class ChecksumMismatch(TransferError):
-    pass
-
-
 # --- simulator -------------------------------------------------------------
 
 class SimError(ContflowError):
@@ -137,4 +111,8 @@ class UnmappedSite(SimError):
 
 
 class MissingSize(SimError):
+    pass
+
+
+class DestinationUnwritable(SimError):
     pass

@@ -28,20 +28,17 @@ from .errors import (
     PlanError,
     RuntimeUnavailable,
     UnresolvableTransformation,
-    ValidationError,
 )
 from .workflow import (
     AbstractWorkflow,
     dump_yaml,
     load_yaml,
+    read_record,
+    read_value,
     require_acyclic,
     topological_levels,
     validate_dag,
-    yaml_list,
-    yaml_mappings,
-    yaml_number,
-    yaml_pairs,
-    yaml_rows,
+    write_record,
 )
 
 
@@ -68,7 +65,8 @@ class Site:
     name: str
     shared_fs: bool = False
     staging_site: str = ""
-    runtimes_available: frozenset[ContainerRuntime] = frozenset()
+    runtimes_available: frozenset[ContainerRuntime] = field(
+        default=frozenset(), metadata={"key": "runtimes"})
     cvmfs_like_paths: tuple[str, ...] = ()
 
     @property
@@ -305,25 +303,29 @@ def _bind_sites(
     wf: AbstractWorkflow, cat: Catalog, sites: list[Site], override: str | None
 ) -> dict[str, tuple[Site, TransformationEntry, ContainerDef | None, PlacementMode | None]]:
     """Round-robin tasks over sites able to run their transformation."""
+    resolved: dict[str, tuple[list, Exception | None]] = {}  # once per transformation
     binding = {}
     rr = 0
     for task in wf.tasks:
-        eligible = []
-        runtime_problem: Exception | None = None
-        for s in sites:
-            try:
-                entry, cdef = resolve_transformation(cat, task.transformation, s.name)
-            except NotFound:
-                continue
-            if cdef is None:
-                eligible.append((s, entry, None, None))
-                continue
-            try:
-                placement = decide_placement(cdef, s, override)
-            except (RuntimeUnavailable, InconsistentPlacement) as exc:
-                runtime_problem = exc
-                continue
-            eligible.append((s, entry, cdef, placement))
+        if task.transformation not in resolved:
+            eligible = []
+            runtime_problem: Exception | None = None
+            for s in sites:
+                try:
+                    entry, cdef = resolve_transformation(cat, task.transformation, s.name)
+                except NotFound:
+                    continue
+                if cdef is None:
+                    eligible.append((s, entry, None, None))
+                    continue
+                try:
+                    placement = decide_placement(cdef, s, override)
+                except (RuntimeUnavailable, InconsistentPlacement) as exc:
+                    runtime_problem = exc
+                    continue
+                eligible.append((s, entry, cdef, placement))
+            resolved[task.transformation] = eligible, runtime_problem
+        eligible, runtime_problem = resolved[task.transformation]
         if not eligible:
             if runtime_problem is not None:
                 raise RuntimeUnavailable(
@@ -470,99 +472,26 @@ def plan(
 
 # --- serialization ---------------------------------------------------------
 
+_PAYLOAD_CLASSES = {JobKind.COMPUTE: ComputePayload, JobKind.CLEANUP: CleanupPayload}
+
+
 def serialize_executable(ewf: ExecutableWorkflow) -> str:
-    def payload_doc(j: Job) -> dict:
-        p = j.payload
-        if isinstance(p, ComputePayload):
-            return {
-                "task_ids": list(p.task_ids),
-                "container": p.container,
-                "placement": p.placement.value if p.placement else None,
-                "backend": p.backend.value if p.backend else None,
-                "staging_site": p.staging_site,
-                "level": p.level,
-                "runtime_s": p.runtime_s,
-                "image_bytes": p.image_bytes,
-                "input_files": [[f, s] for f, s in p.input_files],
-                "output_files": [[f, s] for f, s in p.output_files],
-            }
-        if isinstance(p, TransferPayload):
-            return {
-                "transfers": [[a, b, n] for a, b, n in p.transfers],
-                "src_site": p.src_site,
-                "dst_site": p.dst_site,
-            }
-        return {"target_job": p.target_job}
-
-    doc = {
-        "jobs": [
-            {"id": j.id, "kind": j.kind.value, "site": j.site, "payload": payload_doc(j)}
-            for j in ewf.jobs
-        ],
-        "edges": [[u, v] for u, v in ewf.edges],
-    }
-    return dump_yaml(doc)
-
-
-def _file_rows(praw: dict, key: str) -> tuple[tuple[str, int], ...]:
-    return tuple((f, yaml_number(s, int, "executable", key))
-                 for f, s in yaml_rows(praw, key, "executable", ("name", "bytes")))
+    return dump_yaml(write_record(ewf))
 
 
 def parse_executable(text: str) -> ExecutableWorkflow:
     doc = load_yaml(text, "executable")
-    jobs: list[Job] = []
-    for raw in yaml_mappings(doc, "jobs", "executable"):
-        kind = JobKind(raw["kind"])
-        praw = raw.get("payload") or {}
-        if not isinstance(praw, dict):
-            raise ValidationError(f"executable document: payload of job {raw.get('id')!r} "
-                                  f"must be a mapping")
-        payload: ComputePayload | TransferPayload | CleanupPayload
-        if kind is JobKind.COMPUTE:
-            payload = ComputePayload(
-                task_ids=tuple(yaml_list(praw, "task_ids", "executable")),
-                container=praw.get("container"),
-                placement=PlacementMode(praw["placement"]) if praw.get("placement") else None,
-                backend=ContainerRuntime(praw["backend"]) if praw.get("backend") else None,
-                staging_site=praw.get("staging_site", ""),
-                level=yaml_number(praw.get("level", 0), int, "executable", "level"),
-                runtime_s=yaml_number(praw.get("runtime_s", 0.0), float, "executable",
-                                      "runtime_s"),
-                image_bytes=yaml_number(praw.get("image_bytes", 0), int, "executable",
-                                        "image_bytes"),
-                input_files=_file_rows(praw, "input_files"),
-                output_files=_file_rows(praw, "output_files"),
-            )
-        elif kind is JobKind.CLEANUP:
-            payload = CleanupPayload(target_job=praw.get("target_job", ""))
-        else:
-            payload = TransferPayload(
-                transfers=tuple(
-                    (a, b, yaml_number(n, int, "executable", "transfers")) for a, b, n
-                    in yaml_rows(praw, "transfers", "executable", ("src", "dst", "bytes"))
-                ),
-                src_site=praw.get("src_site", ""),
-                dst_site=praw.get("dst_site", ""),
-            )
-        jobs.append(Job(id=str(raw["id"]), kind=kind, site=str(raw["site"]), payload=payload))
-    edges = yaml_pairs(doc, "edges", "executable")
-    return ExecutableWorkflow(jobs=tuple(jobs), edges=edges)
+    jobs = []
+    for raw in read_value(list[dict], doc.get("jobs", []), "executable", "jobs"):
+        kind = read_value(JobKind, raw.get("kind"), "executable", "kind")
+        payload = read_value(_PAYLOAD_CLASSES.get(kind, TransferPayload),
+                             raw.get("payload", {}), "executable", "payload")
+        jobs.append(read_record(Job, raw, "executable", kind=kind, payload=payload))
+    return read_record(ExecutableWorkflow, doc, "executable", jobs=tuple(jobs))
 
 
 def parse_sites(text: str) -> list[Site]:
     doc = load_yaml(text, "sites", (dict, list))
     if isinstance(doc, list):
         doc = {"sites": doc}
-    sites = []
-    for raw in yaml_mappings(doc, "sites", "sites"):
-        sites.append(Site(
-            name=str(raw["name"]),
-            shared_fs=bool(raw.get("shared_fs", False)),
-            staging_site=str(raw.get("staging_site", "")),
-            runtimes_available=frozenset(
-                ContainerRuntime(r) for r in yaml_list(raw, "runtimes", "sites")
-            ),
-            cvmfs_like_paths=tuple(yaml_list(raw, "cvmfs_like_paths", "sites")),
-        ))
-    return sites
+    return read_value(list[Site], doc.get("sites", []), "sites", "sites")

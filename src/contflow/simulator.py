@@ -26,7 +26,6 @@ from .errors import (
     MissingSize,
     SimError,
     UnmappedSite,
-    ValidationError,
 )
 from .planner import (
     ComputePayload,
@@ -36,7 +35,15 @@ from .planner import (
     PlacementMode,
     TransferPayload,
 )
-from .workflow import ReadySet, dump_yaml, load_yaml, topological_order, yaml_mappings
+from .workflow import (
+    ReadySet,
+    dump_yaml,
+    load_yaml,
+    read_record,
+    read_value,
+    topological_order,
+    write_record,
+)
 
 _EPS = 1e-9
 
@@ -54,11 +61,18 @@ class NodeSpec:
 
 
 @dataclass(frozen=True)
+class LinkSpec:
+    src: str
+    dst: str
+    bandwidth: float  # bytes/s
+
+
+@dataclass(frozen=True)
 class Topology:
     submit: NodeSpec
-    nfs: NodeSpec | None
-    workers: tuple[NodeSpec, ...]
-    links: dict[tuple[str, str], float]
+    nfs: NodeSpec | None = None
+    workers: tuple[NodeSpec, ...] = ()
+    links: dict[tuple[str, str], float] = field(default_factory=dict)
 
     def nodes(self) -> list[NodeSpec]:
         out = [self.submit]
@@ -114,7 +128,7 @@ class SimResult:
     job_timeline: list[tuple[str, float, float, str]]
     egress_totals: dict[str, float]
     ingress_totals: dict[str, float]
-    flow_ledger: list[FlowRecord]
+    flow_ledger: list[FlowRecord] = field(metadata={"rows": True})  # rows in result.json
 
     @property
     def total_transfer_bytes(self) -> float:
@@ -600,47 +614,19 @@ def sweep(
 def parse_topology(text: str) -> Topology:
     """Parse the topology YAML document (submit / nfs / workers / links)."""
     doc = load_yaml(text, "topology")
-
-    def node(raw) -> NodeSpec:
-        if not isinstance(raw, dict):
-            raise ValidationError(f"topology document: node {raw!r} is not a mapping")
-        return NodeSpec(
-            name=str(raw["name"]),
-            slots=int(raw.get("slots", 1)),
-            disk_untar_rate=float(raw.get("disk_untar_rate", 1e8)),
-            disk_service_base_ms=float(raw.get("disk_service_base_ms", 10.0)),
-        )
-
-    links: dict[tuple[str, str], float] = {}
-    for raw in yaml_mappings(doc, "links", "topology"):
-        links[(str(raw["src"]), str(raw["dst"]))] = float(raw["bandwidth"])
-    topo = Topology(
-        submit=node(doc["submit"]),
-        nfs=node(doc["nfs"]) if doc.get("nfs") else None,
-        workers=tuple(node(w) for w in yaml_mappings(doc, "workers", "topology")),
-        links=links,
-    )
+    links = read_value(list[LinkSpec], doc.get("links", []), "topology", "links")
+    topo = read_record(Topology, doc, "topology",
+                       links={(link.src, link.dst): link.bandwidth for link in links})
     topo.validate()
     return topo
 
 
 def serialize_topology(topo: Topology) -> str:
-    def node(n: NodeSpec) -> dict:
-        return {
-            "name": n.name,
-            "slots": n.slots,
-            "disk_untar_rate": n.disk_untar_rate,
-            "disk_service_base_ms": n.disk_service_base_ms,
-        }
-
     doc = {
-        "submit": node(topo.submit),
-        "nfs": node(topo.nfs) if topo.nfs else None,
-        "workers": [node(w) for w in topo.workers],
-        "links": [
-            {"src": a, "dst": b, "bandwidth": bw}
-            for (a, b), bw in topo.links.items()
-        ],
+        "submit": write_record(topo.submit),
+        "nfs": write_record(topo.nfs) if topo.nfs else None,
+        "workers": [write_record(w) for w in topo.workers],
+        "links": [write_record(LinkSpec(a, b, bw)) for (a, b), bw in topo.links.items()],
     }
     return dump_yaml(doc)
 

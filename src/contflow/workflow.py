@@ -7,9 +7,14 @@ explicit edge list plus the implied producer→consumer file flow.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import functools
 import heapq
 import math
 import re
+import types
+import typing
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -40,7 +45,7 @@ class Task:
     transformation: str
     inputs: tuple[str, ...] = ()
     outputs: tuple[str, ...] = ()
-    expected_runtime_s: float = DEFAULT_RUNTIME_S
+    expected_runtime_s: float = field(default=DEFAULT_RUNTIME_S, metadata={"key": "runtime"})
 
 
 @dataclass(frozen=True)
@@ -406,89 +411,183 @@ def dump_yaml(doc) -> str:
         return yaml.dump(doc, Dumper=_DUMPER, sort_keys=False, default_flow_style=False)
 
 
-def yaml_list(doc: dict, key: str, what: str) -> list:
-    """The ``key`` section of document ``what``: a list, ``[]`` if absent."""
-    entries = doc.get(key) or []
-    if not isinstance(entries, list):
-        raise ValidationError(f"{what} document: {key} must be a list")
-    return entries
+# --- typed records -----------------------------------------------------------
+#
+# A record dataclass is the one declaration of a document entry's fields: the
+# field name is its key unless ``field(metadata={"key": ...})`` names another,
+# the annotation is what a value converts to, and the default is what an absent
+# key reads as.  A list field with ``metadata={"rows": True}`` holds each record
+# as a row of its fields in order.
+
+def _fail(what: str, key: str, expected: str, value) -> typing.NoReturn:
+    raise ValidationError(f"{what} document: {key} must be {expected}, not {value!r}")
 
 
-def yaml_mappings(doc: dict, key: str, what: str) -> list[dict]:
-    """The ``key`` section of document ``what``: a list of mappings, ``[]`` if absent."""
-    entries = doc.get(key) or []
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ValidationError(f"{what} document: {key} must list one mapping per entry")
-    return entries
+@functools.cache
+def _reader(tp, element: bool = False, rows: bool = False):
+    """``conv(value, what, key)``: a value of document ``what`` as annotation ``tp``.
+
+    ``element`` marks the entries of a list, and ``rows`` records written as rows.
+    """
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp is str:
+        def conv(value, what, key):  # a number where a name belongs: ``id: 1`` is "1"
+            if type(value) is str:
+                return value
+            if type(value) is int or type(value) is float:
+                return str(value)
+            _fail(what, key, "a string", value)
+    elif tp is int or tp is float:
+        def conv(value, what, key):
+            try:
+                return tp(value)
+            except (TypeError, ValueError, OverflowError):
+                _fail(what, key, "a number", value)
+    elif tp is bool:
+        def conv(value, what, key):
+            return value if type(value) is bool else _fail(what, key, "true or false", value)
+    elif isinstance(tp, type) and issubclass(tp, enum.Enum):
+        choices = "one of " + ", ".join(str(m.value) for m in tp)
+
+        def conv(value, what, key):
+            try:
+                return tp(value)
+            except (TypeError, ValueError):
+                _fail(what, key, choices, value)
+    elif origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        inner = _reader(next(a for a in args if a is not type(None)), element)
+
+        def conv(value, what, key):
+            return None if value is None else inner(value, what, key)
+    elif origin in (list, frozenset) or (origin is tuple and args[-1] is Ellipsis):
+        item = _reader(args[0], True, rows)
+        exact = {args[0]} & {str, int, float, bool}
+
+        def conv(value, what, key):
+            if type(value) is not list:
+                _fail(what, key, "a list", value)
+            if exact and set(map(type, value)) <= exact:  # nothing to convert
+                return origin(value)
+            return origin([item(v, what, key) for v in value])
+    elif origin is tuple or rows:  # a fixed-width row, or a record written as one
+        names = [f.name for f in dataclasses.fields(tp)] if rows else None
+        if rows:
+            args = [typing.get_type_hints(tp)[name] for name in names]
+        items = [_reader(a) for a in args]
+        exact = [a if a in (str, int, float, bool) else None for a in args]
+        shape = ", ".join(names or (getattr(a, "__name__", repr(a)) for a in args))
+
+        def conv(value, what, key):
+            if type(value) is not list or len(value) != len(items):
+                raise ValidationError(f"{what} document: each {key} entry must be "
+                                      f"a [{shape}] list, not {value!r}")
+            if list(map(type, value)) != exact:
+                value = [c(v, what, key) for c, v in zip(items, value)]
+            return tp(*value) if rows else tuple(value)
+    elif origin is dict:
+        keys, values = _reader(args[0]), _reader(args[1])
+
+        def conv(value, what, key):
+            if type(value) is not dict:
+                _fail(what, key, "a mapping", value)
+            return {keys(k, what, key): values(v, what, key) for k, v in value.items()}
+    elif tp is dict or dataclasses.is_dataclass(tp):
+        def conv(value, what, key):
+            if type(value) is dict:
+                return value if tp is dict else read_record(tp, value, what)
+            if element:
+                raise ValidationError(f"{what} document: {key} must list one mapping per entry")
+            _fail(what, key, "a mapping", value)
+    else:
+        def conv(value, what, key):
+            raise TypeError(f"no document reader for {tp!r}")
+    return conv
 
 
-def yaml_rows(doc: dict, key: str, what: str, columns: tuple[str, ...]) -> list[list]:
-    """The ``key`` section of document ``what``: a list of lists, one item per column."""
-    entries = doc.get(key) or []
-    if not isinstance(entries, list) or not all(
-        isinstance(e, list) and len(e) == len(columns) for e in entries
-    ):
-        raise ValidationError(
-            f"{what} document: each {key} entry must be a [{', '.join(columns)}] list"
-        )
-    return entries
+@functools.cache
+def _writer(tp, rows: bool = False):
+    """A function writing a field value of annotation ``tp`` as its document
+    holds it, or None where the value is written as it is."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp in (str, int, float, bool):
+        return None
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        return lambda value: value.value
+    if origin in (typing.Union, types.UnionType) and type(None) in args:
+        inner = _writer(next(a for a in args if a is not type(None)))
+        if inner is None:
+            return None
+        return lambda value: None if value is None else inner(value)
+    if rows:
+        return lambda value: [list(write_record(v).values()) for v in value]
+    if origin in (list, frozenset) or (origin is tuple and args[-1] is Ellipsis):
+        inner = _writer(args[0])
+        return list if inner is None else lambda value: [inner(v) for v in value]
+    if origin is tuple:  # a row of scalars
+        return list
+    if origin is dict:
+        inner = _writer(args[1])
+        return dict if inner is None else lambda value: {k: inner(v) for k, v in value.items()}
+    return write_record  # a record, or one of several record classes
 
 
-def yaml_number(value, kind: type[int] | type[float], what: str, key: str):
-    """``value``, read from field ``key`` of document ``what``, as a ``kind``."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(
-            f"{what} document: {key} must be a number, not {value!r}"
-        ) from None
+@functools.cache
+def _fields(cls, given: tuple[str, ...] = ()) -> tuple[tuple, ...]:
+    """(name, key, reader, required, writer) for each field of record class
+    ``cls`` that is not named in ``given``."""
+    hints, missing = typing.get_type_hints(cls), dataclasses.MISSING
+    return tuple(
+        (f.name, f.metadata.get("key", f.name), _reader(hints[f.name], rows=rows),
+         f.default is missing and f.default_factory is missing, _writer(hints[f.name], rows))
+        for f in dataclasses.fields(cls) if f.name not in given
+        for rows in (f.metadata.get("rows", False),)
+    )
 
 
-def yaml_pairs(doc: dict, key: str, what: str) -> tuple[tuple[str, str], ...]:
-    """The ``key`` section of document ``what``: a list of ``[from, to]`` pairs."""
-    return tuple((str(u), str(v)) for u, v in yaml_rows(doc, key, what, ("from", "to")))
+def read_record(cls, raw: dict, what: str, **given):
+    """Build record class ``cls`` from mapping ``raw``, an entry of document ``what``.
+
+    Each field not passed in ``given`` is read from its key and converted by
+    its annotation; an absent key takes the field's default.  Unknown keys are
+    ignored.  A missing required key or a value of the wrong type raises
+    ValidationError naming the document and the key.
+    """
+    for name, key, conv, required, _ in _fields(cls, tuple(given)):
+        if key in raw:
+            given[name] = conv(raw[key], what, key)
+        elif required:
+            raise ValidationError(f"{what} document: {key} is missing")
+    return cls(**given)
+
+
+def read_value(tp, value, what: str, key: str):
+    """``value``, found under ``key`` in document ``what``, converted to type ``tp``."""
+    return _reader(tp)(value, what, key)
+
+
+def write_record(record) -> dict:
+    """``record`` as its document entry: ``read_record``'s inverse.
+
+    Fields go under their keys in field order; enums become their values,
+    tuples lists, and nested records mappings, or rows where ``rows`` is set.
+    """
+    doc = {}
+    for name, key, _, _, write in _fields(type(record)):
+        value = getattr(record, name)
+        doc[key] = value if write is None else write(value)
+    return doc
 
 
 def parse_workflow(text: str) -> AbstractWorkflow:
     """Parse the workflow YAML document (tasks / edges / files sections)."""
     doc = load_yaml(text, "workflow")
-    tasks = []
-    for raw in yaml_mappings(doc, "tasks", "workflow"):
-        tasks.append(Task(
-            id=str(raw["id"]),
-            transformation=str(raw["transformation"]),
-            inputs=tuple(str(f) for f in yaml_list(raw, "inputs", "workflow")),
-            outputs=tuple(str(f) for f in yaml_list(raw, "outputs", "workflow")),
-            expected_runtime_s=yaml_number(
-                raw.get("runtime", DEFAULT_RUNTIME_S), float, "workflow", "runtime"
-            ),
-        ))
-    edges = yaml_pairs(doc, "edges", "workflow")
-    files = {}
-    for raw in yaml_mappings(doc, "files", "workflow"):
-        meta = FileMeta(
-            name=str(raw["name"]),
-            size_bytes=yaml_number(
-                raw.get("size_bytes", DEFAULT_FILE_BYTES), int, "workflow", "size_bytes"
-            ),
-            initial_location=raw.get("initial_location"),
-        )
-        files[meta.name] = meta
-    return AbstractWorkflow(tasks=tuple(tasks), edges=edges, files=files)
+    files = read_value(list[FileMeta], doc.get("files", []), "workflow", "files")
+    return read_record(AbstractWorkflow, doc, "workflow", files={m.name: m for m in files})
 
 
 def serialize_workflow(wf: AbstractWorkflow) -> str:
     doc = {
-        "tasks": [
-            {
-                "id": t.id,
-                "transformation": t.transformation,
-                "inputs": list(t.inputs),
-                "outputs": list(t.outputs),
-                "runtime": t.expected_runtime_s,
-            }
-            for t in wf.tasks
-        ],
+        "tasks": [write_record(t) for t in wf.tasks],
         "edges": [[u, v] for u, v in wf.edges],
         "files": [
             {

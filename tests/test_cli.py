@@ -6,13 +6,14 @@ import json
 from dataclasses import replace
 
 import pytest
+import yaml
 
 from contflow.catalog import serialize_catalog
 from contflow.cli import main
 from contflow.planner import JobKind, parse_executable
 from contflow.scenarios import demo_catalog, demo_topology, demo_workflow
 from contflow.simulator import serialize_topology
-from contflow.workflow import serialize_workflow
+from contflow.workflow import dump_yaml, serialize_workflow
 
 SITES_YML = """
 sites:
@@ -39,6 +40,80 @@ def inputs(tmp_path):
     paths["sites"].write_text(SITES_YML)
     paths["topology"].write_text(serialize_topology(demo_topology()))
     return paths
+
+
+@pytest.fixture
+def small_run(tmp_path):
+    """A 3-task demo's documents, each with the commands that read it.
+
+    Maps a document name to (path, argv lists); the executable is planned and
+    the result simulated from the other documents.
+    """
+    paths = {name: tmp_path / f"{name}.yml" for name in (
+        "workflow", "catalog", "sites", "topology", "executable", "sweep")}
+    paths["result"] = tmp_path / "result.json"
+    paths["workflow"].write_text(serialize_workflow(demo_workflow(n_tasks=3)))
+    paths["catalog"].write_text(serialize_catalog(demo_catalog("docker")))
+    paths["sites"].write_text(SITES_YML)
+    paths["topology"].write_text(serialize_topology(demo_topology()))
+    out = str(tmp_path / "out")
+    plan = ["plan", *(str(paths[n]) for n in ("workflow", "catalog", "sites")), "--out"]
+    assert main([*plan, str(paths["executable"])]) == 0
+    assert main(["simulate", str(paths["executable"]), str(paths["topology"]),
+                 "--out", out]) == 0
+    (tmp_path / "out" / "result.json").rename(paths["result"])
+    paths["sweep"].write_text(yaml.safe_dump({"scenarios": [{
+        "label": "small", **{n: str(paths[n]) for n in ("workflow", "catalog", "sites", "topology")},
+        "cluster_size": 2, "output_site": "submit", "cleanup": False,
+    }]}))
+    plan = [*plan, str(tmp_path / "planned.yml")]
+    wrappers = ["wrappers", str(paths["executable"]), str(paths["catalog"]), "--out", out]
+    simulate = ["simulate", str(paths["executable"]), str(paths["topology"]), "--out", out]
+    commands = {
+        "workflow": [plan], "catalog": [plan, wrappers], "sites": [plan],
+        "topology": [simulate], "executable": [wrappers, simulate],
+        "result": [["report", str(paths["result"]), "--out", out]],
+        "sweep": [["sweep", str(paths["sweep"])]],
+    }
+    return {name: (paths[name], commands[name]) for name in commands}
+
+
+def load_document(path):
+    text = path.read_text()
+    return json.loads(text) if path.suffix == ".json" else yaml.safe_load(text)
+
+
+def write_document(path, doc):
+    path.write_text(json.dumps(doc) if path.suffix == ".json" else dump_yaml(doc))
+
+
+def with_value(node, keys, value):
+    """A copy of ``node`` with the entry at key path ``keys`` set to ``value``."""
+    if not keys:
+        return value
+    out = list(node) if isinstance(node, list) else dict(node)
+    out[keys[0]] = with_value(node[keys[0]], keys[1:], value)
+    return out
+
+
+def key_paths(node, path=()):
+    """Every key path in ``node``, with list indices collapsed: a list contributes
+    its first entry of each set of keys, and the executable's job list its first
+    job of each kind."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        first = {}
+        for i, entry in enumerate(node):
+            shape = (entry["kind"] if path == ("jobs",)
+                     else tuple(entry) if isinstance(entry, dict) else None)
+            first.setdefault(shape, (i, entry))
+        items = list(first.values())
+    else:
+        items = []
+    for key, child in items:
+        yield path + (key,)
+        yield from key_paths(child, path + (key,))
 
 
 def run_plan(inputs, tmp_path, *extra):
@@ -232,6 +307,24 @@ scenarios:
         assert main(["sweep", str(empty)]) == 2
 
 
+# (document, key path, wrong value, message): each exits 1 naming the field
+WRONG_TYPES = [
+    ("catalog", ("cont", 0, "image_size_bytes"), [1], "image_size_bytes must be a number"),
+    ("catalog", ("transformations", 0, "site", 0, "pfn"), [1], "pfn must be a string"),
+    ("sites", ("sites", 1, "shared_fs"), "no", "shared_fs must be true or false"),
+    ("workflow", ("files", 0, "initial_location"), [1], "initial_location must be a string"),
+    ("topology", ("submit", "slots"), None, "slots must be a number"),
+    ("topology", ("links", 0, "bandwidth"), [1], "bandwidth must be a number"),
+    ("executable", ("jobs", 0, "payload", "staging_site"), [1],
+     "staging_site must be a string"),
+    ("executable", ("jobs", 0, "payload", "container"), [1], "container must be a string"),
+    ("executable", ("jobs", 0, "payload", "task_ids"), [[1]], "task_ids must be a string"),
+    ("result", ("makespan_s",), [1], "makespan_s must be a number"),
+    ("result", ("per_node_egress",), [1], "per_node_egress must be a mapping"),
+    ("sweep", ("scenarios", 0, "cluster_size"), [1], "cluster_size must be a number"),
+    ("sweep", ("scenarios", 0, "workflow"), [1], "workflow must be a string"),
+]
+
 # Malformed YAML, and a top-level list of scalars where mappings belong.
 BAD_DOCUMENTS = ("{not valid", "- a\n- b\n")
 
@@ -374,3 +467,39 @@ class TestMalformedInputs:
         inputs["sites"].write_text("sites:\n  - {name: condorpool, runtimes: 5}\n")
         assert run_plan(inputs, tmp_path)[0] == 1
         assert "sites document: runtimes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, keys, value, message", WRONG_TYPES,
+                             ids=[f"{n}:{'.'.join(map(str, k))}" for n, k, _, _ in WRONG_TYPES])
+    def test_wrong_type_names_document_and_field(self, small_run, capsys,
+                                                 name, keys, value, message):
+        path, commands = small_run[name]
+        write_document(path, with_value(load_document(path), keys, value))
+        for argv in commands:
+            capsys.readouterr()
+            assert main(argv) == 1
+            assert f"{name} document: {message}" in capsys.readouterr().err
+
+
+# Values of the wrong type for nearly every field, and a wrong shape for every section.
+WRONG_VALUES = ([1], {"a": 1}, None, "x")
+
+
+def test_every_field_replaced_by_a_wrong_value_exits_with_a_code(small_run, capsys):
+    """Any field of a valid document, replaced by a wrong value, gives an exit code."""
+    raised = []
+    for name, (path, commands) in small_run.items():
+        original = path.read_text()
+        doc = load_document(path)
+        for keys in key_paths(doc):
+            for value in WRONG_VALUES:
+                write_document(path, with_value(doc, keys, value))
+                for argv in commands:
+                    try:
+                        code = main(argv)
+                    except Exception as exc:
+                        raised.append(f"{argv[0]} {name} {keys}={value!r}: {exc!r}")
+                    else:
+                        assert code in (0, 1, 2)
+        path.write_text(original)
+    capsys.readouterr()
+    assert raised == []
