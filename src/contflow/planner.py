@@ -147,14 +147,20 @@ class ExecutableWorkflow:
         return out
 
 
-def validate_executable(ewf: ExecutableWorkflow) -> None:
-    """Check acyclicity and the one-fetch-ancestor-per-container invariant."""
+def _check_job_ids(ewf: ExecutableWorkflow) -> set[str]:
+    """Return the job ids; reject a duplicate id or an edge that names an unknown job."""
     ids = {j.id for j in ewf.jobs}
     if len(ids) != len(ewf.jobs):
         raise PlanError("duplicate job ids in executable workflow")
     for u, v in ewf.edges:
         if u not in ids or v not in ids:
             raise PlanError(f"edge ({u!r}, {v!r}) references unknown job")
+    return ids
+
+
+def validate_executable(ewf: ExecutableWorkflow) -> None:
+    """Check acyclicity and the one-fetch-ancestor-per-container invariant."""
+    ids = _check_job_ids(ewf)
     require_acyclic(ids, ewf.edges)
 
     fetch_for: dict[str, tuple[str, str]] = {}
@@ -487,7 +493,9 @@ def parse_executable(text: str) -> ExecutableWorkflow:
         payload = read_value(_PAYLOAD_CLASSES.get(kind, TransferPayload),
                              raw.get("payload", {}), "executable", "payload")
         jobs.append(read_record(Job, raw, "executable", kind=kind, payload=payload))
-    return read_record(ExecutableWorkflow, doc, "executable", jobs=tuple(jobs))
+    ewf = read_record(ExecutableWorkflow, doc, "executable", jobs=tuple(jobs))
+    _check_job_ids(ewf)
+    return ewf
 
 
 def parse_sites(text: str) -> list[Site]:

@@ -58,6 +58,8 @@ class NodeSpec:
     def __post_init__(self):
         if self.slots < 1:
             raise SimError(f"node {self.name!r}: slots must be >= 1")
+        if not self.disk_untar_rate > 0:
+            raise SimError(f"node {self.name!r}: disk_untar_rate must be > 0")
 
 
 @dataclass(frozen=True)
@@ -159,21 +161,46 @@ class SimResult:
         return sum(samples) / len(samples) if samples else 0.0
 
 
-class _Flow:
-    __slots__ = ("src", "dst", "keys", "total", "remaining", "kind", "done_cb",
-                 "started", "rate")
+class _Pair:
+    """The flows over one link: they share every constraint, so one rate."""
+    __slots__ = ("keys", "rate")
 
-    def __init__(self, src, dst, total, kind, done_cb, started):
+    def __init__(self, keys: tuple[int, int, int]):
+        # constraint ids in solve order: the link, sender egress, receiver ingress
+        self.keys = keys
+        self.rate = 0.0
+
+
+class _Flow:
+    __slots__ = ("src", "dst", "pair", "total", "remaining", "kind", "done_cb",
+                 "started")
+
+    def __init__(self, src, dst, pair, total, kind, done_cb, started):
         self.src = src
         self.dst = dst
-        # constraints in solve order: node-pair link, sender egress, receiver ingress
-        self.keys = (("p", src, dst), ("e", src), ("i", dst))
+        self.pair = pair
         self.total = total
         self.remaining = float(total)
         self.kind = kind
         self.done_cb = done_cb
         self.started = started
-        self.rate = 0.0
+
+
+def _bucket_spans(t0: float, t1: float) -> tuple[int | None, float, int, float | None]:
+    """The 1-second buckets an interval [t0, t1) adds to, as a per-second walk finds them.
+
+    The walk starts at t = t0 and, while t < t1 - _EPS, adds min(t1, i + 1) - t
+    seconds to bucket i = int(t) and moves t to i + 1.  Returns ``(first, span0,
+    stop, span1)``: bucket ``first`` gets span0 seconds (first is None when the
+    walk adds nothing), each bucket in ``range(first + 1, stop)`` gets exactly
+    1.0, and bucket ``stop`` gets span1 unless span1 is None.
+    """
+    if not t0 < t1 - _EPS:
+        return None, 0.0, 0, None
+    first = int(t0)
+    span0 = min(t1, first + 1.0) - t0
+    stop = max(first + 1, int(t1))
+    return first, span0, stop, (t1 - stop if stop < t1 - _EPS else None)
 
 
 class _Engine:
@@ -197,7 +224,8 @@ class _Engine:
 
         self.jobs = {j.id: j for j in ewf.jobs}
         self.ready = ReadySet(self.jobs, ewf.edges)
-        self.waiting: list[str] = []  # ready compute jobs that found no free slot
+        # per site, an id heap of ready compute jobs that found no free slot
+        self.parked: dict[str, list[str]] = {}
         self.done: set[str] = set()
         self.timeline: dict[str, tuple[float, float, str]] = {}
 
@@ -208,12 +236,18 @@ class _Engine:
         self.bytes_by_kind: dict[str, float] = {}
         self.ledger: list[FlowRecord] = []
 
-        # capacity per _Flow constraint key; the fastest link at a port bounds it
-        self.caps: dict[tuple, float] = {}
+        # capacity per constraint id; the fastest link at a port bounds it
+        self.caps: list[float] = []
+        self.pairs: dict[tuple[str, str], _Pair] = {}
+        ids: dict[tuple, int] = {}
         for (a, b), bw in topo.links.items():
-            self.caps[("p", a, b)] = bw
-            self.caps[("e", a)] = max(self.caps.get(("e", a), 0.0), bw)
-            self.caps[("i", b)] = max(self.caps.get(("i", b), 0.0), bw)
+            keys = (("p", a, b), ("e", a), ("i", b))
+            p, e, i = (ids.setdefault(key, len(ids)) for key in keys)
+            self.caps.extend([0.0] * (len(ids) - len(self.caps)))
+            self.caps[p] = bw
+            self.caps[e] = max(self.caps[e], bw)
+            self.caps[i] = max(self.caps[i], bw)
+            self.pairs[(a, b)] = _Pair((p, e, i))
 
     # -- primitives ---------------------------------------------------------
 
@@ -225,26 +259,36 @@ class _Engine:
         if src == dst or nbytes <= 0:
             self.at(self.now, done_cb)
             return
-        if (src, dst) not in self.topo.links:
+        pair = self.pairs.get((src, dst))
+        if pair is None:
             raise SimError(f"no link from {src!r} to {dst!r}")
-        self.flows.append(_Flow(src, dst, nbytes, kind, done_cb, self.now))
+        self.flows.append(_Flow(src, dst, pair, nbytes, kind, done_cb, self.now))
 
     def _solve_rates(self) -> None:
-        """Set every flow's rate: max-min fair over its constraints, or its tightest one."""
+        """Set each live pair's rate: max-min fair over its constraints, or its tightest one.
+
+        Every flow of a pair gets the pair's rate.  Pairs are taken in order of
+        their first live flow and weighted by their live flow counts, so the
+        constraints come up in the order a solve over single flows meets them,
+        and a frozen share leaves each other constraint one subtraction per
+        flow: the rates equal that solve's to the bit.
+        """
         caps = self.caps
+        live: dict[_Pair, int] = {}  # live flows per pair, in order of its first flow
+        for f in self.flows:
+            live[f.pair] = live.get(f.pair, 0) + 1
         if not self.cfg.fair_share:
-            for f in self.flows:
-                f.rate = min(caps[k] for k in f.keys)
+            for p in live:
+                p.rate = min(caps[k] for k in p.keys)
             return
         # Water filling: the constraint with the smallest fair share saturates
         # and freezes its unfrozen members at that share.
-        members: dict[tuple, list[_Flow]] = {}
-        for f in self.flows:
-            f.rate = None
-            for k in f.keys:
-                members.setdefault(k, []).append(f)
-        left = {k: caps[k] for k in members}
-        count = {k: len(m) for k, m in members.items()}  # unfrozen members
+        count: dict[int, int] = {}  # unfrozen flows per constraint
+        for p, n in live.items():
+            p.rate = None
+            for k in p.keys:
+                count[k] = count.get(k, 0) + n
+        left = caps.copy()
         while count:
             best_key = None
             best_fair = math.inf
@@ -253,28 +297,55 @@ class _Engine:
                 if fair < best_fair - _EPS:
                     best_fair = fair
                     best_key = k
-            for m in members[best_key]:
-                if m.rate is not None:
+            for p, n in live.items():
+                if p.rate is not None or best_key not in p.keys:
                     continue
-                m.rate = best_fair
-                for k in m.keys:
+                p.rate = best_fair
+                for k in p.keys:
                     if k != best_key:
-                        left[k] -= best_fair
-                        count[k] -= 1
+                        rest = left[k]
+                        for _ in range(n):
+                            rest -= best_fair
+                        left[k] = rest
+                        count[k] -= n
                         if count[k] == 0:
                             del count[k]
             del count[best_key]
 
-    def _account(self, src: str, t0: float, t1: float, rate: float) -> None:
-        buckets = self.egress_buckets[src]
-        t = t0
-        while t < t1 - _EPS:
-            idx = int(t)
-            while len(buckets) <= idx:
-                buckets.append(0.0)
-            span = min(t1, idx + 1.0) - t
-            buckets[idx] += rate * span
-            t = idx + 1.0
+    def _advance(self, t_next: float) -> None:
+        """Send every live flow's bytes up to t_next and move the clock there.
+
+        A flow never drops below zero bytes.  Every flow sends over [now,
+        t_next), so all of them add to the same egress buckets.  A bucket wholly
+        inside the interval is touched by no other event: it gets its source's
+        rates summed in flow order.  The partial first and last buckets get each
+        flow's bytes in flow order too, so every bucket rounds as if the flows
+        were added to it one at a time.
+        """
+        egress = self.egress_buckets
+        dt = t_next - self.now
+        first, span0, stop, span1 = _bucket_spans(self.now, t_next)
+        top = stop if span1 is not None else stop - 1
+        whole = first is not None and stop > first + 1
+        whole_rates: dict[str, float] = {}
+        for f in self.flows:
+            rate = f.pair.rate
+            if rate > 0:
+                left = f.remaining - rate * dt
+                f.remaining = 0.0 if left < 0.0 else left
+                if first is None:
+                    continue
+                buckets = egress[f.src]
+                if len(buckets) <= top:
+                    buckets.extend([0.0] * (top + 1 - len(buckets)))
+                buckets[first] += rate * span0
+                if span1 is not None:
+                    buckets[stop] += rate * span1
+                if whole:
+                    whole_rates[f.src] = whole_rates.get(f.src, 0.0) + rate
+        for src, total in whole_rates.items():
+            egress[src][first + 1:stop] = [total] * (stop - first - 1)
+        self.now = t_next
 
     # -- disk model ---------------------------------------------------------
 
@@ -310,21 +381,31 @@ class _Engine:
 
     def dispatch(self) -> None:
         # One pass suffices: no job finishes inside it and slots only fill, so
-        # a job that finds no slot here cannot find one later in the same pass,
-        # and once a site is full its later compute jobs wait without a look.
-        released = []
+        # a job that finds no slot here cannot find one later in the same pass.
+        # The pass merges the released jobs with the head of each site's parked
+        # queue, in id order; once a site is full its queue is left unwalked and
+        # its later released compute jobs park without a look.
+        todo = [(queue[0], site) for site, queue in self.parked.items() if queue]
         while self.ready:
-            released.append(self.ready.pop())
-        waiting = []
+            todo.append((self.ready.pop(), None))
+        heapq.heapify(todo)
         full: set[str] = set()
-        for jid in heapq.merge(self.waiting, released):
+        while todo:
+            jid, parked_at = heapq.heappop(todo)
+            if parked_at in full:
+                continue
             job = self.jobs[jid]
             if job.kind is JobKind.COMPUTE and job.site in full:
-                waiting.append(jid)
+                heapq.heappush(self.parked.setdefault(job.site, []), jid)
             elif not self.start_job(job):
                 full.add(job.site)
-                waiting.append(jid)
-        self.waiting = waiting
+                if parked_at is None:
+                    heapq.heappush(self.parked.setdefault(job.site, []), jid)
+            elif parked_at is not None:
+                queue = self.parked[parked_at]
+                heapq.heappop(queue)
+                if queue:
+                    heapq.heappush(todo, (queue[0], parked_at))
 
     def start_job(self, job: Job) -> bool:
         if job.kind is JobKind.COMPUTE:
@@ -432,7 +513,7 @@ class _Engine:
         while self.flows or self.timers:
             self._solve_rates()
             ends = [
-                self.now + f.remaining / f.rate if f.rate > 0 else math.inf
+                self.now + f.remaining / rate if (rate := f.pair.rate) > 0 else math.inf
                 for f in self.flows
             ]
             t_next = min(ends, default=math.inf)
@@ -441,17 +522,12 @@ class _Engine:
             if math.isinf(t_next):
                 stuck = [j for j in self.jobs if j not in self.done]
                 raise SimError(f"simulation stalled; unfinished jobs: {stuck[:5]}")
-            dt = t_next - self.now
             # a flow finishes at the event time it projected, whatever bytes
-            # rounding leaves; the others never drop below zero bytes
-            running, finished = [], []
-            for f, end in zip(self.flows, ends):
-                (finished if end == t_next else running).append(f)
-                if f.rate > 0:
-                    f.remaining = max(f.remaining - f.rate * dt, 0.0)
-                    self._account(f.src, self.now, t_next, f.rate)
-            self.flows = running
-            self.now = t_next
+            # rounding leaves
+            finished = [f for f, end in zip(self.flows, ends) if end == t_next]
+            self._advance(t_next)
+            if finished:
+                self.flows = [f for f, end in zip(self.flows, ends) if end != t_next]
 
             for f in finished:
                 self.egress_totals[f.src] += f.total
@@ -497,18 +573,32 @@ class _Engine:
 
     def _io_wait_series(self, node: str, n_buckets: int) -> list[float]:
         spec = self.node_by_name[node]
+        rate = spec.disk_untar_rate
         records = self.untar_records[node]
-        series = []
-        for t in range(n_buckets):
+        # The disk serves untars first come, first served, so arrivals and ends
+        # never decrease: the records queued or in service at t (arrival <= t <
+        # end) are the index range [lo, hi), and both ends only move forward.
+        # Where the range is empty the backlog is 0.0.
+        series = [spec.disk_service_base_ms + 1000.0 * 0.0 / rate] * n_buckets
+        lo = hi = t = 0
+        while t < n_buckets:
+            while hi < len(records) and records[hi][0] <= t:
+                hi += 1
+            while lo < hi and records[lo][2] <= t:
+                lo += 1
+            if lo == hi:
+                if hi == len(records):
+                    break
+                t = max(t + 1, math.ceil(records[hi][0]))  # the next arrival
+                continue
             backlog = 0.0
-            for arrival, start, end, nbytes in records:
-                if arrival <= t < start:
+            for _, start, end, nbytes in records[lo:hi]:
+                if t < start:
                     backlog += nbytes
-                elif start <= t < end:
-                    backlog += (end - t) * spec.disk_untar_rate
-            series.append(
-                spec.disk_service_base_ms + 1000.0 * backlog / spec.disk_untar_rate
-            )
+                else:
+                    backlog += (end - t) * rate
+            series[t] = spec.disk_service_base_ms + 1000.0 * backlog / rate
+            t += 1
         return series
 
 
@@ -573,13 +663,10 @@ def report(res: SimResult, out: str | Path) -> list[Path]:
     ):
         nodes = sorted(series_map)
         n = max((len(series_map[x]) for x in nodes), default=0)
+        columns = [series_map[x] + [0.0] * (n - len(series_map[x])) for x in nodes]
+        row = "%d" + "\t%.6f" * len(nodes)
         rows = ["t\t" + "\t".join(nodes)]
-        for t in range(n):
-            vals = [
-                f"{series_map[x][t]:.6f}" if t < len(series_map[x]) else "0.000000"
-                for x in nodes
-            ]
-            rows.append(f"{t}\t" + "\t".join(vals))
+        rows.extend(row % (t, *values) for t, values in enumerate(zip(*columns)))
         path = out / fname
         path.write_text("\n".join(rows) + "\n")
         written.append(path)

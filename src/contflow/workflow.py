@@ -593,7 +593,8 @@ def serialize_workflow(wf: AbstractWorkflow) -> str:
             {
                 "name": m.name,
                 "size_bytes": m.size_bytes,
-                **({"initial_location": m.initial_location} if m.initial_location else {}),
+                **({"initial_location": m.initial_location}
+                   if m.initial_location is not None else {}),
             }
             for m in wf.files.values()
         ],

@@ -234,6 +234,28 @@ edges: [[a, b], [b, a]]
         assert "cycle detected" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("jobs,edges,message", [
+        (["a"], "[[a, ghost]]", "edge ('a', 'ghost') references unknown job"),
+        (["a", "a"], "[]", "duplicate job ids in executable workflow"),
+    ], ids=["unknown-job", "duplicate-id"])
+    def test_executable_job_ids_checked_on_read(self, inputs, tmp_path, capsys,
+                                                jobs, edges, message):
+        ewf_path = tmp_path / "executable.yml"
+        ewf_path.write_text(
+            "jobs:\n"
+            + "".join(f"  - {{id: {j}, kind: cleanup, site: submit, "
+                      f"payload: {{target_job: ''}}}}\n" for j in jobs)
+            + f"edges: {edges}\n"
+        )
+        for argv in (["simulate", str(ewf_path), str(inputs["topology"]),
+                      "--out", str(tmp_path / "sim")],
+                     ["run", str(ewf_path), str(inputs["catalog"])],
+                     ["wrappers", str(ewf_path), str(inputs["catalog"]),
+                      "--out", str(tmp_path / "wrappers")]):
+            assert main(argv) == 1, argv[0]
+            assert f"error: {message}" in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_same_seed_same_files(self, inputs, tmp_path, capsys):
         _, ewf_path = run_plan(inputs, tmp_path, "--cluster-size", "12")

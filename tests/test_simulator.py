@@ -9,7 +9,7 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from contflow.catalog import ContainerRuntime
 from contflow.errors import MissingSize, SimError, UnmappedSite
@@ -165,6 +165,11 @@ class TestErrors:
         with pytest.raises(SimError):
             Topology(submit=NodeSpec("submit"), nfs=None, workers=(),
                      links={("submit", "ghost"): 1e8}).validate()
+
+    @pytest.mark.parametrize("rate", [0.0, -1e8, math.nan])
+    def test_disk_untar_rate_must_be_positive(self, rate):
+        with pytest.raises(SimError, match="disk_untar_rate must be > 0"):
+            NodeSpec("w1", disk_untar_rate=rate)
 
 
 class TestConservationAndBounds:
@@ -395,46 +400,202 @@ def reference_rates(links, pairs, fair_share):
 
 @st.composite
 def links_and_flows(draw):
-    """Up to 5 nodes, random directed links, and flows over them with repeated pairs."""
+    """Up to 5 nodes, random directed links, and flows over them with repeated
+    pairs: up to 12 flows over any of the links, or up to 40 over at most 4."""
     names = ["submit"] + [f"w{i}" for i in range(draw(st.integers(1, 4)))]
     pairs = [(a, b) for a in names for b in names if a != b]
-    bandwidth = st.one_of(st.sampled_from([1e6, 2.5e6, 1.25e8, 1.25e9]),
-                          st.floats(1e6, 1e12))
+    # round bandwidths tie often, and on a tie the order constraints are met in
+    # decides which saturates first
+    round_bandwidth = st.sampled_from([1e6, 2.5e6, 3e6, 7e6, 1e7, 1.25e8, 1.25e9])
+    bandwidth = draw(st.sampled_from([
+        round_bandwidth, st.one_of(round_bandwidth, st.floats(1e6, 1e12))]))
     chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=8, unique=True))
     links = {pair: draw(bandwidth) for pair in chosen}
-    flows = draw(st.lists(st.sampled_from(chosen), min_size=1, max_size=12))
+    if draw(st.booleans()):
+        crowded = draw(st.lists(st.sampled_from(chosen), min_size=1, max_size=4, unique=True))
+        flows = draw(st.lists(st.sampled_from(crowded), min_size=1, max_size=40))
+    else:
+        flows = draw(st.lists(st.sampled_from(chosen), min_size=1, max_size=12))
     topo = Topology(submit=NodeSpec("submit"), nfs=None,
                     workers=tuple(NodeSpec(n) for n in names[1:]), links=links)
     return topo, flows
 
 
+def account_reference(buckets, t0, t1, rate):
+    """Reference egress accounting for one flow: walks each 1-second bucket of [t0, t1)."""
+    t = t0
+    while t < t1 - 1e-9:
+        idx = int(t)
+        while len(buckets) <= idx:
+            buckets.append(0.0)
+        span = min(t1, idx + 1.0) - t
+        buckets[idx] += rate * span
+        t = idx + 1.0
+
+
+@st.composite
+def event_times(draw):
+    """Non-decreasing event times: whole seconds, within 1e-9 of one, and sub-second."""
+    t = draw(st.sampled_from([0.0, 0.25, 3.0, 7.9999999995]))
+    times = []
+    for step in draw(st.lists(st.sampled_from(["whole", "near", "sub", "same"]),
+                              min_size=1, max_size=12)):
+        if step == "whole":
+            t = float(math.floor(t) + draw(st.integers(1, 4)))
+        elif step == "near":
+            t = max(t, math.floor(t) + draw(st.integers(0, 4)) + draw(st.sampled_from(
+                [-1e-9, -5e-10, -1e-10, 1e-10, 5e-10, 1e-9, 2e-9])))
+        elif step == "sub":
+            t += draw(st.floats(1e-6, 3.5))
+        times.append(t)
+    return times
+
+
+rates = st.one_of(st.sampled_from([0.0, -1e-6, 1.0, 1.25e8, 1.25e9]),
+                  st.floats(1e-3, 1e12))
+
+
+class TestAccounting:
+    """Each event's egress and drained bytes equal a flow-by-flow walk, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), event_times())
+    def test_buckets_equal_reference(self, data, times):
+        names = ["submit", "w0", "w1", "w2"]
+        links = {(a, b): 1e9 for a in names for b in names if a != b}
+        topo = Topology(submit=NodeSpec("submit"),
+                        workers=tuple(NodeSpec(n) for n in names[1:]), links=links)
+        engine = _Engine(ExecutableWorkflow(), topo, SimConfig())
+        engine.now = times[0]
+        # several flows per source, some over the same pair
+        pairs = data.draw(st.lists(st.sampled_from(sorted(links)), min_size=1, max_size=10))
+        for src, dst in pairs:
+            engine.start_flow(src, dst, data.draw(st.floats(1.0, 1e10)), "data_in",
+                              lambda: None)
+        ref_buckets = {n: [] for n in names}
+        ref_remaining = [f.remaining for f in engine.flows]
+        for t in times[1:]:
+            for pair in engine.pairs.values():
+                pair.rate = data.draw(rates)
+            for i, f in enumerate(engine.flows):
+                if f.pair.rate > 0:
+                    ref_remaining[i] = max(ref_remaining[i] - f.pair.rate * (t - engine.now), 0.0)
+                    account_reference(ref_buckets[f.src], engine.now, t, f.pair.rate)
+            engine._advance(t)
+            assert engine.now == t
+            assert engine.egress_buckets == ref_buckets
+            assert [f.remaining for f in engine.flows] == ref_remaining
+
+
+def io_wait_reference(spec, records, n_buckets):
+    """Reference I/O-wait series: sums every untar record at every second."""
+    series = []
+    for t in range(n_buckets):
+        backlog = 0.0
+        for arrival, start, end, nbytes in records:
+            if arrival <= t < start:
+                backlog += nbytes
+            elif start <= t < end:
+                backlog += (end - t) * spec.disk_untar_rate
+        series.append(
+            spec.disk_service_base_ms + 1000.0 * backlog / spec.disk_untar_rate
+        )
+    return series
+
+
+class TestIoWaitSeries:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([1e8, 3.3e7, 1e9]),
+           st.lists(st.tuples(st.one_of(st.just(0.0), st.integers(0, 5).map(float),
+                                        st.floats(0.0, 4.0)),
+                              st.integers(1, 10**9)), max_size=20),
+           st.integers(-3, 3))
+    def test_series_equals_reference(self, untar_rate, arrivals, extra):
+        node = NodeSpec("w1", disk_untar_rate=untar_rate)
+        topo = Topology(submit=NodeSpec("submit"), workers=(node,),
+                        links={("submit", "w1"): 1e9})
+        engine = _Engine(ExecutableWorkflow(), topo, SimConfig())
+        # FIFO untar records, made the way the engine makes them
+        for gap, nbytes in arrivals:
+            engine.now += gap
+            engine.enqueue_untar("w1", nbytes, lambda: None)
+        records = engine.untar_records["w1"]
+        n_buckets = max(0, math.ceil(max((r[2] for r in records), default=0.0)) + extra)
+        assert engine._io_wait_series("w1", n_buckets) == \
+            io_wait_reference(node, records, n_buckets)
+
+
+# Two constraints tie here, and the rates' last bits depend on which saturates first
+TIED_LINKS = {("w2", "w0"): 3e6, ("w1", "w2"): 1e6, ("w0", "submit"): 2.5e6,
+              ("w2", "submit"): 7e6, ("submit", "w1"): 3e6}
+TIED_FLOWS = [("w0", "submit"), ("w2", "w0"), ("w2", "submit"), ("w0", "submit"),
+              ("w2", "submit"), ("w2", "submit"), ("w2", "submit"), ("w1", "w2"),
+              ("w2", "w0")]
+
+
 class TestRateSolve:
     @settings(max_examples=300, deadline=None)
     @given(links_and_flows(), st.booleans())
+    @example((Topology(submit=NodeSpec("submit"),
+                       workers=tuple(NodeSpec(n) for n in ("w0", "w1", "w2")),
+                       links=TIED_LINKS), TIED_FLOWS), True)
     def test_rates_equal_reference(self, case, fair_share):
         topo, pairs = case
         engine = _Engine(ExecutableWorkflow(), topo, SimConfig(fair_share=fair_share))
         for src, dst in pairs:
             engine.start_flow(src, dst, 1.0, "data_in", lambda: None)
         engine._solve_rates()
-        assert [f.rate for f in engine.flows] == \
+        assert [f.pair.rate for f in engine.flows] == \
             reference_rates(topo.links, pairs, fair_share)
 
 
 
 def retry_every_waiting_job(engine):
-    """Reference dispatch pass: every waiting job asks for a slot, full site or not."""
+    """Reference dispatch pass: every parked job asks for a slot, in id order, full
+    site or not."""
     released = []
     while engine.ready:
         released.append(engine.ready.pop())
-    waiting = []
-    for jid in heapq.merge(engine.waiting, released):
-        if not engine.start_job(engine.jobs[jid]):
-            waiting.append(jid)
-    engine.waiting = waiting
+    parked = sorted(jid for queue in engine.parked.values() for jid in queue)
+    engine.parked = {}
+    for jid in heapq.merge(parked, released):
+        job = engine.jobs[jid]
+        if not engine.start_job(job):
+            heapq.heappush(engine.parked.setdefault(job.site, []), jid)
+
+
+class CountingJobs(dict):
+    """A job table that counts the ids looked up in it."""
+    lookups = 0
+
+    def __getitem__(self, jid):
+        self.lookups += 1
+        return super().__getitem__(jid)
 
 
 class TestDispatch:
+    def job_ids_examined(self, monkeypatch, n_tasks):
+        """Job ids the dispatcher looks up, summed over its passes, on the docker demo."""
+        real_dispatch = _Engine.dispatch
+        examined = []
+
+        def dispatch(engine):
+            if not isinstance(engine.jobs, CountingJobs):
+                engine.jobs = CountingJobs(engine.jobs)
+            before = engine.jobs.lookups
+            real_dispatch(engine)
+            examined.append(engine.jobs.lookups - before)
+
+        monkeypatch.setattr(_Engine, "dispatch", dispatch)
+        simulate(demo_plan("docker", cleanup=True, n_tasks=n_tasks), demo_topology(),
+                 SimConfig())
+        return sum(examined)
+
+    def test_examined_ids_grow_linearly_with_jobs(self, monkeypatch):
+        small = self.job_ids_examined(monkeypatch, 500)
+        large = self.job_ids_examined(monkeypatch, 2000)
+        assert large <= 5 * small, (small, large)
+
     def two_one_slot_sites(self):
         ws = (NodeSpec("other/w1", slots=1), NodeSpec("site/w1", slots=1))
         links = {}

@@ -176,6 +176,17 @@ class TestSerialization:
         wf = make_chain(4)
         assert parse_workflow(serialize_workflow(wf)) == wf
 
+    def test_empty_initial_location_round_trips(self):
+        # an empty location is still a location: the input needs no producer
+        wf = AbstractWorkflow(
+            tasks=(Task("t", "ns::x:1", inputs=("f",)),),
+            files={"f": FileMeta("f", 1, initial_location="")},
+        )
+        validate_dag(wf)
+        back = parse_workflow(serialize_workflow(wf))
+        assert back == wf
+        validate_dag(back)
+
     def test_defaults_applied(self):
         wf = parse_workflow("""
 tasks:
