@@ -404,8 +404,7 @@ def links_and_flows(draw):
     pairs: up to 12 flows over any of the links, or up to 40 over at most 4."""
     names = ["submit"] + [f"w{i}" for i in range(draw(st.integers(1, 4)))]
     pairs = [(a, b) for a in names for b in names if a != b]
-    # round bandwidths tie often, and on a tie the order constraints are met in
-    # decides which saturates first
+    # round bandwidths often tie, and on a tie the constraint met first saturates
     round_bandwidth = st.sampled_from([1e6, 2.5e6, 3e6, 7e6, 1e7, 1.25e8, 1.25e9])
     bandwidth = draw(st.sampled_from([
         round_bandwidth, st.one_of(round_bandwidth, st.floats(1e6, 1e12))]))
