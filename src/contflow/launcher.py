@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .catalog import Catalog, ContainerDef, ContainerRuntime, MountSpec
-from .errors import InconsistentPlacement, StepFailed
+from .errors import DanglingContainerRef, InconsistentPlacement, StepFailed
 from .planner import ComputePayload, ExecutableWorkflow, Job, JobKind, PlacementMode
 from .workflow import ReadySet, require_acyclic
 
@@ -221,7 +221,14 @@ def build_plans(
     for job in ewf.jobs_of_kind(JobKind.COMPUTE):
         payload = job.payload
         assert isinstance(payload, ComputePayload)
-        cdef = cat.containers[payload.container] if payload.container else None
+        cdef = None
+        if payload.container:
+            cdef = cat.containers.get(payload.container)
+            if cdef is None:
+                raise DanglingContainerRef(
+                    f"job {job.id!r} references container {payload.container!r}, "
+                    f"which the catalog does not define"
+                )
         plans[job.id] = build_wrapper_plan(job, cdef, payload.placement,
                                            staging_inside=staging_inside, dedup_load=dedup_load)
     return plans

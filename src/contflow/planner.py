@@ -37,7 +37,7 @@ from .workflow import (
     read_value,
     require_acyclic,
     topological_levels,
-    validate_dag,
+    validate_dag,  # unused here, but benchmarks/tracing.py wraps planner.validate_dag
     write_record,
 )
 
@@ -350,10 +350,9 @@ def plan(
     wf: AbstractWorkflow, cat: Catalog, sites: list[Site], cfg: PlanConfig
 ) -> ExecutableWorkflow:
     """Produce the executable workflow: compute, fetch, stage and cleanup jobs."""
-    validate_dag(wf)
+    levels = topological_levels(wf)  # validates the workflow first
     if not wf.tasks:
         return ExecutableWorkflow()
-    levels = topological_levels(wf)
     binding = _bind_sites(wf, cat, sites, cfg.placement_override)
     producers = wf.producers()
 

@@ -100,8 +100,9 @@ class Topology:
         for (a, b), bw in self.links.items():
             if a not in names or b not in names:
                 raise SimError(f"link ({a!r}, {b!r}) references unknown node")
-            if bw <= 0:
-                raise SimError(f"link ({a!r}, {b!r}) has non-positive bandwidth")
+            if not 0 < bw < math.inf:  # NaN fails both tests
+                raise SimError(f"link ({a!r}, {b!r}): bandwidth must be > 0 and finite, "
+                               f"not {bw!r}")
 
 
 @dataclass(frozen=True)

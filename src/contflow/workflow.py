@@ -230,7 +230,7 @@ _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 _PLAIN = re.compile(r"[A-Za-z_/][\w./:@+~-]*", re.ASCII)
 _RESERVED = {"y", "n", "yes", "no", "true", "false", "on", "off", "null"}
 _LITERALS = {"null": None, "true": True, "false": False, "''": ""}
-_MAX_INDENT = 128  # the reader recurses once per level; deeper documents go to PyYAML
+_MAX_INDENT = 128  # more deeply nested documents go to PyYAML
 
 
 class _Unsure(Exception):
@@ -262,29 +262,45 @@ def _scalar(x) -> str:
     raise _Unsure
 
 
-def _emit(node, first: str, rest: str, out: list[str]) -> None:
+def _emit(node, first: str, rest: str, out: list[str], keys: dict, strs: dict) -> None:
     """Append the block lines of a non-empty dict or list to ``out``.
 
     The first line starts with ``first`` and every later one with ``rest``; a
-    list under a key is not indented, as PyYAML writes it.
+    list under a key is not indented, as PyYAML writes it.  ``keys`` and
+    ``strs`` hold the text of each key and string value already checked.
     """
     if type(node) is dict:
         for key, value in node.items():
-            if type(key) is not str or len(key) >= 128:
+            if type(key) is not str:
                 raise _Unsure
-            if type(value) is dict and value:
-                out.append(f"{first}{_plain(key)}:")
-                _emit(value, rest + "  ", rest + "  ", out)
+            text = keys.get(key)
+            if text is None:
+                if len(key) >= 128:
+                    raise _Unsure
+                text = keys[key] = _plain(key)
+            if type(value) is str:
+                line = strs.get(value)
+                if line is None:
+                    line = strs[value] = _scalar(value)
+                out.append(f"{first}{text}: {line}")
+            elif type(value) is dict and value:
+                out.append(f"{first}{text}:")
+                _emit(value, rest + "  ", rest + "  ", out, keys, strs)
             elif type(value) is list and value:
-                out.append(f"{first}{_plain(key)}:")
-                _emit(value, rest, rest, out)
+                out.append(f"{first}{text}:")
+                _emit(value, rest, rest, out, keys, strs)
             else:
-                out.append(f"{first}{_plain(key)}: {_scalar(value)}")
+                out.append(f"{first}{text}: {_scalar(value)}")
             first = rest
     else:
         for value in node:
-            if type(value) in (dict, list) and value:
-                _emit(value, first + "- ", rest + "  ", out)
+            if type(value) is str:
+                line = strs.get(value)
+                if line is None:
+                    line = strs[value] = _scalar(value)
+                out.append(f"{first}- {line}")
+            elif type(value) in (dict, list) and value:
+                _emit(value, first + "- ", rest + "  ", out, keys, strs)
             else:
                 out.append(f"{first}- {_scalar(value)}")
             first = rest
@@ -295,86 +311,145 @@ def _fast_dump(doc) -> str:
     if type(doc) not in (dict, list) or not doc:
         raise _Unsure
     out: list[str] = []
-    _emit(doc, "", "", out)
+    _emit(doc, "", "", out, {}, {})
     out.append("")
     return "\n".join(out)
 
 
+# A double-quoted string that reads as its content: printable ASCII, no escapes.
+_QUOTED = re.compile(r'"[ !#-\[\]-~]*"')
+
+
 def _value(token: str):
+    """The value ``dump_yaml`` writes as exactly ``token``; _Unsure if none."""
+    value = token
     if token in _LITERALS:
-        return _LITERALS[token]
-    if token == "[]" or token == "{}":
-        return [] if token == "[]" else {}
-    if token and token[0] in "-0123456789":
+        value = _LITERALS[token]
+    elif token and token[0] in "-0123456789":
         try:
-            return int(token)
+            value = int(token)
         except ValueError:
             try:
-                return float(token)
+                value = float(token)
             except ValueError:
                 pass
-    return token
-
-
-# row kinds: a "- " marker, a "key: value" or "key:" entry, a bare scalar
-_ITEM, _KEY, _BARE = range(3)
-
-
-def _node(rows: list[tuple], i: int, col: int):
-    """Read the dict or list whose first row is rows[i], at column ``col``."""
-    if col > _MAX_INDENT or rows[i][1] != col:
+    if _scalar(value) != token:
         raise _Unsure
-    if rows[i][0] == _ITEM:
-        seq = []
-        while i < len(rows) and rows[i][0] == _ITEM and rows[i][1] == col:
-            if rows[i + 1][0] == _BARE:  # an item row is always followed by its content
-                seq.append(_value(rows[i + 1][3]))
-                i += 2
-            else:
-                value, i = _node(rows, i + 1, col + 2)
-                seq.append(value)
-        return seq, i
-    mapping = {}
-    while i < len(rows) and rows[i][0] == _KEY and rows[i][1] == col:
-        _, _, key, token = rows[i]
-        i += 1
-        if token is not None:
-            mapping[key] = _value(token)
-        elif i < len(rows) and rows[i][1] >= col:
-            mapping[key], i = _node(rows, i, col if rows[i][0] == _ITEM else col + 2)
-        else:
+    return value
+
+
+def _token(token: str):
+    """The value of a value token; a list comes back as a tuple.
+
+    Besides ``dump_yaml``'s own tokens, this reads the two inline forms that
+    hand-written documents use: a ``_QUOTED`` string, and a one-line flow list
+    ``[a, "b"]`` whose items are such strings, or plain scalars and numbers
+    without ':' (inside ``[...]``, ``a: b`` would be a mapping).
+    """
+    first = token[:1]
+    if first == '"' and _QUOTED.fullmatch(token):
+        return token[1:-1]
+    if token == "[]" or token == "{}":
+        return () if token == "[]" else {}
+    if first != "[":
+        return _value(token)
+    if token[-1] != "]":
+        raise _Unsure
+    items = []
+    for item in token[1:-1].split(", "):
+        if _QUOTED.fullmatch(item):
+            items.append(item[1:-1])
+        elif ":" in item:
             raise _Unsure
-    if not mapping:
-        raise _Unsure
-    return mapping, i
+        else:
+            items.append(_value(item))
+    return tuple(items)
+
+
+# How a memoised token value is copied for each entry: no two share a list or dict.
+_FRESH = {tuple: list, dict: dict}
 
 
 def _fast_load(text: str):
-    """Read a document in ``_fast_dump``'s grammar; _Unsure unless it re-emits as ``text``."""
+    """Read a document in ``_fast_dump``'s grammar, checking each token as it goes.
+
+    Every line is a row: zero or more ``- `` item markers, then a ``key: token``,
+    a ``key:`` or a bare token.  A list continues at its own column; a dict
+    under ``key:`` starts two columns in and a list under it at the key's
+    column.  Each distinct key and token is checked once.  Anything else,
+    including a repeated key, raises _Unsure.
+    """
     lines = text.split("\n")
     if len(lines) < 2 or lines.pop():
         raise _Unsure
-    rows = []
+    node = root = [] if lines[0][:2] == "- " else {}
+    at = 0  # the column of node, the innermost open list or dict
+    stack = [(root, 0)]  # the open lists and dicts, with their columns
+    values: dict = {}  # token → value, lists as tuples
+    keys: dict[str, str] = {}
+    pending = None  # the dict, key and column of a "key:" row awaiting its block
     for line in lines:
         s = line.lstrip(" ")
         col = len(line) - len(s)
-        while s[:2] == "- ":
-            if col > _MAX_INDENT:
+        item = s[:2] == "- "
+        if pending:
+            parent, key, at = pending
+            pending = None
+            if col != (at if item else at + 2) or col > _MAX_INDENT:
                 raise _Unsure
-            rows.append((_ITEM, col, None, None))
-            col += 2
+            parent[key] = node = [] if item else {}
+            at = col
+            stack.append((node, at))
+        elif at != col or type(node) is not (list if item else dict):
+            kind = list if item else dict
+            while at != col or type(node) is not kind:
+                stack.pop()
+                if not stack:
+                    raise _Unsure
+                node, at = stack[-1]
+        while item:  # node is the list at col; s begins with its next item
             s = s[2:]
-        key, sep, token = s.partition(": ")
-        if sep:
-            rows.append((_KEY, col, key, token))
-        elif s[-1:] == ":":
-            rows.append((_KEY, col, s[:-1], None))
-        else:
-            rows.append((_BARE, col, None, s))
-    doc, i = _node(rows, 0, 0)
-    if i != len(rows) or _fast_dump(doc) != text:
+            col += 2
+            item = s[:2] == "- "
+            if item or ": " in s or s[-1:] == ":":  # the item is a block list or dict
+                if col > _MAX_INDENT:
+                    raise _Unsure
+                child = [] if item else {}
+                node.append(child)
+                node, at = child, col
+                stack.append((node, at))
+                continue
+            value = values.get(s)
+            if value is None:  # not seen yet, or null: check it
+                value = values[s] = _token(s)
+            fresh = _FRESH.get(type(value))
+            node.append(fresh(value) if fresh else value)
+            break
+        else:  # node is the dict at col; s is one of its rows
+            key, sep, token = s.partition(": ")
+            if not sep:
+                if s[-1:] != ":":
+                    raise _Unsure
+                key = s[:-1]
+            checked = keys.get(key)
+            if checked is None:
+                if len(key) >= 128:
+                    raise _Unsure
+                checked = keys[key] = _plain(key)
+            key = checked
+            if key in node:
+                raise _Unsure
+            if not sep:
+                pending = node, key, col
+                continue
+            value = values.get(token)
+            if value is None:  # not seen yet, or null: check it
+                value = values[token] = _token(token)
+            fresh = _FRESH.get(type(value))
+            node[key] = fresh(value) if fresh else value
+    if pending:
         raise _Unsure
-    return doc
+    return root
 
 
 def load_yaml(text: str, what: str, shape: type | tuple[type, ...] = dict):
@@ -382,8 +457,9 @@ def load_yaml(text: str, what: str, shape: type | tuple[type, ...] = dict):
 
     An empty document reads as ``{}``.  Malformed YAML and any other top-level
     type raise ValidationError.  A document in the block style ``dump_yaml``
-    writes is read by a line reader, whose result is kept only if it re-emits
-    to exactly ``text``; every other document goes to PyYAML.
+    writes, with quoted strings and one-line flow lists allowed as values, is
+    read by a line reader that checks each token; every other document goes
+    to PyYAML.
     """
     try:
         doc = _fast_load(text)

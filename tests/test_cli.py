@@ -256,6 +256,20 @@ edges: [[a, b], [b, a]]
             assert f"error: {message}" in capsys.readouterr().err
 
 
+    def test_container_missing_from_catalog(self, inputs, tmp_path, capsys):
+        _, ewf_path = run_plan(inputs, tmp_path, "--cluster-size", "12")
+        catalog = tmp_path / "empty_catalog.yml"
+        catalog.write_text("transformations: []\n")
+        for argv in (["wrappers", str(ewf_path), str(catalog),
+                      "--out", str(tmp_path / "wrappers")],
+                     ["run", str(ewf_path), str(catalog)]):
+            assert main(argv) == 1, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith("error: job 'cluster_l0_condorpool_radar-tools_000' "
+                                  "references container 'radar-tools', which the catalog "
+                                  "does not define"), err
+
+
 class TestSimulate:
     def test_same_seed_same_files(self, inputs, tmp_path, capsys):
         _, ewf_path = run_plan(inputs, tmp_path, "--cluster-size", "12")
@@ -303,6 +317,24 @@ class TestSimulate:
         doc = json.loads((out / "result.json").read_text())
         assert doc["makespan_s"] > 0
         assert "container" in doc["transfer_count_by_kind"]
+
+
+    @pytest.mark.parametrize("bandwidth,every", [
+        (float("nan"), False), (float("nan"), True), (float("inf"), True),
+        (float("-inf"), False), (0.0, False),
+    ], ids=["nan-one-link", "nan-every-link", "inf-every-link", "-inf", "zero"])
+    def test_bandwidth_must_be_positive_and_finite(self, inputs, tmp_path, capsys,
+                                                  bandwidth, every):
+        _, ewf_path = run_plan(inputs, tmp_path, "--cluster-size", "12")
+        doc = load_document(inputs["topology"])
+        for link in doc["links"] if every else doc["links"][:1]:
+            link["bandwidth"] = bandwidth
+        write_document(inputs["topology"], doc)
+        assert main(["simulate", str(ewf_path), str(inputs["topology"]),
+                     "--out", str(tmp_path / "sim")]) == 2
+        err = capsys.readouterr().err
+        assert "bandwidth must be > 0 and finite, not" in err and err.startswith("error: ")
+        assert not (tmp_path / "sim" / "result.json").exists()
 
 
 class TestSweep:

@@ -28,7 +28,14 @@ from contflow.planner import (
     plan,
     validate_executable,
 )
-from contflow.workflow import AbstractWorkflow, FileMeta, Task
+from contflow import planner, workflow
+from contflow.workflow import (
+    AbstractWorkflow,
+    FileMeta,
+    Task,
+    topological_levels,
+    validate_dag,
+)
 
 from conftest import IMAGE_URL, make_chain, plan_random
 
@@ -181,6 +188,20 @@ class TestPlan:
         wf, cat, sites = single_container_model(5)
         ewf = plan(wf, cat, sites, PlanConfig(cluster_size=2))
         validate_executable(ewf)
+
+    def test_workflow_validated_once_per_plan(self, monkeypatch):
+        wf, cat, sites = single_container_model(5)
+        calls = []
+
+        def counting(wf):
+            calls.append(wf)
+            return validate_dag(wf)
+        # plan may validate directly or through topological_levels
+        monkeypatch.setattr(planner, "validate_dag", counting)
+        monkeypatch.setattr(workflow, "validate_dag", counting)
+        plan(wf, cat, sites, PlanConfig())
+        assert calls == [wf]
+        assert topological_levels(wf) and calls == [wf, wf]  # still validates alone
 
     def test_stage_out_ships_workflow_outputs(self):
         wf, cat, sites = single_container_model(4)

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import ast
+import json
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import contflow
 from contflow import workflow
@@ -24,6 +25,7 @@ from contflow.scenarios import (
     demo_workflow,
 )
 from contflow.simulator import parse_topology, serialize_topology
+from contflow.workflow import parse_workflow, serialize_workflow
 
 needs_libyaml = pytest.mark.skipif(
     not yaml.__with_libyaml__, reason="PyYAML was built without libyaml"
@@ -240,6 +242,10 @@ def mutate(text: str, op: str, pos: int, ch: str) -> str:
         lines[j - 1], lines[j] = lines[j], lines[j - 1]
     elif op == "indent":
         lines[j] = "  " + lines[j]
+    elif op == "trailing_space":
+        lines[j] += " "
+    elif op == "crlf":
+        lines = [line + "\r" for line in lines[:-1]] + lines[-1:]
     else:
         lines[j] = lines[j][2:]
     return "\n".join(lines)
@@ -256,6 +262,149 @@ def test_reader_agrees_with_libyaml_on_emitted_and_mutated_text(doc, op, pos, ch
         assert repr(workflow._fast_load(text)) == repr(doc)
     for t in (text, mutate(text, op, pos, ch)):
         assert read(t) == libyaml_read(t)
+
+
+def hand_text(doc, quote: bool) -> str:
+    """``doc`` as the benchmark's inputs are written by hand.
+
+    Dicts, and lists holding a dict or list, are in block style; any other
+    list is one flow line ``[a, "b"]``.  Numbers are written with ``repr``.  A
+    string is double-quoted when ``quote`` is set or when it cannot be plain,
+    with JSON's escapes where it holds a quote, a backslash or a control
+    character.  A key is plain when it can be, else quoted.
+    """
+    def string(x, plain):
+        if plain:
+            try:
+                return workflow._scalar(x)
+            except workflow._Unsure:
+                pass
+        if x.isprintable() and '"' not in x and "\\" not in x:
+            return f'"{x}"'
+        return json.dumps(x, ensure_ascii=False)
+
+    def scalar(x):
+        if type(x) is str:
+            return string(x, not quote)
+        if x is None or type(x) is bool:
+            return {None: "null", True: "true", False: "false"}[x]
+        if type(x) in (int, float):
+            return repr(x)
+        return "[]" if x == [] else "{}"
+
+    def block(x):
+        return type(x) in (dict, list) and x and (
+            type(x) is dict or any(type(v) in (dict, list) for v in x))
+
+    def value(x):
+        return "[" + ", ".join(map(scalar, x)) + "]" if type(x) is list and x else scalar(x)
+
+    def emit(node, first, rest):
+        if type(node) is dict:
+            for key, v in node.items():
+                key = string(key, True) if key else '""'
+                if block(v):
+                    out.append(f"{first}{key}:")
+                    indent = rest + "  " if type(v) is dict else rest
+                    emit(v, indent, indent)
+                else:
+                    out.append(f"{first}{key}: {value(v)}")
+                first = rest
+        else:
+            for v in node:
+                if block(v):
+                    emit(v, first + "- ", rest + "  ")
+                else:
+                    out.append(f"{first}- {value(v)}")
+                first = rest
+
+    if not doc:
+        return "{}\n" if doc == {} else "[]\n"
+    out: list[str] = []
+    emit(doc, "", "")
+    return "\n".join(out) + "\n"
+
+
+def leaves(node):
+    if type(node) in (dict, list):
+        for v in node.values() if type(node) is dict else node:
+            yield from leaves(v)
+    else:
+        yield node
+
+
+@settings(max_examples=400, deadline=None)
+@given(executable_docs(safe_name, safe_leaf) | nested_docs(safe_name, safe_leaf)
+       | executable_docs(any_name, any_leaf)
+       | nested_docs(any_name | long_key, any_leaf, max_leaves=6),
+       st.booleans(),
+       st.sampled_from(["insert", "replace", "delete", "drop_line", "dup_line",
+                        "swap_lines", "indent", "dedent", "trailing_space", "crlf"]),
+       st.integers(0, 10**6), st.sampled_from(list(' -:",[]\\\rn\n#a1.e{\t\xe9')))
+@example({"a": 1, "b": 2}, False, "replace", 5, "a")  # a repeated key
+@example({"a": {"x": 1}, "b": [1]}, False, "replace", 10, "a")
+@example({"k": 'a"b'}, True, "insert", 0, " ")
+@example({"k": "a\\b"}, True, "insert", 0, " ")
+@example({"k": ["a", "b"]}, True, "delete", 8, " ")  # ["a","b"]
+@example({"k": ["a", "b"]}, False, "replace", 5, ":")  # [a: b]
+@example({"k": "1.0"}, True, "insert", 0, " ")
+@example({"k": 1.0}, True, "insert", 0, " ")
+@example({"k": "\xe9"}, True, "insert", 0, " ")  # non-ASCII
+@example({"k": "ab"}, True, "insert", 5, "\x85")  # NEL, a YAML 1.1 line break
+@example({"k": "ab"}, True, "insert", 5, "\r")
+@example({"k": "a", "j": ["b"]}, True, "trailing_space", 0, " ")
+@example({"k": "a", "j": ["b"], "i": [{"x": 1}]}, True, "crlf", 0, " ")
+@example({"k": 1, "j": 2}, False, "insert", 4, "\r")  # a 1\r token
+@example({"k": 1e16, "j": [1e16, -0.0]}, False, "insert", 0, " ")  # 1e+16 is a string
+@example([["a", 1], [], {}, "c"], True, "dup_line", 1, " ")
+@example({"k": 1, "j": {"x": 1}}, False, "drop_line", 2, " ")  # ends on "j:"
+def test_reader_agrees_with_libyaml_on_hand_written_and_mutated_text(doc, quote, op, pos, ch):
+    text = hand_text(doc, quote)
+    for t in (text, mutate(text, op, pos, ch)):
+        assert read(t) == libyaml_read(t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(executable_docs(safe_name, safe_leaf) | nested_docs(safe_name, safe_leaf))
+def test_reader_reads_quoted_hand_written_documents_itself(doc):
+    text = hand_text(doc, quote=True)
+    # repr writes 1e+16 and 1e-07, which YAML 1.1 reads as strings
+    if doc and all(repr(x) == workflow._scalar(x) for x in leaves(doc) if type(x) is float):
+        assert repr(workflow._fast_load(text)) == repr(doc)
+    else:
+        assert read(text) == libyaml_read(text)
+
+
+def test_repeated_key_is_left_to_pyyaml():
+    for text in ("a: 1\nb: 2\na: 3\n", "- a: 1\n  a: 1\n", "a:\n  x: 1\na: []\n",
+                 "a:\n- 1\nb: 2\na:\n- 1\n"):
+        with pytest.raises(workflow._Unsure):
+            workflow._fast_load(text)
+        assert read(text) == libyaml_read(text)
+
+
+def test_no_two_entries_share_a_list_or_dict():
+    doc = workflow._fast_load('a: []\nb: []\nc: {}\nd: {}\ne: [x, "y"]\nf: [x, "y"]\n'
+                              "g:\n- []\n- []\n- [1]\n- [1]\n")
+    assert doc == {"a": [], "b": [], "c": {}, "d": {}, "e": ["x", "y"], "f": ["x", "y"],
+                   "g": [[], [], [1], [1]]}
+    containers = [doc[k] for k in "abcdef"] + doc["g"]
+    assert len({id(c) for c in containers}) == len(containers)
+
+
+def test_reader_never_calls_the_emitter_and_reads_hand_written_inputs(monkeypatch):
+    ewf = demo_plan("docker", cluster_size=12, cleanup=True)
+    exe_text = serialize_executable(ewf)
+    wf = demo_workflow()
+    wf_text = hand_text(yaml.safe_load(serialize_workflow(wf)), quote=True)
+    assert '  inputs: ["' in wf_text and 'id: "' in wf_text
+    refuse = mock.Mock(side_effect=AssertionError("PyYAML or the emitter was called"))
+    monkeypatch.setattr(workflow, "_fast_dump", refuse)
+    monkeypatch.setattr(workflow, "_emit", refuse)
+    monkeypatch.setattr(yaml, "load", refuse)
+    assert parse_executable(exe_text) == ewf
+    assert parse_workflow(wf_text) == wf
+    assert refuse.call_count == 0
 
 
 def demo_plan_with(container, cluster_size, cleanup):
