@@ -400,7 +400,7 @@ def _fast_load(text: str):
             parent[key] = node = [] if item else {}
             at = col
             stack.append((node, at))
-        elif at != col or type(node) is not (list if item else dict):
+        else:
             kind = list if item else dict
             while at != col or type(node) is not kind:
                 stack.pop()
