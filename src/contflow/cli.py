@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("catalog")
     p.add_argument("--mode", choices=["mock"], default="mock",
                    help="accepted for compatibility; mock is the only executor")
-    p.add_argument("--slots", type=int, default=4)
+    p.add_argument("--slots", type=int, default=4, help="jobs started per round")
     p.add_argument("--nodes", type=int, default=1)
     p.add_argument("--dedup-load", type=_onoff, default=True)
     p.add_argument("--fail-step", default="",

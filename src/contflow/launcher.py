@@ -3,15 +3,14 @@
 Every compute job gets a WrapperPlan: an ordered list of host steps wrapping
 an ordered list of in-container steps.  The job directory is mounted as
 /scratch for Docker and Shifter and as /srv for Singularity.  Plans render to
-deterministic shell-like scripts, and a mock executor runs them locally.
+deterministic shell-like scripts, and a mock executor runs them locally on
+one thread, in deterministic rounds of up to ``slots`` jobs.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .catalog import Catalog, ContainerDef, ContainerRuntime, MountSpec
@@ -272,22 +271,6 @@ class ExecutionReport:
         )
 
 
-class _MockRuntime:
-    """Shared mock state: per-node image registry guarded by one lock."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.loaded: set[tuple[str, str]] = set()  # (image, node)
-
-    def load_image(self, image: str, node: str, dedup: bool) -> str:
-        with self.lock:
-            key = (image, node)
-            if dedup and key in self.loaded:
-                return "cache-hit"
-            self.loaded.add(key)
-            return "load"
-
-
 def execute_local(
     ewf: ExecutableWorkflow,
     plans: dict[str, WrapperPlan],
@@ -296,20 +279,26 @@ def execute_local(
     node_count: int = 1,
     fail_step: tuple[str, StepKind] | None = None,
 ) -> ExecutionReport:
-    """Mock-execute jobs locally respecting DAG order with <= slots parallelism.
+    """Mock-execute jobs locally in DAG order, in rounds of up to ``slots`` jobs.
 
-    Each step is simulated and its effect recorded.  A step that fails, by
-    injection or by raising, fails its job, skips the job's descendants and
-    makes the call raise StepFailed once every other job has finished.  A
-    cycle raises CycleDetected before any job starts.
+    Each round starts up to ``slots`` ready jobs, smallest id first, on nodes
+    node0, node1, ... in the order they start, runs their steps on this thread
+    and then releases the jobs that finished ok.  That is what ``slots``
+    workers would do if every job took the same time, and the same inputs
+    always give the same report.  Each step is simulated and its effect
+    recorded.  A step that fails, by injection or by raising, fails its job,
+    skips the job's descendants and makes the call raise StepFailed once every
+    other job has finished.  ``slots`` or ``node_count`` below 1 raises
+    ValueError, and a cycle raises CycleDetected, before any job starts.
     """
+    if slots < 1 or node_count < 1:
+        raise ValueError(f"slots={slots} and node_count={node_count} must be at least 1")
     report = ExecutionReport()
     jobs = {j.id: j for j in ewf.jobs}
     require_acyclic(jobs, ewf.edges)
     ready = ReadySet(jobs, ewf.edges)
-    state_lock = threading.Lock()
-    runtime = _MockRuntime()
-    first_error: list[StepFailed] = []
+    loaded: set[tuple[str, str]] = set()  # (image, node) pairs already loaded
+    first_error: StepFailed | None = None
 
     def run_steps(job: Job, node: str) -> JobReport:
         jr = JobReport(job_id=job.id, status="ok", node=node)
@@ -330,67 +319,45 @@ def execute_local(
                 if fail_step is not None and fail_step == (job.id, step.kind):
                     jr.error = f"injected failure at {step.kind.value}"
                 elif step.kind is StepKind.LOAD_IMAGE:
-                    effect = runtime.load_image(
-                        step.args["image"], node, bool(step.args.get("dedup"))
-                    )
+                    key = (step.args["image"], node)
+                    hit = bool(step.args.get("dedup")) and key in loaded
+                    effect = "cache-hit" if hit else "load"
+                    loaded.add(key)
                 elif step.kind is StepKind.STAGE_OUT:
                     effect = "files-written"
             except Exception as exc:  # a malformed step fails its job, not the run
                 jr.error = f"{type(exc).__name__}: {exc}"
+            jr.steps.append(StepRecord(job.id, step.kind, node, t0, time.monotonic(), effect))
             if jr.error:
                 jr.status = "failed"
-                jr.steps.append(StepRecord(job.id, step.kind, node, t0, time.monotonic()))
                 return jr
-            jr.steps.append(
-                StepRecord(job.id, step.kind, node, t0, time.monotonic(), effect)
-            )
         return jr
 
-    with ThreadPoolExecutor(max_workers=max(1, slots)) as pool:
-        done_event = threading.Event()
-        running = 0
-        dispatched = 0
-
-        def submit_ready():
-            nonlocal running, dispatched
-            while ready:
-                job = jobs[ready.pop()]
-                node = f"node{dispatched % max(1, node_count)}"
-                dispatched += 1
-                running += 1
-                pool.submit(worker, job, node)
-            if running == 0:
-                done_event.set()
-
-        def mark_skipped(job_id: str):
-            stack = [job_id]
+    dispatched = 0
+    while ready:
+        started = []
+        while ready and len(started) < slots:
+            started.append(ready.pop())
+        # nothing is popped until the next round, so releasing each job as
+        # soon as it has run is the same as releasing the round at its end
+        for job_id in started:
+            jr = report.jobs[job_id] = run_steps(
+                jobs[job_id], f"node{dispatched % node_count}"
+            )
+            dispatched += 1
+            if jr.status == "ok":
+                ready.release(job_id)
+                continue
+            if first_error is None:
+                first_error = StepFailed(job_id, jr.steps[-1].kind.value, jr.error)
+            stack = [job_id]  # skip every descendant of the failed job
             while stack:
                 for child in ready.children[stack.pop()]:
                     if child not in report.jobs:
                         report.jobs[child] = JobReport(job_id=child, status="skipped")
                         stack.append(child)
 
-        def worker(job: Job, node: str):
-            nonlocal running
-            jr = run_steps(job, node)
-            with state_lock:
-                running -= 1
-                report.jobs[job.id] = jr
-                if jr.status == "ok":
-                    ready.release(job.id)
-                else:
-                    if not first_error:
-                        first_error.append(
-                            StepFailed(job.id, jr.steps[-1].kind.value, jr.error)
-                        )
-                    mark_skipped(job.id)
-                submit_ready()
-
-        with state_lock:
-            submit_ready()
-        done_event.wait()
-
-    if first_error:
-        first_error[0].report = report  # let callers inspect partial results
-        raise first_error[0]
+    if first_error is not None:
+        first_error.report = report  # let callers inspect partial results
+        raise first_error
     return report

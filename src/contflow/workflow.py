@@ -183,8 +183,18 @@ def validate_dag(wf: AbstractWorkflow) -> None:
         if u not in seen or v not in seen:
             raise DanglingEdge(f"edge ({u!r}, {v!r}) references unknown task")
 
+    for name, meta in wf.files.items():
+        if meta.size_bytes < 0:
+            raise ValidationError(
+                f"file {name!r}: size_bytes must be >= 0, got {meta.size_bytes!r}"
+            )
+
     produced: dict[str, str] = {}
     for t in wf.tasks:
+        if not (math.isfinite(t.expected_runtime_s) and t.expected_runtime_s >= 0):
+            raise ValidationError(
+                f"task {t.id!r}: runtime must be finite and >= 0, got {t.expected_runtime_s!r}"
+            )
         if set(t.inputs) & set(t.outputs):
             raise ValidationError(f"task {t.id!r}: inputs and outputs overlap")
         for f in t.outputs:

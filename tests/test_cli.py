@@ -220,6 +220,15 @@ class TestRun:
         assert "error" in captured.err
         assert "skipped" in captured.out
 
+    @pytest.mark.parametrize("option", ["--slots", "--nodes"])
+    def test_no_slots_or_nodes_exits_1(self, inputs, tmp_path, capsys, option):
+        _, ewf_path = run_plan(inputs, tmp_path, "--cluster-size", "12")
+        capsys.readouterr()
+        assert main(["run", str(ewf_path), str(inputs["catalog"]), option, "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be at least 1" in captured.err
+
     def test_cyclic_executable_exits_1(self, tmp_path, capsys):
         ewf_path = tmp_path / "cyclic.yml"
         ewf_path.write_text("""
@@ -487,6 +496,22 @@ class TestMalformedInputs:
         inputs["workflow"].write_text(text)
         assert run_plan(inputs, tmp_path)[0] == 1
         assert f"workflow document: {field} must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("runtime: 5.0", "runtime: -5.0", "task 'nowcast00': runtime must be finite and >= 0, "
+                                          "got -5.0"),
+        ("runtime: 5.0", "runtime: .nan", "task 'nowcast00': runtime must be finite and >= 0, "
+                                          "got nan"),
+        ("runtime: 5.0", "runtime: .inf", "task 'nowcast00': runtime must be finite and >= 0, "
+                                          "got inf"),
+        ("size_bytes: 10000000", "size_bytes: -1",
+         "file 'radar_volume': size_bytes must be >= 0, got -1"),
+    ], ids=["negative-runtime", "nan-runtime", "inf-runtime", "negative-size"])
+    def test_workflow_number_out_of_range(self, inputs, tmp_path, capsys, old, new, message):
+        text = serialize_workflow(demo_workflow(n_tasks=5))
+        inputs["workflow"].write_text(text.replace(old, new, 1))
+        assert run_plan(inputs, tmp_path)[0] == 1
+        assert f"error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mangle, message", [
         (lambda doc: [doc], "result document cannot be a list"),

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from contflow.catalog import ContainerDef, ContainerRuntime, MountSpec, parse_image_url
+from contflow.catalog import (
+    ContainerDef, ContainerRuntime, MountSpec, parse_catalog, parse_image_url,
+)
+from contflow.cli import main
 from contflow.errors import CycleDetected, StepFailed
 from contflow.launcher import (
     JOB_DIR_MOUNT,
@@ -26,6 +33,7 @@ from contflow.planner import (
     Job,
     JobKind,
     PlacementMode,
+    parse_executable,
 )
 
 from conftest import GOLDEN, IMAGE_URL
@@ -328,3 +336,164 @@ class TestExecuteLocal:
         with pytest.raises(CycleDetected) as exc:
             execute_local(ewf, {})
         assert exc.value.cycle == ["b", "c", "b"]
+
+    def test_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("execute_local started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        ewf, cat = shared_image_workflow(12)
+        report = execute_local(ewf, build_plans(ewf, cat), slots=8, node_count=3)
+        assert report.ok
+
+
+WORKLOADS_PY = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def mixed_executable(tmp_path_factory):
+    """The benchmark's 10-level plan_run_mixed workflow at 200 tasks, planned.
+
+    Returns the paths of the executable and of the catalog.
+    """
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS_PY)
+    workloads = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(sys.modules, spec.name, workloads)  # dataclasses look the module up
+        spec.loader.exec_module(workloads)
+    workloads.WORKLOADS["plan_run_mixed"] = replace(
+        workloads.WORKLOADS["plan_run_mixed"], tasks=200)
+    out = tmp_path_factory.mktemp("plan_run_mixed")
+    inputs = {name: str(path) for name, path in
+              workloads.write_inputs("plan_run_mixed", 0, out).items()}
+    exe = str(out / "executable.yml")
+    assert main(["plan", inputs["workflow.yml"], inputs["catalog.yml"], inputs["sites.yml"],
+                 "--out", exe]) == 0
+    return exe, inputs["catalog.yml"]
+
+
+class TestDeterministicRounds:
+    def test_run_table_is_the_same_bytes_every_time(self, mixed_executable, capsys):
+        exe, catalog = mixed_executable
+        capsys.readouterr()
+        tables = []
+        for _ in range(2):
+            assert main(["run", exe, catalog, "--nodes", "4", "--slots", "2"]) == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize("slots", [1, 2, 64])
+    def test_one_load_per_image_and_node_and_parents_first(self, mixed_executable, slots):
+        exe, catalog = mixed_executable
+        ewf = parse_executable(Path(exe).read_text())
+        plans = build_plans(ewf, parse_catalog(Path(catalog).read_text()))
+        report = execute_local(ewf, plans, slots=slots, node_count=4)
+        assert report.ok
+        image = {jid: step.args["image"] for jid, plan in plans.items()
+                 for step in plan.host_steps if step.kind is StepKind.LOAD_IMAGE}
+        pairs = {(image[jr.job_id], jr.node) for jr in report.jobs.values() if jr.job_id in image}
+        assert report.count_effects("load") == len(pairs) > 0
+        for u, v in ewf.edges:
+            assert (max(s.ended for s in report.jobs[u].steps)
+                    <= min(s.started for s in report.jobs[v].steps))
+
+
+def run_within(fn, timeout=20.0):
+    """fn() in a daemon thread, so a hang fails the test instead of stalling it."""
+    box = {}
+
+    def call():
+        try:
+            box["result"] = fn()
+        except Exception as exc:  # re-raised in the test thread below
+            box["error"] = exc
+
+    thread = threading.Thread(target=call, daemon=True)
+    thread.start()
+    thread.join(timeout=timeout)
+    assert not thread.is_alive(), "execute_local did not finish"
+    if "error" in box:
+        raise box["error"]
+    return box["result"]
+
+
+@st.composite
+def dag_runs(draw):
+    """A chain, fan-out, fan-in or random DAG of up to 500 jobs, with run settings.
+
+    Job ids are a random permutation of the DAG's order, so the smallest ready
+    id is not always the earliest job.  Every third job has no wrapper plan.
+    Returns (workflow, plans, slots, node_count, job to fail or None).
+    """
+    n = draw(st.integers(1, 500))
+    shape = draw(st.sampled_from(["chain", "fan-out", "fan-in", "random"]))
+    if shape == "chain":
+        edges = [(i, i + 1) for i in range(n - 1)]
+    elif shape == "fan-out":
+        edges = [(0, i) for i in range(1, n)]
+    elif shape == "fan-in":
+        edges = [(i, n - 1) for i in range(n - 1)]
+    else:
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2 * n))
+        edges = [(min(a, b), max(a, b)) for a, b in pairs if a != b]
+    names = draw(st.permutations(range(n)))
+    ids = [f"j{names[i]:03d}" for i in range(n)]
+    jobs = tuple(make_job(jid=jid, tasks=(f"t{jid}",)) for jid in ids)
+    plans = {job.id: build_wrapper_plan(job, make_cdef(), PlacementMode.STAGE_COPY)
+             for i, job in enumerate(jobs) if i % 3}
+    ewf = ExecutableWorkflow(jobs=jobs, edges=tuple((ids[u], ids[v]) for u, v in edges))
+    fail = draw(st.none() | st.sampled_from(ids))
+    return ewf, plans, draw(st.integers(1, 64)), draw(st.integers(1, 8)), fail
+
+
+def report_of(ewf, plans, slots, node_count, fail):
+    fail_step = None if fail is None else (fail, StepKind.LAUNCH_TASK)
+    try:
+        return execute_local(ewf, plans, slots=slots, node_count=node_count,
+                             fail_step=fail_step)
+    except StepFailed as exc:
+        assert exc.job_id == fail
+        return exc.report
+
+
+def run_summary(report):
+    return sorted((jid, jr.status, jr.node, [(s.kind, s.effect) for s in jr.steps])
+                  for jid, jr in report.jobs.items())
+
+
+class TestRoundsAtScale:
+    @settings(max_examples=40, deadline=None)
+    @given(dag_runs())
+    def test_each_job_once_after_its_parents_and_repeatable(self, run):
+        ewf, plans, _, _, fail = run
+        report = run_within(lambda: report_of(*run))
+        assert set(report.jobs) == {job.id for job in ewf.jobs}
+
+        children = {job.id: [] for job in ewf.jobs}
+        for u, v in ewf.edges:
+            children[u].append(v)
+        descendants, stack = set(), [] if fail is None else [fail]
+        while stack:
+            for child in children[stack.pop()]:
+                if child not in descendants:
+                    descendants.add(child)
+                    stack.append(child)
+        by_status = {status: {jid for jid, jr in report.jobs.items() if jr.status == status}
+                     for status in ("ok", "failed", "skipped")}
+        assert by_status["failed"] == ({fail} if fail is not None else set())
+        assert by_status["skipped"] == descendants
+
+        for jid in by_status["ok"]:
+            plan = plans.get(jid)
+            ran = [s.kind for s in report.jobs[jid].steps]
+            expected = 1 if plan is None else len(plan.host_steps) + len(plan.container_steps)
+            assert len(ran) == len(set(ran)) == expected
+            assert StepKind.LAUNCH_TASK in ran
+        for u, v in ewf.edges:
+            if v not in by_status["skipped"]:
+                assert report.jobs[u].status == "ok"
+                assert (max(s.ended for s in report.jobs[u].steps)
+                        <= min(s.started for s in report.jobs[v].steps))
+
+        assert run_summary(report_of(*run)) == run_summary(report)
