@@ -1,11 +1,16 @@
 """Command-line entry point: plan, wrappers, run, simulate, report, sweep.
 
-Exit codes: 0 success, 1 input/parse error, 2 execution or simulation error.
+Exit codes: 0 success; 1 a ContflowError about the input (a document, a flag
+or an unreadable file); 2 a SimError or LaunchError (a simulation, a mock run
+that failed, or an output that cannot be written).  Each is printed as
+``error: <message>``.  Any other exception is a program fault and shows as a
+traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass
@@ -13,7 +18,13 @@ from pathlib import Path
 
 from . import launcher, planner, simulator
 from .catalog import parse_catalog
-from .errors import ContflowError, LaunchError, SimError, ValidationError
+from .errors import (
+    ContflowError,
+    DestinationUnwritable,
+    LaunchError,
+    SimError,
+    ValidationError,
+)
 from .planner import PlanConfig, parse_executable, parse_sites, serialize_executable
 from .simulator import SimConfig, SimResult, parse_topology
 from .workflow import load_yaml, parse_workflow, read_record, read_value, write_record
@@ -28,8 +39,23 @@ def _onoff(value: str) -> bool:
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
+
+
+@contextlib.contextmanager
+def _output_dir(out: str | Path):
+    """Make directory ``out`` and yield it for the writes in the block.
+
+    An OSError from making or writing under it, such as ``out`` lying under a
+    regular file, raises DestinationUnwritable (exit 2).
+    """
+    out = Path(out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        yield out
     except OSError as exc:
-        raise ContflowError(f"cannot read {path}: {exc}") from None
+        raise DestinationUnwritable(str(exc)) from None
 
 
 def _plan_config(args) -> PlanConfig:
@@ -46,7 +72,9 @@ def cmd_plan(args) -> int:
     cat = parse_catalog(_read(args.catalog))
     sites = parse_sites(_read(args.sites))
     ewf = planner.plan(wf, cat, sites, _plan_config(args))
-    Path(args.out).write_text(serialize_executable(ewf))
+    out = Path(args.out)
+    with _output_dir(out.parent):
+        out.write_text(serialize_executable(ewf))
     counts: dict[str, int] = {}
     for j in ewf.jobs:
         counts[j.kind.value] = counts.get(j.kind.value, 0) + 1
@@ -59,13 +87,12 @@ def cmd_plan(args) -> int:
 def cmd_wrappers(args) -> int:
     ewf = parse_executable(_read(args.executable))
     cat = parse_catalog(_read(args.catalog))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     plans = launcher.build_plans(
         ewf, cat, staging_inside=args.staging_inside, dedup_load=args.dedup_load
     )
-    for job_id in sorted(plans):
-        (out / f"{job_id}.sh").write_text(launcher.render_wrapper(plans[job_id]))
+    with _output_dir(args.out) as out:
+        for job_id in sorted(plans):
+            (out / f"{job_id}.sh").write_text(launcher.render_wrapper(plans[job_id]))
     print(f"wrote {len(plans)} wrapper scripts to {out}")
     return 0
 
@@ -77,7 +104,13 @@ def cmd_run(args) -> int:
     fail_step = None
     if args.fail_step:
         job_id, _, step = args.fail_step.partition(":")
-        fail_step = (job_id, launcher.StepKind(step))
+        try:
+            fail_step = (job_id, launcher.StepKind(step))
+        except ValueError:
+            raise ValidationError(
+                f"--fail-step {args.fail_step!r}: expected JOB_ID:STEP_KIND, and "
+                f"{step!r} is not a step kind"
+            ) from None
     try:
         rep = launcher.execute_local(
             ewf, plans, slots=args.slots, node_count=args.nodes,
@@ -103,7 +136,13 @@ def _print_run_table(rep: launcher.ExecutionReport) -> None:
 def _result_from_doc(doc) -> SimResult:
     if not isinstance(doc, dict):
         raise ValidationError(f"result document cannot be a {type(doc).__name__}")
-    return read_record(SimResult, doc, "result")
+    res = read_record(SimResult, doc, "result")
+    if set(res.transfer_count_by_kind) != set(res.transfer_bytes_by_kind):
+        raise ValidationError(
+            "result document: transfer_count_by_kind and transfer_bytes_by_kind "
+            "name different kinds"
+        )
+    return res
 
 
 def cmd_simulate(args) -> int:
@@ -114,21 +153,25 @@ def cmd_simulate(args) -> int:
         fair_share=not args.no_fair_share,
     )
     res = simulator.simulate(ewf, topo, cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "result.json").write_text(
-        json.dumps(write_record(res), indent=1, sort_keys=True)
-    )
-    simulator.report(res, out)
+    with _output_dir(args.out) as out:
+        (out / "result.json").write_text(
+            json.dumps(write_record(res), indent=1, sort_keys=True)
+        )
+        simulator.report(res, out)
     print(f"makespan: {res.makespan_s:.2f} s")
     print(f"reports written to {out}")
     return 0
 
 
 def cmd_report(args) -> int:
-    doc = json.loads(_read(args.result))
+    text = _read(args.result)
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ValidationError(f"result document is not valid JSON: {exc}") from None
     res = _result_from_doc(doc)
-    simulator.report(res, args.out)
+    with _output_dir(args.out) as out:
+        simulator.report(res, out)
     print(f"reports written to {args.out}")
     return 0
 
@@ -229,9 +272,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ContflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (KeyError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 from .catalog import Catalog, ContainerDef, ContainerRuntime, MountSpec
-from .errors import DanglingContainerRef, InconsistentPlacement, StepFailed
+from .errors import DanglingContainerRef, InconsistentPlacement, StepFailed, ValidationError
 from .planner import ComputePayload, ExecutableWorkflow, Job, JobKind, PlacementMode
 from .workflow import ReadySet, require_acyclic
 
@@ -235,6 +235,23 @@ def build_plans(
 
 # --- local execution -------------------------------------------------------
 
+def job_steps(job: Job, plan: WrapperPlan | None) -> list[Step]:
+    """The steps the executor runs for a job, in order.
+
+    A planned job runs its host steps with its container steps after
+    start-container, as the rendered script does; a job without a plan (a
+    fetch, stage or cleanup job) runs one launch-task step.
+    """
+    if plan is None:
+        return [Step(StepKind.LAUNCH_TASK, {"task": job.id})]
+    steps = []
+    for step in plan.host_steps:
+        steps.append(step)
+        if step.kind is StepKind.START_CONTAINER:
+            steps.extend(plan.container_steps)
+    return steps
+
+
 @dataclass
 class StepRecord:
     job_id: str
@@ -288,13 +305,23 @@ def execute_local(
     always give the same report.  Each step is simulated and its effect
     recorded.  A step that fails, by injection or by raising, fails its job,
     skips the job's descendants and makes the call raise StepFailed once every
-    other job has finished.  ``slots`` or ``node_count`` below 1 raises
-    ValueError, and a cycle raises CycleDetected, before any job starts.
+    other job has finished.  ``slots`` or ``node_count`` below 1, and a
+    ``fail_step`` whose job is not in ``ewf`` or runs no step of that kind,
+    raise ValidationError, and a cycle raises CycleDetected, before any job
+    starts.
     """
     if slots < 1 or node_count < 1:
-        raise ValueError(f"slots={slots} and node_count={node_count} must be at least 1")
+        raise ValidationError(f"slots={slots} and node_count={node_count} must be at least 1")
     report = ExecutionReport()
     jobs = {j.id: j for j in ewf.jobs}
+    if fail_step is not None:
+        job_id, kind = fail_step
+        if job_id not in jobs:
+            raise ValidationError(f"cannot inject a failure: no job {job_id!r}")
+        if all(step.kind is not kind for step in job_steps(jobs[job_id], plans.get(job_id))):
+            raise ValidationError(
+                f"cannot inject a failure: job {job_id!r} runs no {kind.value} step"
+            )
     require_acyclic(jobs, ewf.edges)
     ready = ReadySet(jobs, ewf.edges)
     loaded: set[tuple[str, str]] = set()  # (image, node) pairs already loaded
@@ -302,17 +329,7 @@ def execute_local(
 
     def run_steps(job: Job, node: str) -> JobReport:
         jr = JobReport(job_id=job.id, status="ok", node=node)
-        plan = plans.get(job.id)
-        steps: list[Step]
-        if plan is not None:
-            steps = []
-            for step in plan.host_steps:
-                steps.append(step)
-                if step.kind is StepKind.START_CONTAINER:
-                    steps.extend(plan.container_steps)
-        else:
-            steps = [Step(StepKind.LAUNCH_TASK, {"task": job.id})]
-        for step in steps:
+        for step in job_steps(job, plans.get(job.id)):
             t0 = time.monotonic()
             effect = ""
             try:

@@ -125,12 +125,6 @@ class ExecutableWorkflow:
     jobs: tuple[Job, ...] = ()
     edges: tuple[tuple[str, str], ...] = ()
 
-    def job_by_id(self, job_id: str) -> Job:
-        for j in self.jobs:
-            if j.id == job_id:
-                return j
-        raise KeyError(job_id)
-
     def jobs_of_kind(self, kind: JobKind) -> list[Job]:
         return [j for j in self.jobs if j.kind == kind]
 
@@ -140,27 +134,28 @@ class ExecutableWorkflow:
             out[v].append(u)
         return out
 
-    def children(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {j.id: [] for j in self.jobs}
-        for u, v in self.edges:
-            out[u].append(v)
-        return out
 
-
-def _check_job_ids(ewf: ExecutableWorkflow) -> set[str]:
-    """Return the job ids; reject a duplicate id or an edge that names an unknown job."""
+def _check_jobs(ewf: ExecutableWorkflow) -> set[str]:
+    """Return the job ids; reject a duplicate id, an edge that names an unknown
+    job, or a compute runtime that is negative or not finite."""
     ids = {j.id for j in ewf.jobs}
     if len(ids) != len(ewf.jobs):
         raise PlanError("duplicate job ids in executable workflow")
     for u, v in ewf.edges:
         if u not in ids or v not in ids:
             raise PlanError(f"edge ({u!r}, {v!r}) references unknown job")
+    for j in ewf.jobs_of_kind(JobKind.COMPUTE):
+        runtime = j.payload.runtime_s
+        if not (math.isfinite(runtime) and runtime >= 0):
+            raise PlanError(
+                f"job {j.id!r}: runtime_s must be finite and >= 0, got {runtime!r}"
+            )
     return ids
 
 
 def validate_executable(ewf: ExecutableWorkflow) -> None:
     """Check acyclicity and the one-fetch-ancestor-per-container invariant."""
-    ids = _check_job_ids(ewf)
+    ids = _check_jobs(ewf)
     require_acyclic(ids, ewf.edges)
 
     fetch_for: dict[str, tuple[str, str]] = {}
@@ -493,7 +488,7 @@ def parse_executable(text: str) -> ExecutableWorkflow:
                              raw.get("payload", {}), "executable", "payload")
         jobs.append(read_record(Job, raw, "executable", kind=kind, payload=payload))
     ewf = read_record(ExecutableWorkflow, doc, "executable", jobs=tuple(jobs))
-    _check_job_ids(ewf)
+    _check_jobs(ewf)
     return ewf
 
 

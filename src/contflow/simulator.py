@@ -22,7 +22,6 @@ from pathlib import Path
 
 from .catalog import ContainerRuntime
 from .errors import (
-    DestinationUnwritable,
     MissingSize,
     SimError,
     UnmappedSite,
@@ -637,10 +636,7 @@ def critical_path_lower_bound(ewf: ExecutableWorkflow, topo: Topology) -> float:
 def report(res: SimResult, out: str | Path) -> list[Path]:
     """Write the makespan summary and per-node series as delimited text."""
     out = Path(out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DestinationUnwritable(str(exc)) from None
+    out.mkdir(parents=True, exist_ok=True)
 
     written = []
 

@@ -465,18 +465,19 @@ def _fast_load(text: str):
 def load_yaml(text: str, what: str, shape: type | tuple[type, ...] = dict):
     """Parse the YAML document named ``what``; its top level must be a ``shape``.
 
-    An empty document reads as ``{}``.  Malformed YAML and any other top-level
-    type raise ValidationError.  A document in the block style ``dump_yaml``
-    writes, with quoted strings and one-line flow lists allowed as values, is
-    read by a line reader that checks each token; every other document goes
-    to PyYAML.
+    An empty document reads as ``{}``.  Malformed YAML, a value PyYAML cannot
+    construct (``2020-13-45``, ``!!int 'x'``: a ValueError) and any other
+    top-level type raise ValidationError.  A document in the block style
+    ``dump_yaml`` writes, with quoted strings and one-line flow lists allowed
+    as values, is read by a line reader that checks each token; every other
+    document goes to PyYAML.
     """
     try:
         doc = _fast_load(text)
     except _Unsure:
         try:
             doc = yaml.load(text, Loader=_LOADER)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError) as exc:
             raise ValidationError(f"{what} document is not valid YAML: {exc}") from None
     if doc is None:
         doc = {}

@@ -181,10 +181,11 @@ def test_criterion_4_clustering_oracle(capfd):
                 for j in ewf.jobs_of_kind(JobKind.COMPUTE)
                 for t in j.payload.task_ids
             }
+            jobs = {j.id: j for j in ewf.jobs}
             reach = _reachability(ewf)
             for u, v in wf.effective_edges():
                 if owner[u] == owner[v]:
-                    tasks = ewf.job_by_id(owner[u]).payload.task_ids
+                    tasks = jobs[owner[u]].payload.task_ids
                     assert tasks.index(u) < tasks.index(v)
                 else:
                     assert owner[v] in reach[owner[u]]

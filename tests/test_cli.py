@@ -227,7 +227,7 @@ class TestRun:
         assert main(["run", str(ewf_path), str(inputs["catalog"]), option, "0"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "must be at least 1" in captured.err
+        assert captured.err.startswith("error: slots=") and "must be at least 1" in captured.err
 
     def test_cyclic_executable_exits_1(self, tmp_path, capsys):
         ewf_path = tmp_path / "cyclic.yml"

@@ -1,0 +1,284 @@
+"""Every fault reaches ``cli.main`` as a typed error with its documented exit code.
+
+Exit 1 is an input fault, exit 2 a simulation, run or output fault, and each
+prints ``error: <message>``; anything else would escape ``main`` as a program
+fault.  A mutation test makes one edit to one document of a 4-task demo and
+runs the commands that read it; explicit tests pin the exit code and message
+of each fault that has its own check.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import re
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from contflow import simulator
+from contflow.catalog import serialize_catalog
+from contflow.cli import main
+from contflow.scenarios import demo_catalog, demo_topology, demo_workflow
+from contflow.simulator import serialize_topology
+from contflow.workflow import serialize_workflow
+from test_cli import SITES_YML
+
+FETCH_JOB = "fetch_radar-tools_submit"
+
+
+class EngineSkipped(Exception):
+    """Stands in for the simulator's engine: the readers before it passed.
+
+    The engine does not run on mutated input because its memory grows with
+    simulated seconds: ``disk_untar_rate: true`` reads as 1 B/s, which gives a
+    makespan of about 5e8 s.
+    """
+
+
+def demo_documents(d):
+    """The 4-task docker demo's six documents under ``d``, each by name."""
+    paths = {name: d / f"{name}.yml" for name in (
+        "workflow", "catalog", "sites", "topology", "executable")}
+    paths["result"] = d / "result.json"
+    paths["workflow"].write_text(serialize_workflow(demo_workflow(n_tasks=4)))
+    paths["catalog"].write_text(serialize_catalog(demo_catalog("docker")))
+    paths["sites"].write_text(SITES_YML)
+    paths["topology"].write_text(serialize_topology(demo_topology()))
+    p = {name: str(path) for name, path in paths.items()}
+    assert main(["plan", p["workflow"], p["catalog"], p["sites"], "--out", p["executable"]]) == 0
+    assert main(["simulate", p["executable"], p["topology"], "--out", str(d / "sim")]) == 0
+    (d / "sim" / "result.json").rename(paths["result"])
+    return paths
+
+
+def commands(paths, out):
+    """The argv lists that read each document; ``simulate`` stops after its readers."""
+    p = {name: str(path) for name, path in paths.items()}
+    plan = ["plan", p["workflow"], p["catalog"], p["sites"], "--out", str(out / "executable.yml")]
+    wrappers = ["wrappers", p["executable"], p["catalog"], "--out", str(out / "wrappers")]
+    run = ["run", p["executable"], p["catalog"]]
+    simulate = ["simulate", p["executable"], p["topology"], "--out", str(out / "sim")]
+    report = ["report", p["result"], "--out", str(out / "report")]
+    return {
+        "workflow": [plan], "catalog": [plan, wrappers, run], "sites": [plan],
+        "topology": [simulate], "executable": [wrappers, run, simulate],
+        "result": [report],
+    }
+
+
+def run_main(argv):
+    """``main(argv)``'s exit code and stderr; a simulate whose readers pass reads as 0."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            mock.patch.object(simulator, "simulate", side_effect=EngineSkipped):
+        try:
+            code = main(argv)
+        except EngineSkipped:
+            code = 0
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def demo(tmp_path_factory):
+    d = tmp_path_factory.mktemp("demo")
+    with contextlib.redirect_stdout(io.StringIO()):
+        paths = demo_documents(d)
+    return paths, commands(paths, d / "out")
+
+
+# --- mutation test -----------------------------------------------------------
+
+TOKENS = ("2020-13-45", "!!int 'x'", "!!float 'x'", "-5.0", ".nan", ".inf", "ghost",
+          "null", "[]", "{}", "''", "true", "x")
+
+# A line's value: what follows its last ': ' or '- ' (or its indent), up to a
+# trailing comma.  A line that opens or closes a nested block, or whose value
+# is a flow list or mapping, holds none.
+VALUE = re.compile(r"^(.*(?:: |- )|\s*)([^\s\[\]{}](?:(?:(?!: ).)*[^:,])?)(,?)$")
+
+EDITS = st.one_of(
+    st.tuples(st.just("replace"), st.integers(0, 999), st.sampled_from(TOKENS)),
+    st.tuples(st.sampled_from(["delete", "duplicate"]), st.integers(0, 999), st.just("")),
+    st.just(("prepend", 0, "")),
+)
+
+
+def mutate(text: str, edit) -> bytes:
+    """``text`` with one edit: a value replaced, a line deleted or duplicated,
+    or a byte that is not UTF-8 prepended."""
+    op, index, token = edit
+    if op == "prepend":
+        return b"\xff" + text.encode()
+    lines = text.split("\n")
+    if op == "replace":
+        rows = [i for i, line in enumerate(lines) if VALUE.match(line)]
+        i = rows[index % len(rows)]
+        lines[i] = VALUE.sub(lambda m: m[1] + token + m[3], lines[i])
+    elif op == "delete":
+        del lines[index % len(lines)]
+    else:
+        i = index % len(lines)
+        lines.insert(i, lines[i])
+    return "\n".join(lines).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(["workflow", "catalog", "sites", "topology", "executable",
+                             "result"]),
+       edit=EDITS)
+def test_one_edit_to_a_document_exits_with_a_code(demo, name, edit):
+    paths, argvs = demo
+    path = paths[name]
+    original = path.read_bytes()
+    path.write_bytes(mutate(original.decode(), edit))
+    try:
+        for argv in argvs[name]:
+            code, err = run_main(argv)
+            assert code in (0, 1, 2), argv
+            if code:
+                assert err.startswith("error: "), (argv, err)
+    finally:
+        path.write_bytes(original)
+
+
+# --- one test per typed check ------------------------------------------------
+
+def edited(path, old, new):
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+
+
+@pytest.fixture
+def docs(tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        paths = demo_documents(tmp_path)
+    return {name: str(path) for name, path in paths.items()}, paths
+
+
+def test_file_not_utf8_exits_1(docs, tmp_path, capsys):
+    p, paths = docs
+    paths["workflow"].write_bytes(b"\xff" + paths["workflow"].read_bytes())
+    capsys.readouterr()
+    assert main(["plan", p["workflow"], p["catalog"], p["sites"],
+                 "--out", str(tmp_path / "e.yml")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {p['workflow']}: "), err
+    assert "can't decode byte 0xff" in err
+
+
+@pytest.mark.parametrize("token, message", [
+    ("2020-13-45", "month must be in 1..12"),
+    ("!!int 'x'", "invalid literal for int() with base 10: 'x'"),
+    ("!!float 'x'", "could not convert string to float: 'x'"),
+])
+@pytest.mark.parametrize("name", ["workflow", "executable"])
+def test_value_pyyaml_cannot_construct_exits_1(docs, tmp_path, capsys, name, token, message):
+    p, paths = docs
+    old = "runtime: 5.0" if name == "workflow" else "runtime_s: 5.0"
+    edited(paths[name], old, old.replace("5.0", token))
+    argv = (["plan", p["workflow"], p["catalog"], p["sites"], "--out", str(tmp_path / "e.yml")]
+            if name == "workflow" else ["wrappers", p["executable"], p["catalog"],
+                                        "--out", str(tmp_path / "w")])
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} document is not valid YAML: "), err
+    assert message in err
+
+
+def test_result_not_json_exits_1(docs, tmp_path, capsys):
+    p, paths = docs
+    paths["result"].write_text("makespan_s: 1.0\n")
+    capsys.readouterr()
+    assert main(["report", p["result"], "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: result document is not valid JSON: Expecting value: line 1 column 1")
+
+
+def test_result_transfer_kinds_differ_exits_1(docs, tmp_path, capsys):
+    p, paths = docs
+    edited(paths["result"], '"transfer_bytes_by_kind": {\n  "container"',
+           '"transfer_bytes_by_kind": {\n  "other"')
+    capsys.readouterr()
+    assert main(["report", p["result"], "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == (
+        "error: result document: transfer_count_by_kind and transfer_bytes_by_kind "
+        "name different kinds\n")
+
+
+@pytest.mark.parametrize("fail_step, step", [
+    (f"{FETCH_JOB}:bogus", "bogus"),
+    (f"{FETCH_JOB}:", ""),
+    (FETCH_JOB, ""),
+])
+def test_fail_step_kind_unknown_or_missing_exits_1(docs, capsys, fail_step, step):
+    p, _ = docs
+    capsys.readouterr()
+    assert main(["run", p["executable"], p["catalog"], "--fail-step", fail_step]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --fail-step {fail_step!r}: expected JOB_ID:STEP_KIND, "
+                            f"and {step!r} is not a step kind\n")
+
+
+@pytest.mark.parametrize("runtime, expected", [("-5.0", "-5.0"), (".nan", "nan"),
+                                               (".inf", "inf")])
+def test_executable_runtime_must_be_finite_and_not_negative(docs, tmp_path, capsys,
+                                                            runtime, expected):
+    p, paths = docs
+    edited(paths["executable"], "runtime_s: 5.0", f"runtime_s: {runtime}")
+    for argv in (["simulate", p["executable"], p["topology"], "--out", str(tmp_path / "s")],
+                 ["run", p["executable"], p["catalog"]],
+                 ["wrappers", p["executable"], p["catalog"], "--out", str(tmp_path / "w")]):
+        capsys.readouterr()
+        assert main(argv) == 1, argv[0]
+        assert capsys.readouterr().err == (
+            f"error: job 'compute_nowcast00': runtime_s must be finite and >= 0, "
+            f"got {expected}\n")
+
+
+@pytest.mark.parametrize("fail_step, message", [
+    ("ghost:stage-in", "no job 'ghost'"),
+    (f"{FETCH_JOB}:stage-in", f"job '{FETCH_JOB}' runs no stage-in step"),
+])
+def test_fail_step_that_injects_nothing_exits_1(docs, capsys, fail_step, message):
+    p, _ = docs
+    capsys.readouterr()
+    argv = ["run", p["executable"], p["catalog"], "--fail-step", fail_step]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot inject a failure: {message}\n"
+
+
+def test_fail_step_on_a_job_without_a_plan_exits_2(docs, capsys):
+    p, _ = docs
+    capsys.readouterr()
+    argv = ["run", p["executable"], p["catalog"], "--fail-step", f"{FETCH_JOB}:launch-task"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: job {FETCH_JOB}: step launch-task failed: "
+                            f"injected failure at launch-task\n")
+    assert "skipped" in captured.out
+
+
+@pytest.mark.parametrize("command", ["plan", "wrappers", "simulate", "report"])
+def test_output_under_a_regular_file_exits_2(docs, tmp_path, capsys, command):
+    p, _ = docs
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = str(blocker / "out")
+    argv = {
+        "plan": ["plan", p["workflow"], p["catalog"], p["sites"]],
+        "wrappers": ["wrappers", p["executable"], p["catalog"]],
+        "simulate": ["simulate", p["executable"], p["topology"]],
+        "report": ["report", p["result"]],
+    }[command]
+    capsys.readouterr()
+    assert main([*argv, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno "), err
+    assert str(blocker) in err

@@ -335,17 +335,20 @@ class TestProperties:
                 for j in ewf.jobs_of_kind(JobKind.COMPUTE)
                 for t in j.payload.task_ids
             }
+            jobs = {j.id: j for j in ewf.jobs}
             reach = _reachability(ewf)
             for u, v in wf.effective_edges():
                 if owner[u] == owner[v]:
-                    tasks = ewf.job_by_id(owner[u]).payload.task_ids
+                    tasks = jobs[owner[u]].payload.task_ids
                     assert tasks.index(u) < tasks.index(v)
                 else:
                     assert owner[v] in reach[owner[u]]
 
 
 def _reachability(ewf: ExecutableWorkflow) -> dict[str, set[str]]:
-    children = ewf.children()
+    children: dict[str, list[str]] = {j.id: [] for j in ewf.jobs}
+    for u, v in ewf.edges:
+        children[u].append(v)
     out: dict[str, set[str]] = {}
 
     def visit(n: str) -> set[str]:

@@ -215,7 +215,7 @@ def read(text: str):
     """load_yaml's outcome: the repr of the document (types included), or the error."""
     try:
         return "ok", repr(workflow.load_yaml(text, "executable", (dict, list)))
-    except (ValidationError, ValueError) as exc:  # PyYAML: ValueError on a bad date
+    except ValidationError as exc:
         return type(exc).__name__, str(exc)
 
 
