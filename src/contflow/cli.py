@@ -13,7 +13,7 @@ import argparse
 import contextlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import launcher, planner, simulator
@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .planner import PlanConfig, parse_executable, parse_sites, serialize_executable
-from .simulator import SimConfig, SimResult, parse_topology
+from .simulator import WRITE_CHUNK, Runs, SimConfig, SimResult, parse_topology
 from .workflow import load_yaml, parse_workflow, read_record, read_value, write_record
 
 
@@ -133,16 +133,101 @@ def _print_run_table(rep: launcher.ExecutionReport) -> None:
         print(f"{job_id:<36} {jr.status:<8} {jr.node}")
 
 
+_SERIES = ("per_node_egress", "per_node_io_wait_ms")
+
+
+def _read_series(value, key: str) -> dict[str, Runs]:
+    """The per-node series under ``key``, each node's list read into runs in turn."""
+    nodes = read_value(dict, value, "result", key)
+    return {
+        read_value(str, name, "result", key): Runs.of(read_value(list[float], v, "result", key))
+        for name, v in nodes.items()
+    }
+
+
 def _result_from_doc(doc) -> SimResult:
     if not isinstance(doc, dict):
         raise ValidationError(f"result document cannot be a {type(doc).__name__}")
-    res = read_record(SimResult, doc, "result")
+    series = {key: _read_series(doc[key], key) for key in _SERIES if key in doc}
+    res = read_record(SimResult, doc, "result", **series)
     if set(res.transfer_count_by_kind) != set(res.transfer_bytes_by_kind):
         raise ValidationError(
             "result document: transfer_count_by_kind and transfer_bytes_by_kind "
             "name different kinds"
         )
+    if set(res.per_node_egress) != set(res.per_node_io_wait_ms):
+        raise ValidationError(
+            "result document: per_node_egress and per_node_io_wait_ms name different nodes"
+        )
+    lengths = {len(s) for m in (res.per_node_egress, res.per_node_io_wait_ms) for s in m.values()}
+    if len(lengths) > 1:
+        raise ValidationError(
+            f"result document: the per-node series differ in length: {sorted(lengths)}"
+        )
+    for jid, start, end, _ in res.job_timeline:
+        if not end >= start:
+            raise ValidationError(
+                f"result document: job_timeline entry {jid!r} must not end before "
+                f"it starts: start {start!r}, end {end!r}"
+            )
     return res
+
+
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _json_text(value, level: int):
+    """Yield the text of ``json.dumps(value, indent=1, sort_keys=True)``, nested
+    ``level`` deep, with a Runs written as the list it spells out.
+
+    Dict keys are strings.  Each key and scalar is one C-encoder call, and so
+    is a whole list of rows of scalars.  A run is one line repeated, at most
+    WRITE_CHUNK lines per piece.
+    """
+    pad = "\n" + " " * (level + 1)
+    if isinstance(value, Runs):
+        opening = "["
+        for v, count in value.runs():
+            line = pad + json.dumps(v)
+            yield opening + line
+            opening = ","
+            for done in range(1, count, WRITE_CHUNK):
+                yield ("," + line) * min(WRITE_CHUNK, count - done)
+        yield pad[:-1] + "]" if value else "[]"
+    elif not isinstance(value, (dict, list, tuple)) or not value:
+        yield json.dumps(value)
+    elif type(value) is list and all(
+            type(row) is list and row and set(map(type, row)) <= _SCALARS for row in value):
+        # The item separator carries the newline and the indent.  A scalar
+        # never starts with "[" nor ends with "]", so "],<sep>[" is only ever
+        # where one row ends and the next begins.
+        inner = pad + " "
+        text = json.dumps(value, separators=("," + inner, ": "))[2:-2]
+        yield ("[" + pad + "[" + inner
+               + text.replace("]," + inner + "[", pad + "]," + pad + "[" + inner)
+               + pad + "]" + pad[:-1] + "]")
+    elif isinstance(value, dict):
+        opening = "{"
+        for key in sorted(value):
+            yield opening + pad + json.dumps(key) + ": "
+            yield from _json_text(value[key], level + 1)
+            opening = ","
+        yield pad[:-1] + "}"
+    else:
+        opening = "["
+        for item in value:
+            yield opening + pad
+            yield from _json_text(item, level + 1)
+            opening = ","
+        yield pad[:-1] + "]"
+
+
+def _write_result(res: SimResult, f) -> None:
+    """Write ``res`` to text file ``f`` as ``json.dumps(write_record(res),
+    indent=1, sort_keys=True)`` would, without spelling its series out."""
+    doc = write_record(replace(res, **dict.fromkeys(_SERIES, {})))
+    doc.update((key, getattr(res, key)) for key in _SERIES)
+    f.writelines(_json_text(doc, 0))
 
 
 def cmd_simulate(args) -> int:
@@ -154,22 +239,24 @@ def cmd_simulate(args) -> int:
     )
     res = simulator.simulate(ewf, topo, cfg)
     with _output_dir(args.out) as out:
-        (out / "result.json").write_text(
-            json.dumps(write_record(res), indent=1, sort_keys=True)
-        )
+        with open(out / "result.json", "w") as f:
+            _write_result(res, f)
         simulator.report(res, out)
     print(f"makespan: {res.makespan_s:.2f} s")
     print(f"reports written to {out}")
     return 0
 
 
-def cmd_report(args) -> int:
-    text = _read(args.result)
+def _read_json(path: str):
+    text = _read(path)
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except ValueError as exc:
         raise ValidationError(f"result document is not valid JSON: {exc}") from None
-    res = _result_from_doc(doc)
+
+
+def cmd_report(args) -> int:
+    res = _result_from_doc(_read_json(args.result))  # the text and lists go before the report
     with _output_dir(args.out) as out:
         simulator.report(res, out)
     print(f"reports written to {args.out}")

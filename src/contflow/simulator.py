@@ -120,11 +120,113 @@ class FlowRecord:
     ended: float
 
 
+def _same(a: float, b: float) -> bool:
+    """Whether two floats print alike: equal, and a 0.0 never a -0.0."""
+    return a == b and (a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
+class Runs:
+    """A read-only sequence of floats, held as runs of equal values.
+
+    Run i is ``counts[i]`` copies of ``values[i]``; each count is >= 1 and no
+    two neighbouring values are alike, so a series that holds one value for a
+    million seconds costs one run.  ``len``, iteration, indexing and ``==``
+    against a list or another Runs behave as on the list the runs spell out.
+    """
+    __slots__ = ("values", "counts", "_len")
+
+    def __init__(self, runs=()):
+        self.values: list[float] = []
+        self.counts: list[int] = []
+        self._len = 0
+        for value, count in runs:
+            self._append(value, count)
+
+    @classmethod
+    def of(cls, values) -> Runs:
+        """The runs of ``values``, an iterable of floats."""
+        out = cls()
+        last, counts = None, out.counts
+        for v in values:
+            if v == last and (v != 0.0 or _same(v, last)):
+                counts[-1] += 1
+            else:
+                out.values.append(v)
+                counts.append(1)
+                last = v
+        out._len = sum(counts)
+        return out
+
+    def runs(self):
+        """The ``(value, count)`` pairs, in order."""
+        return zip(self.values, self.counts)
+
+    # The engine builds a series with these two: it only appends, and only
+    # ever revises the last value.
+    def _append(self, value: float, count: int) -> None:
+        if count <= 0:
+            return
+        if self.values and _same(self.values[-1], value):
+            self.counts[-1] += count
+        else:
+            self.values.append(value)
+            self.counts.append(count)
+        self._len += count
+
+    def _put(self, i: int, value: float) -> None:
+        """Set item ``i``, the last item or one past the end, padding with 0.0."""
+        if i < self._len:
+            self._len -= 1
+            if self.counts[-1] > 1:
+                self.counts[-1] -= 1
+            else:
+                self.values.pop()
+                self.counts.pop()
+        else:
+            self._append(0.0, i - self._len)
+        self._append(value, 1)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        for value, count in self.runs():
+            for _ in range(count):
+                yield value
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("Runs index out of range")
+        for value, count in self.runs():
+            if i < count:
+                return value
+            i -= count
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Runs, list)):
+            return NotImplemented
+        if len(other) != self._len:
+            return False
+        if isinstance(other, Runs) and self.counts == other.counts \
+                and self.values == other.values:
+            return True
+        return all(a is b or a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Runs({list(self.runs())!r})"
+
+
 @dataclass
 class SimResult:
     makespan_s: float
-    per_node_egress: dict[str, list[float]]  # bytes/s per 1-second bucket
-    per_node_io_wait_ms: dict[str, list[float]]
+    per_node_egress: dict[str, Runs]  # bytes/s per 1-second bucket
+    per_node_io_wait_ms: dict[str, Runs]
     transfer_count_by_kind: dict[str, int]
     transfer_bytes_by_kind: dict[str, float]
     job_timeline: list[tuple[str, float, float, str]]
@@ -229,7 +331,7 @@ class _Engine:
         self.done: set[str] = set()
         self.timeline: dict[str, tuple[float, float, str]] = {}
 
-        self.egress_buckets: dict[str, list[float]] = {n.name: [] for n in topo.nodes()}
+        self.egress_buckets: dict[str, Runs] = {n.name: Runs() for n in topo.nodes()}
         self.egress_totals: dict[str, float] = {n.name: 0.0 for n in topo.nodes()}
         self.ingress_totals: dict[str, float] = {n.name: 0.0 for n in topo.nodes()}
         self.count_by_kind: dict[str, int] = {}
@@ -318,15 +420,18 @@ class _Engine:
         A flow never drops below zero bytes.  Every flow sends over [now,
         t_next), so all of them add to the same egress buckets.  A bucket wholly
         inside the interval is touched by no other event: it gets its source's
-        rates summed in flow order.  The partial first and last buckets get each
-        flow's bytes in flow order too, so every bucket rounds as if the flows
-        were added to it one at a time.
+        rates summed in flow order, and the whole stretch is one run.  The
+        partial first and last buckets get each flow's bytes in flow order too,
+        so every bucket rounds as if the flows were added to it one at a time.
+        Only the last bucket of a series is ever added to again: the next event
+        starts where this one ends.
         """
         egress = self.egress_buckets
         dt = t_next - self.now
         first, span0, stop, span1 = _bucket_spans(self.now, t_next)
-        top = stop if span1 is not None else stop - 1
         whole = first is not None and stop > first + 1
+        head: dict[str, float] = {}  # bucket first, per source
+        tail: dict[str, float] = {}  # bucket stop
         whole_rates: dict[str, float] = {}
         for f in self.flows:
             rate = f.pair.rate
@@ -335,16 +440,23 @@ class _Engine:
                 f.remaining = 0.0 if left < 0.0 else left
                 if first is None:
                     continue
-                buckets = egress[f.src]
-                if len(buckets) <= top:
-                    buckets.extend([0.0] * (top + 1 - len(buckets)))
-                buckets[first] += rate * span0
+                src = f.src
+                value = head.get(src)
+                if value is None:
+                    series = egress[src]
+                    value = series.values[-1] if len(series) > first else 0.0
+                head[src] = value + rate * span0
                 if span1 is not None:
-                    buckets[stop] += rate * span1
+                    tail[src] = tail.get(src, 0.0) + rate * span1
                 if whole:
-                    whole_rates[f.src] = whole_rates.get(f.src, 0.0) + rate
-        for src, total in whole_rates.items():
-            egress[src][first + 1:stop] = [total] * (stop - first - 1)
+                    whole_rates[src] = whole_rates.get(src, 0.0) + rate
+        for src, value in head.items():
+            series = egress[src]
+            series._put(first, value)
+            if whole:
+                series._append(whole_rates[src], stop - first - 1)
+            if span1 is not None:
+                series._append(tail[src], 1)
         self.now = t_next
 
     # -- disk model ---------------------------------------------------------
@@ -549,17 +661,16 @@ class _Engine:
 
         makespan = max((end for _, end, _ in self.timeline.values()), default=0.0)
         n_buckets = int(math.ceil(makespan)) if makespan > 0 else 0
-        egress = {}
-        for name, buckets in self.egress_buckets.items():
-            series = list(buckets) + [0.0] * (n_buckets - len(buckets))
-            egress[name] = series[:n_buckets] if n_buckets else []
+        # no bucket lies past the makespan: the last event ends the last job
+        for series in self.egress_buckets.values():
+            series._append(0.0, n_buckets - len(series))
         io_wait = {
             name: self._io_wait_series(name, n_buckets)
             for name in self.node_by_name
         }
         return SimResult(
             makespan_s=makespan,
-            per_node_egress=egress,
+            per_node_egress=self.egress_buckets,
             per_node_io_wait_ms=io_wait,
             transfer_count_by_kind=dict(sorted(self.count_by_kind.items())),
             transfer_bytes_by_kind=dict(sorted(self.bytes_by_kind.items())),
@@ -571,15 +682,16 @@ class _Engine:
             flow_ledger=self.ledger,
         )
 
-    def _io_wait_series(self, node: str, n_buckets: int) -> list[float]:
+    def _io_wait_series(self, node: str, n_buckets: int) -> Runs:
         spec = self.node_by_name[node]
         rate = spec.disk_untar_rate
         records = self.untar_records[node]
         # The disk serves untars first come, first served, so arrivals and ends
         # never decrease: the records queued or in service at t (arrival <= t <
         # end) are the index range [lo, hi), and both ends only move forward.
-        # Where the range is empty the backlog is 0.0.
-        series = [spec.disk_service_base_ms + 1000.0 * 0.0 / rate] * n_buckets
+        # Where the range is empty the backlog is 0.0: an idle gap is one run.
+        idle = spec.disk_service_base_ms + 1000.0 * 0.0 / rate
+        series = Runs()
         lo = hi = t = 0
         while t < n_buckets:
             while hi < len(records) and records[hi][0] <= t:
@@ -589,7 +701,9 @@ class _Engine:
             if lo == hi:
                 if hi == len(records):
                     break
-                t = max(t + 1, math.ceil(records[hi][0]))  # the next arrival
+                busy = min(n_buckets, max(t + 1, math.ceil(records[hi][0])))  # next arrival
+                series._append(idle, busy - t)
+                t = busy
                 continue
             backlog = 0.0
             for _, start, end, nbytes in records[lo:hi]:
@@ -597,8 +711,9 @@ class _Engine:
                     backlog += nbytes
                 else:
                     backlog += (end - t) * rate
-            series[t] = spec.disk_service_base_ms + 1000.0 * backlog / rate
+            series._append(spec.disk_service_base_ms + 1000.0 * backlog / rate, 1)
             t += 1
+        series._append(idle, n_buckets - t)
         return series
 
 
@@ -633,6 +748,40 @@ def critical_path_lower_bound(ewf: ExecutableWorkflow, topo: Topology) -> float:
 
 # --- reporting -------------------------------------------------------------
 
+WRITE_CHUNK = 4096  # rows or lines per write of a long run
+
+
+def _write_series_table(f, series_map: dict[str, Runs]) -> None:
+    """Write one row per second, ``t`` then each node's value, nodes sorted.
+
+    A series shorter than the longest reads as 0.0 past its end.  The rows
+    where every column stays in one run share their cells, each formatted
+    once, and go out in pieces of at most WRITE_CHUNK rows.
+    """
+    nodes = sorted(series_map)
+    n = max((len(series_map[x]) for x in nodes), default=0)
+    f.write("t\t" + "\t".join(nodes) + "\n")
+    columns = []  # per node: [its later (cell, rows) runs, the current cell, its rows left]
+    for x in nodes:
+        series = series_map[x]
+        cells = [("\t%.6f" % value, count) for value, count in series.runs()]
+        cells.append(("\t%.6f" % 0.0, n - len(series)))
+        runs = iter(cells)
+        columns.append([runs, *next(runs)])
+    t = 0
+    while t < n:
+        for col in columns:
+            while col[2] == 0:
+                col[1:] = next(col[0])
+        step = min(col[2] for col in columns)
+        row = "".join(col[1] for col in columns) + "\n"
+        for lo in range(t, t + step, WRITE_CHUNK):
+            f.write(row.join(map(str, range(lo, min(lo + WRITE_CHUNK, t + step)))) + row)
+        for col in columns:
+            col[2] -= step
+        t += step
+
+
 def report(res: SimResult, out: str | Path) -> list[Path]:
     """Write the makespan summary and per-node series as delimited text."""
     out = Path(out)
@@ -658,14 +807,9 @@ def report(res: SimResult, out: str | Path) -> list[Path]:
         ("egress.tsv", res.per_node_egress),
         ("io_wait.tsv", res.per_node_io_wait_ms),
     ):
-        nodes = sorted(series_map)
-        n = max((len(series_map[x]) for x in nodes), default=0)
-        columns = [series_map[x] + [0.0] * (n - len(series_map[x])) for x in nodes]
-        row = "%d" + "\t%.6f" * len(nodes)
-        rows = ["t\t" + "\t".join(nodes)]
-        rows.extend(row % (t, *values) for t, values in enumerate(zip(*columns)))
         path = out / fname
-        path.write_text("\n".join(rows) + "\n")
+        with open(path, "w") as f:
+            _write_series_table(f, series_map)
         written.append(path)
 
     timeline = out / "timeline.tsv"

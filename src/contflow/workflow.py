@@ -511,10 +511,13 @@ def _fail(what: str, key: str, expected: str, value) -> typing.NoReturn:
 
 
 @functools.cache
-def _reader(tp, element: bool = False, rows: bool = False):
+def _reader(tp, element: bool = False, rows: bool = False, strict: bool = False):
     """``conv(value, what, key)``: a value of document ``what`` as annotation ``tp``.
 
     ``element`` marks the entries of a list, and ``rows`` records written as rows.
+    ``strict``, set for the fields of a record, turns down a bool or a string
+    where a number belongs (``runtime: true``, ``size_bytes: "10"``); without
+    it a number converts as ``tp(value)`` does.
     """
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if tp is str:
@@ -526,6 +529,8 @@ def _reader(tp, element: bool = False, rows: bool = False):
             _fail(what, key, "a string", value)
     elif tp is int or tp is float:
         def conv(value, what, key):
+            if strict and (type(value) is bool or type(value) is str):
+                _fail(what, key, "a number", value)
             try:
                 return tp(value)
             except (TypeError, ValueError, OverflowError):
@@ -542,12 +547,12 @@ def _reader(tp, element: bool = False, rows: bool = False):
             except (TypeError, ValueError):
                 _fail(what, key, choices, value)
     elif origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
-        inner = _reader(next(a for a in args if a is not type(None)), element)
+        inner = _reader(next(a for a in args if a is not type(None)), element, strict=strict)
 
         def conv(value, what, key):
             return None if value is None else inner(value, what, key)
     elif origin in (list, frozenset) or (origin is tuple and args[-1] is Ellipsis):
-        item = _reader(args[0], True, rows)
+        item = _reader(args[0], True, rows, strict)
         exact = {args[0]} & {str, int, float, bool}
 
         def conv(value, what, key):
@@ -560,7 +565,7 @@ def _reader(tp, element: bool = False, rows: bool = False):
         names = [f.name for f in dataclasses.fields(tp)] if rows else None
         if rows:
             args = [typing.get_type_hints(tp)[name] for name in names]
-        items = [_reader(a) for a in args]
+        items = [_reader(a, strict=strict) for a in args]
         exact = [a if a in (str, int, float, bool) else None for a in args]
         shape = ", ".join(names or (getattr(a, "__name__", repr(a)) for a in args))
 
@@ -572,7 +577,7 @@ def _reader(tp, element: bool = False, rows: bool = False):
                 value = [c(v, what, key) for c, v in zip(items, value)]
             return tp(*value) if rows else tuple(value)
     elif origin is dict:
-        keys, values = _reader(args[0]), _reader(args[1])
+        keys, values = _reader(args[0], strict=strict), _reader(args[1], strict=strict)
 
         def conv(value, what, key):
             if type(value) is not dict:
@@ -615,6 +620,8 @@ def _writer(tp, rows: bool = False):
     if origin is dict:
         inner = _writer(args[1])
         return dict if inner is None else lambda value: {k: inner(v) for k, v in value.items()}
+    if isinstance(tp, type) and not dataclasses.is_dataclass(tp):
+        return list  # a sequence class of its own, such as the simulator's Runs
     return write_record  # a record, or one of several record classes
 
 
@@ -624,7 +631,7 @@ def _fields(cls, given: tuple[str, ...] = ()) -> tuple[tuple, ...]:
     ``cls`` that is not named in ``given``."""
     hints, missing = typing.get_type_hints(cls), dataclasses.MISSING
     return tuple(
-        (f.name, f.metadata.get("key", f.name), _reader(hints[f.name], rows=rows),
+        (f.name, f.metadata.get("key", f.name), _reader(hints[f.name], rows=rows, strict=True),
          f.default is missing and f.default_factory is missing, _writer(hints[f.name], rows))
         for f in dataclasses.fields(cls) if f.name not in given
         for rows in (f.metadata.get("rows", False),)

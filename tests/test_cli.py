@@ -378,6 +378,9 @@ WRONG_TYPES = [
     ("workflow", ("files", 0, "initial_location"), [1], "initial_location must be a string"),
     ("topology", ("submit", "slots"), None, "slots must be a number"),
     ("topology", ("links", 0, "bandwidth"), [1], "bandwidth must be a number"),
+    ("topology", ("workers", 0, "disk_untar_rate"), True, "disk_untar_rate must be a number"),
+    ("workflow", ("tasks", 0, "runtime"), True, "runtime must be a number"),
+    ("workflow", ("files", 0, "size_bytes"), "10000000", "size_bytes must be a number"),
     ("executable", ("jobs", 0, "payload", "staging_site"), [1],
      "staging_site must be a string"),
     ("executable", ("jobs", 0, "payload", "container"), [1], "container must be a string"),
@@ -517,7 +520,17 @@ class TestMalformedInputs:
         (lambda doc: [doc], "result document cannot be a list"),
         (lambda doc: {**doc, "flow_ledger": [row[:-1] for row in doc["flow_ledger"]]},
          "result document: each flow_ledger entry"),
-    ], ids=["top-level-list", "short-ledger-row"])
+        (lambda doc: {**doc, "per_node_io_wait_ms": {
+            f"x{name}": s for name, s in doc["per_node_io_wait_ms"].items()}},
+         "per_node_egress and per_node_io_wait_ms name different nodes"),
+        (lambda doc: {**doc, "per_node_egress": {
+            name: s[:-1] if name == "submit" else s for name, s in doc["per_node_egress"].items()}},
+         "the per-node series differ in length"),
+        (lambda doc: {**doc, "job_timeline": [
+            [jid, start, start - 1.0, node] for jid, start, _, node in doc["job_timeline"]]},
+         "must not end before it starts"),
+    ], ids=["top-level-list", "short-ledger-row", "series-nodes-differ",
+            "series-lengths-differ", "job-ends-before-start"])
     def test_malformed_result(self, inputs, tmp_path, capsys, mangle, message):
         _, ewf_path = run_plan(inputs, tmp_path, "--cluster-size", "12")
         sim_out = tmp_path / "sim"

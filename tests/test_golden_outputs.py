@@ -1,0 +1,66 @@
+"""The simulator's output files, pinned byte for byte.
+
+``tests/golden/sim_digests.json`` holds the SHA-256 of ``result.json`` and the
+four report files that ``contflow simulate`` writes for each demo scenario
+below, and of the report files that ``contflow report`` renders again from that
+``result.json``.  A change to the engine, the series representation or the
+writers that moves one output byte fails here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from contflow.cli import main
+from contflow.planner import PlanConfig, plan, serialize_executable
+from contflow.scenarios import (
+    SUBMIT_SITE,
+    demo_catalog,
+    demo_sites,
+    demo_topology,
+    demo_workflow,
+)
+from contflow.simulator import serialize_topology
+
+DIGESTS = Path(__file__).parent / "golden" / "sim_digests.json"
+REPORT_FILES = ("summary.txt", "egress.tsv", "io_wait.tsv", "timeline.tsv")
+
+# name: (container, cluster size, shared FS, tasks, task runtime in s)
+SCENARIOS = {
+    "docker_k1": ("docker", 1, False, 63, 5.0),
+    "docker_k12": ("docker", 12, False, 63, 5.0),
+    "singularity_k1": ("singularity", 1, False, 63, 5.0),
+    "docker_shared_fs": ("docker", 1, True, 63, 5.0),
+    "none_k1": (None, 1, False, 63, 5.0),
+    "docker_5_tasks_5000s": ("docker", 1, False, 5, 5000.0),
+}
+
+
+def output_digests(name: str, work: Path) -> dict[str, str]:
+    """Simulate scenario ``name`` and re-render its report through the CLI.
+
+    Returns the SHA-256 of each file, keyed ``sim/<file>`` and ``report/<file>``.
+    """
+    container, k, shared_fs, n_tasks, runtime_s = SCENARIOS[name]
+    ewf = plan(demo_workflow(n_tasks=n_tasks, runtime_s=runtime_s), demo_catalog(container),
+               demo_sites(shared_fs=shared_fs),
+               PlanConfig(cluster_size=k, output_site=SUBMIT_SITE, cleanup=False))
+    exe, topo = work / "executable.yml", work / "topology.yml"
+    exe.write_text(serialize_executable(ewf))
+    topo.write_text(serialize_topology(demo_topology()))
+    assert main(["simulate", str(exe), str(topo), "--out", str(work / "sim")]) == 0
+    assert main(["report", str(work / "sim" / "result.json"),
+                 "--out", str(work / "report")]) == 0
+    paths = [f"sim/{f}" for f in ("result.json", *REPORT_FILES)]
+    paths += [f"report/{f}" for f in REPORT_FILES]
+    return {p: hashlib.sha256((work / p).read_bytes()).hexdigest() for p in paths}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_outputs_match_pinned_digests(name, tmp_path, capsys):
+    expected = json.loads(DIGESTS.read_text())[name]
+    assert output_digests(name, tmp_path) == expected
