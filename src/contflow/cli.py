@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -137,10 +138,12 @@ _SERIES = ("per_node_egress", "per_node_io_wait_ms")
 
 
 def _read_series(value, key: str) -> dict[str, Runs]:
-    """The per-node series under ``key``, each node's list read into runs in turn."""
+    """The per-node series under ``key``; a node's list not yet read into runs
+    is read now."""
     nodes = read_value(dict, value, "result", key)
     return {
-        read_value(str, name, "result", key): Runs.of(read_value(list[float], v, "result", key))
+        read_value(str, name, "result", key):
+            v if type(v) is Runs else Runs.of(read_value(list[float], v, "result", key))
         for name, v in nodes.items()
     }
 
@@ -247,7 +250,169 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _read_json(path: str):
+READ_CHUNK = 1 << 16  # characters per read of result.json
+
+_WS = re.compile(r"[ \t\n\r]*")
+# A number as JSON writes it, or a constant json reads, then each later list
+# item with the same text and the same separator: one match is a whole run.  A
+# separator starts with whitespace or ",", so only the last copy could be cut
+# short, and the end of its item must be seen: a match never stops inside a
+# number cut off at the end of the text read.
+_RUN = re.compile(r"(-?Infinity|NaN|-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)"
+                  r"(?:([ \t\n\r]*,[ \t\n\r]*)\1(?:\2\1)*)?(?=[ \t\n\r]*[,\]])")
+_DECODE = json.JSONDecoder().raw_decode
+
+
+class _Unsure(Exception):
+    """The streaming reader met text that json.loads must judge."""
+
+
+class _ResultReader:
+    """Reads a result document from text file ``f`` in pieces of at most
+    READ_CHUNK characters, each per-node series list straight into Runs.
+
+    It holds the text not yet consumed, which is one piece unless a single key
+    or value spans more, the runs, and the values outside the series.  A step
+    that fails is tried again on more text; at the end of the file it raises
+    _Unsure.
+    """
+
+    def __init__(self, f):
+        self.f = f
+        self.text = ""
+        self.pos = 0
+        self.eof = False
+        self.bad = None  # the first element of the current list that is not a number
+
+    def _more(self) -> None:
+        """Drop the consumed text and read at least as much again as is left."""
+        if self.eof:
+            raise _Unsure
+        left = self.text[self.pos:]
+        parts, size = [left], 0
+        while size <= len(left):
+            piece = self.f.read(READ_CHUNK)
+            if not piece:
+                self.eof = True
+                break
+            parts.append(piece)
+            size += len(piece)
+        self.text, self.pos = "".join(parts), 0
+
+    def _skip(self) -> str:
+        """Skip whitespace; the next character, or "" at the end of the file."""
+        while True:
+            self.pos = _WS.match(self.text, self.pos).end()
+            if self.pos < len(self.text) or self.eof:
+                return self.text[self.pos:self.pos + 1]
+            self._more()
+
+    def _sep(self, ends: str) -> str:
+        """Consume the next character, which must be one of ``ends``."""
+        c = self._skip()
+        if not c or c not in ends:
+            raise _Unsure
+        self.pos += 1
+        return c
+
+    def _value(self, ends: str):
+        """The value at pos, and the one of ``ends`` that must follow it.
+
+        The two are read together: a number is only known to be whole once the
+        text after it is read.
+        """
+        while True:
+            try:
+                value, end = _DECODE(self.text, self.pos)
+            except ValueError:
+                pass
+            else:
+                end = _WS.match(self.text, end).end()
+                if end < len(self.text) and self.text[end] in ends:
+                    self.pos = end + 1
+                    return value, self.text[end]
+            self._more()
+
+    def _object(self, read) -> dict:
+        """The object at pos, just past its "{", each value and the "," or "}"
+        after it read by ``read(key, first character)``."""
+        out = {}
+        if self._skip() == "}":
+            self.pos += 1
+            return out
+        while True:
+            self._skip()
+            while not self.text.startswith('"', self.pos):
+                self._more()
+            key, _ = self._value(":")
+            out[key], end = read(key, self._skip())
+            if end == "}":
+                return out
+
+    def _field(self, key: str, first: str):
+        if key in _SERIES and first == "{":
+            self.pos += 1
+            return self._object(self._node), self._sep(",}")
+        return self._value(",}")
+
+    def _node(self, key: str, first: str):
+        """A node's series as Runs; where read_value turns an element down, a list
+        of that element alone; and a value that is not a list, as it is."""
+        if first != "[":
+            return self._value(",}")
+        self.pos += 1
+        self.bad = None
+        runs = Runs(self._runs(key))
+        return runs if self.bad is None else self.bad, self._sep(",}")
+
+    def _runs(self, key: str):
+        """Yield the (value, count) runs of the list at pos, just past its "[",
+        each value as ``read_value(float, ...)`` reads it, and consume the "]"."""
+        if self._skip() == "]":
+            self.pos += 1
+            return
+        while True:
+            m = _RUN.match(self.text, self.pos)
+            if m:
+                value = _DECODE(self.text, self.pos)[0]
+                count = 1 + self.text.count(",", m.end(1), m.end())
+                self.pos = m.end()
+                end = self._sep(",]")
+            else:
+                (value, end), count = self._value(",]"), 1
+            if self.bad is None:
+                try:
+                    yield read_value(float, value, "result", key), count
+                except ValidationError:
+                    self.bad = [value]
+            if end == "]":
+                return
+            self._skip()
+
+    def document(self):
+        if self._skip() != "{":
+            raise _Unsure
+        self.pos += 1
+        doc = self._object(self._field)
+        if self._skip():
+            raise _Unsure  # trailing data
+        return doc
+
+
+def _read_result(path: str):
+    """The result document at ``path``, as ``json.loads`` reads it, except that
+    each per-node series list comes as Runs, read in bounded memory.
+
+    A list that read_value would turn down stays a short list that
+    _result_from_doc turns down the same way.  A document the streaming reader
+    does not accept, such as malformed JSON or a top level that is not an
+    object, is read again whole by json.loads, which gives the verdict.
+    """
+    try:
+        with open(path) as f:
+            return _ResultReader(f).document()
+    except (OSError, ValueError, _Unsure):
+        pass
     text = _read(path)
     try:
         return json.loads(text)
@@ -256,7 +421,7 @@ def _read_json(path: str):
 
 
 def cmd_report(args) -> int:
-    res = _result_from_doc(_read_json(args.result))  # the text and lists go before the report
+    res = _result_from_doc(_read_result(args.result))
     with _output_dir(args.out) as out:
         simulator.report(res, out)
     print(f"reports written to {args.out}")

@@ -246,21 +246,23 @@ class SimResult:
     def saturation_window_s(self, node: str, cap: float, frac: float = 0.95) -> int:
         """Longest contiguous run of 1-second buckets with egress >= frac * cap."""
         best = run = 0
-        for v in self.per_node_egress.get(node, []):
+        for v, count in self.per_node_egress.get(node, Runs()).runs():
             if v >= frac * cap:
-                run += 1
+                run += count
                 best = max(best, run)
             else:
                 run = 0
         return best
 
     def mean_io_wait_ms(self, nodes: list[str] | None = None) -> float:
-        samples = []
+        total, n = 0.0, 0
         for node, series in sorted(self.per_node_io_wait_ms.items()):
             if nodes is not None and node not in nodes:
                 continue
-            samples.extend(series)
-        return sum(samples) / len(samples) if samples else 0.0
+            for v, count in series.runs():
+                total += v * count
+                n += count
+        return total / n if n else 0.0
 
 
 class _Pair:
@@ -292,12 +294,14 @@ def _bucket_spans(t0: float, t1: float) -> tuple[int | None, float, int, float |
     """The 1-second buckets an interval [t0, t1) adds to, as a per-second walk finds them.
 
     The walk starts at t = t0 and, while t < t1 - _EPS, adds min(t1, i + 1) - t
-    seconds to bucket i = int(t) and moves t to i + 1.  Returns ``(first, span0,
-    stop, span1)``: bucket ``first`` gets span0 seconds (first is None when the
-    walk adds nothing), each bucket in ``range(first + 1, stop)`` gets exactly
-    1.0, and bucket ``stop`` gets span1 unless span1 is None.
+    seconds to bucket i = int(t) and moves t to i + 1; an interval shorter than
+    _EPS takes that one step, so its bytes still land in bucket int(t0).
+    Returns ``(first, span0, stop, span1)``: bucket ``first`` gets span0
+    seconds (first is None for an empty interval), each bucket in
+    ``range(first + 1, stop)`` gets exactly 1.0, and bucket ``stop`` gets span1
+    unless span1 is None.
     """
-    if not t0 < t1 - _EPS:
+    if not t0 < t1:
         return None, 0.0, 0, None
     first = int(t0)
     span0 = min(t1, first + 1.0) - t0
@@ -373,7 +377,8 @@ class _Engine:
         their first live flow and weighted by their live flow counts, so the
         constraints come up in the order a solve over single flows meets them,
         and a frozen share leaves each other constraint one subtraction per
-        flow: the rates equal that solve's to the bit.
+        flow: the rates equal that solve's to the bit.  A constraint left with
+        no unfrozen flow is dropped unsubtracted: its share is never read again.
         """
         caps = self.caps
         live: dict[_Pair, int] = {}  # live flows per pair, in order of its first flow
@@ -404,38 +409,46 @@ class _Engine:
                     continue
                 p.rate = best_fair
                 for k in p.keys:
-                    if k != best_key:
-                        rest = left[k]
-                        for _ in range(n):
-                            rest -= best_fair
-                        left[k] = rest
-                        count[k] -= n
-                        if count[k] == 0:
-                            del count[k]
+                    if k == best_key:
+                        continue
+                    if count[k] == n:
+                        del count[k]
+                        continue
+                    rest = left[k]
+                    for _ in range(n):
+                        rest -= best_fair
+                    left[k] = rest
+                    count[k] -= n
             del count[best_key]
 
-    def _advance(self, t_next: float) -> None:
-        """Send every live flow's bytes up to t_next and move the clock there.
+    def _advance(self, t_next: float) -> list[_Flow]:
+        """Send every live flow's bytes up to t_next, move the clock there, and
+        return the flows that finish at t_next, in flow order.
 
-        A flow never drops below zero bytes.  Every flow sends over [now,
-        t_next), so all of them add to the same egress buckets.  A bucket wholly
-        inside the interval is touched by no other event: it gets its source's
-        rates summed in flow order, and the whole stretch is one run.  The
-        partial first and last buckets get each flow's bytes in flow order too,
-        so every bucket rounds as if the flows were added to it one at a time.
-        Only the last bucket of a series is ever added to again: the next event
-        starts where this one ends.
+        A flow finishes at the event time it projected, ``now + remaining /
+        rate``, whatever bytes rounding leaves; it never drops below zero
+        bytes.  Every flow sends over [now, t_next), so all of them add to the
+        same egress buckets.  A bucket wholly inside the interval is touched by
+        no other event: it gets its source's rates summed in flow order, and
+        the whole stretch is one run.  The partial first and last buckets get
+        each flow's bytes in flow order too, so every bucket rounds as if the
+        flows were added to it one at a time.  Only the last bucket of a series
+        is ever added to again: the next event starts where this one ends.
         """
         egress = self.egress_buckets
-        dt = t_next - self.now
-        first, span0, stop, span1 = _bucket_spans(self.now, t_next)
+        now = self.now
+        dt = t_next - now
+        first, span0, stop, span1 = _bucket_spans(now, t_next)
         whole = first is not None and stop > first + 1
         head: dict[str, float] = {}  # bucket first, per source
         tail: dict[str, float] = {}  # bucket stop
         whole_rates: dict[str, float] = {}
+        finished = []
         for f in self.flows:
             rate = f.pair.rate
             if rate > 0:
+                if now + f.remaining / rate == t_next:
+                    finished.append(f)
                 left = f.remaining - rate * dt
                 f.remaining = 0.0 if left < 0.0 else left
                 if first is None:
@@ -458,6 +471,7 @@ class _Engine:
             if span1 is not None:
                 series._append(tail[src], 1)
         self.now = t_next
+        return finished
 
     # -- disk model ---------------------------------------------------------
 
@@ -624,22 +638,21 @@ class _Engine:
         self.dispatch()
         while self.flows or self.timers:
             self._solve_rates()
-            ends = [
-                self.now + f.remaining / rate if (rate := f.pair.rate) > 0 else math.inf
-                for f in self.flows
-            ]
-            t_next = min(ends, default=math.inf)
-            if self.timers:
-                t_next = min(t_next, self.timers[0][0])
+            now = self.now
+            t_next = self.timers[0][0] if self.timers else math.inf
+            for f in self.flows:
+                rate = f.pair.rate
+                if rate > 0:
+                    end = now + f.remaining / rate
+                    if end < t_next:
+                        t_next = end
             if math.isinf(t_next):
                 stuck = [j for j in self.jobs if j not in self.done]
                 raise SimError(f"simulation stalled; unfinished jobs: {stuck[:5]}")
-            # a flow finishes at the event time it projected, whatever bytes
-            # rounding leaves
-            finished = [f for f, end in zip(self.flows, ends) if end == t_next]
-            self._advance(t_next)
+            finished = self._advance(t_next)
             if finished:
-                self.flows = [f for f, end in zip(self.flows, ends) if end != t_next]
+                gone = set(finished)
+                self.flows = [f for f in self.flows if f not in gone]
 
             for f in finished:
                 self.egress_totals[f.src] += f.total

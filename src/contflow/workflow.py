@@ -18,8 +18,6 @@ import typing
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-import yaml
-
 from .errors import (
     CycleDetected,
     DanglingEdge,
@@ -230,9 +228,28 @@ def topological_levels(wf: AbstractWorkflow) -> dict[str, int]:
     return levels
 
 
-# libyaml's parser and emitter when PyYAML was built with it, else pure Python
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+_LOADER: type  # both set by _pyyaml()
+_DUMPER: type
+
+
+def _pyyaml():
+    """PyYAML, imported on first use: contflow's own documents never need it.
+
+    It sets ``_LOADER`` and ``_DUMPER`` unless they are set: libyaml's parser
+    and emitter when PyYAML was built with it, else pure Python.
+    """
+    import yaml
+    globals().setdefault("_LOADER", getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    globals().setdefault("_DUMPER", getattr(yaml, "CSafeDumper", yaml.SafeDumper))
+    return yaml
+
+
+def __getattr__(name: str):
+    if name in ("_LOADER", "_DUMPER"):
+        _pyyaml()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # A string PyYAML writes unquoted and reads back as a string: ASCII, no spaces,
 # no leading indicator, digit, sign or dot, no trailing ':' and no word that
@@ -475,6 +492,7 @@ def load_yaml(text: str, what: str, shape: type | tuple[type, ...] = dict):
     try:
         doc = _fast_load(text)
     except _Unsure:
+        yaml = _pyyaml()
         try:
             doc = yaml.load(text, Loader=_LOADER)
         except (yaml.YAMLError, ValueError) as exc:
@@ -495,7 +513,7 @@ def dump_yaml(doc) -> str:
     try:
         return _fast_dump(doc)
     except _Unsure:
-        return yaml.dump(doc, Dumper=_DUMPER, sort_keys=False, default_flow_style=False)
+        return _pyyaml().dump(doc, Dumper=_DUMPER, sort_keys=False, default_flow_style=False)
 
 
 # --- typed records -----------------------------------------------------------

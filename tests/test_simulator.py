@@ -20,6 +20,7 @@ from contflow.planner import (
     JobKind,
     PlacementMode,
     PlanConfig,
+    TransferPayload,
     plan,
 )
 from contflow.scenarios import (
@@ -266,6 +267,26 @@ class TestReport:
         for node, s in zip(nodes, sums):
             assert s == pytest.approx(res.egress_totals[node], rel=1e-3)
 
+    def test_sub_nanosecond_flows_reach_the_egress_columns(self, tmp_path):
+        # 10 B over 4.9e11 B/s lasts 2e-11 s, shorter than the engine's 1e-9 s
+        # tolerance; its bytes must still land in a bucket
+        topo = Topology(submit=NodeSpec("submit"), nfs=NodeSpec("nfs"),
+                        links={("submit", "nfs"): 4.9e11, ("nfs", "submit"): 4.9e11})
+        ewf = ExecutableWorkflow(
+            jobs=(Job("in", JobKind.STAGE_IN, "nfs",
+                      TransferPayload((("a", "b", 10),), "submit", "nfs")),
+                  Job("out", JobKind.STAGE_OUT, "submit",
+                      TransferPayload((("b", "c", 11),), "nfs", "submit"))),
+            edges=(("in", "out"),),
+        )
+        res = simulate(ewf, topo, SimConfig())
+        report(res, tmp_path)
+        header, *rows = (tmp_path / "egress.tsv").read_text().splitlines()
+        columns = zip(*(row.split("\t")[1:] for row in rows))
+        sums = {node: sum(map(float, col)) for node, col in zip(header.split("\t")[1:], columns)}
+        assert res.egress_totals == {"submit": 10.0, "nfs": 11.0}
+        assert sums == pytest.approx(res.egress_totals, rel=1e-6)
+
     def test_timeline_covers_every_job(self, tmp_path):
         ewf = demo_plan("docker", cluster_size=12)
         res = simulate(ewf, demo_topology(), SimConfig())
@@ -423,7 +444,7 @@ def links_and_flows(draw):
 def account_reference(buckets, t0, t1, rate):
     """Reference egress accounting for one flow: walks each 1-second bucket of [t0, t1)."""
     t = t0
-    while t < t1 - 1e-9:
+    while t < t1 - 1e-9 or t == t0 < t1:  # an interval under 1e-9 takes one step
         idx = int(t)
         while len(buckets) <= idx:
             buckets.append(0.0)

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -464,6 +467,19 @@ def test_no_module_imports_a_private_name_of_another():
                 private += [f"{path.name}: {a.name}" for a in node.names
                             if a.name.startswith("_")]
     assert private == []
+
+
+def test_importing_the_cli_leaves_pyyaml_unloaded():
+    # a flow-style document still parses: PyYAML is imported when it is needed
+    code = ("import sys, contflow.cli\n"
+            "print('yaml' in sys.modules)\n"
+            "from contflow.planner import parse_sites\n"
+            "site, = parse_sites('- {name: s, shared_fs: true}\\n')\n"
+            "print(site.name, site.shared_fs, 'yaml' in sys.modules)\n")
+    src = str(Path(contflow.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "False\ns True True\n"
 
 
 def test_long_escaped_string_loads_back_through_either_path():
