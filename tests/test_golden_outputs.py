@@ -29,14 +29,18 @@ from contflow.simulator import serialize_topology
 DIGESTS = Path(__file__).parent / "golden" / "sim_digests.json"
 REPORT_FILES = ("summary.txt", "egress.tsv", "io_wait.tsv", "timeline.tsv")
 
-# name: (container, cluster size, shared FS, tasks, task runtime in s)
+# name: (container, cluster size, shared FS, tasks, task runtime in s,
+#        extra ``simulate`` flags, cleanup jobs planned)
 SCENARIOS = {
-    "docker_k1": ("docker", 1, False, 63, 5.0),
-    "docker_k12": ("docker", 12, False, 63, 5.0),
-    "singularity_k1": ("singularity", 1, False, 63, 5.0),
-    "docker_shared_fs": ("docker", 1, True, 63, 5.0),
-    "none_k1": (None, 1, False, 63, 5.0),
-    "docker_5_tasks_5000s": ("docker", 1, False, 5, 5000.0),
+    "docker_k1": ("docker", 1, False, 63, 5.0, (), False),
+    "docker_k12": ("docker", 12, False, 63, 5.0, (), False),
+    "singularity_k1": ("singularity", 1, False, 63, 5.0, (), False),
+    "docker_shared_fs": ("docker", 1, True, 63, 5.0, (), False),
+    "none_k1": (None, 1, False, 63, 5.0, (), False),
+    "docker_5_tasks_5000s": ("docker", 1, False, 5, 5000.0, (), False),
+    "docker_k1_no_fair_share": ("docker", 1, False, 63, 5.0, ("--no-fair-share",), False),
+    "docker_k1_dedup_load_off": ("docker", 1, False, 63, 5.0, ("--dedup-load", "off"), False),
+    "docker_k1_cleanup": ("docker", 1, False, 63, 5.0, (), True),
 }
 
 
@@ -45,14 +49,14 @@ def output_digests(name: str, work: Path) -> dict[str, str]:
 
     Returns the SHA-256 of each file, keyed ``sim/<file>`` and ``report/<file>``.
     """
-    container, k, shared_fs, n_tasks, runtime_s = SCENARIOS[name]
+    container, k, shared_fs, n_tasks, runtime_s, flags, cleanup = SCENARIOS[name]
     ewf = plan(demo_workflow(n_tasks=n_tasks, runtime_s=runtime_s), demo_catalog(container),
                demo_sites(shared_fs=shared_fs),
-               PlanConfig(cluster_size=k, output_site=SUBMIT_SITE, cleanup=False))
+               PlanConfig(cluster_size=k, output_site=SUBMIT_SITE, cleanup=cleanup))
     exe, topo = work / "executable.yml", work / "topology.yml"
     exe.write_text(serialize_executable(ewf))
     topo.write_text(serialize_topology(demo_topology()))
-    assert main(["simulate", str(exe), str(topo), "--out", str(work / "sim")]) == 0
+    assert main(["simulate", str(exe), str(topo), *flags, "--out", str(work / "sim")]) == 0
     assert main(["report", str(work / "sim" / "result.json"),
                  "--out", str(work / "report")]) == 0
     paths = [f"sim/{f}" for f in ("result.json", *REPORT_FILES)]

@@ -200,6 +200,15 @@ class TestRenderWrapper:
                                   placement)
         assert render_wrapper(plan) == (GOLDEN / fname).read_text()
 
+    def test_golden_script_staging_outside_without_dedup(self):
+        cdef = make_cdef(image="docker:///acme/tools:1.2",
+                         mounts=(MountSpec("/data", "/shared-data", ("ro",)),),
+                         profiles={"JAVA_HOME": "/opt/java"})
+        plan = build_wrapper_plan(make_job(), cdef, PlacementMode.STAGE_COPY,
+                                  staging_inside=False, dedup_load=False)
+        assert render_wrapper(plan) == \
+            (GOLDEN / "wrapper_docker_staging_outside.sh").read_text()
+
     def test_dedup_guard_present_iff_flag(self):
         job, cdef = make_job(), make_cdef()
         guarded = render_wrapper(build_wrapper_plan(
