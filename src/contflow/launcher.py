@@ -81,12 +81,12 @@ def build_wrapper_plan(
             f"job {job.id!r}: bypass placement requires a site-local container"
         )
 
-    stage_in = Step(StepKind.STAGE_IN, {"files": list(payload.input_files)})
-    stage_out = Step(StepKind.STAGE_OUT, {"files": list(payload.output_files)})
+    stage_in = Step(StepKind.STAGE_IN, {"files": payload.input_files})
+    stage_out = Step(StepKind.STAGE_OUT, {"files": payload.output_files})
     # without a container the host is where the task runs, so staging is inside
     staging_inside = staging_inside or cdef is None
     inner = [
-        Step(StepKind.WORKER_SETUP, {}),
+        Step(StepKind.WORKER_SETUP),
         Step(StepKind.ENV_SETUP, {"env": dict(cdef.profiles) if cdef else {}}),
     ]
     if staging_inside:
@@ -95,14 +95,13 @@ def build_wrapper_plan(
     if staging_inside:
         inner.append(stage_out)
 
-    host: list[Step] = [Step(StepKind.CREATE_JOB_DIR, {"job": job.id})]
+    host: list[Step] = [Step(StepKind.CREATE_JOB_DIR)]
     if cdef is None:
         host.extend(inner)
-        host.append(Step(StepKind.REMOVE_JOB_DIR, {"job": job.id}))
+        host.append(Step(StepKind.REMOVE_JOB_DIR))
         return WrapperPlan(job.id, tuple(host), container_steps=(), backend=None)
 
     backend = cdef.runtime
-    mounts = (MountSpec("$jobdir", JOB_DIR_MOUNT[backend]),) + cdef.mounts
     image_url = cdef.image.url()
     if placement is PlacementMode.STAGE_COPY:
         host.append(Step(StepKind.MATERIALIZE_IMAGE, {"mode": "pull", "image": image_url}))
@@ -111,24 +110,23 @@ def build_wrapper_plan(
     # Bypass / ShifterLocal reference the image directly, no materialization
     if backend is ContainerRuntime.DOCKER:
         host.append(Step(StepKind.LOAD_IMAGE, {"image": image_url, "dedup": dedup_load}))
-        host.append(Step(StepKind.ENSURE_USER, {"uid": "$host_uid", "gid": "$host_gid"}))
+        host.append(Step(StepKind.ENSURE_USER))
     if not staging_inside:
         host.append(stage_in)
-    host.append(Step(StepKind.START_CONTAINER,
-                     {"image": image_url, "mounts": [m.render() for m in mounts]}))
+    host.append(Step(StepKind.START_CONTAINER, {"image": image_url}))
     if backend is ContainerRuntime.DOCKER:
-        host.append(Step(StepKind.STOP_CONTAINER, {}))
+        host.append(Step(StepKind.STOP_CONTAINER))
         host.append(Step(StepKind.UNLOAD_IMAGE, {"image": image_url}))
     if not staging_inside:
         host.append(stage_out)
-    host.append(Step(StepKind.REMOVE_JOB_DIR, {"job": job.id}))
+    host.append(Step(StepKind.REMOVE_JOB_DIR))
 
     return WrapperPlan(
         job_id=job.id,
         host_steps=tuple(host),
         container_steps=tuple(inner),
         backend=backend,
-        mounts=mounts,
+        mounts=(MountSpec("$jobdir", JOB_DIR_MOUNT[backend]),) + cdef.mounts,
     )
 
 
@@ -161,7 +159,7 @@ def _render_step(step: Step, plan: WrapperPlan, where: str) -> list[str]:
     elif k is StepKind.ENSURE_USER:
         lines += ['ensure-container-user "$(id -u)" "$(id -g)"']
     elif k is StepKind.START_CONTAINER:
-        mounts = " ".join(f'-v "{m}"' for m in step.args["mounts"])
+        mounts = " ".join(f'-v "{m.render()}"' for m in plan.mounts)
         runner = {
             ContainerRuntime.DOCKER: "docker run",
             ContainerRuntime.SINGULARITY: "singularity exec",

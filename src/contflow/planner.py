@@ -488,7 +488,7 @@ def parse_executable(text: str) -> ExecutableWorkflow:
                              raw.get("payload", {}), "executable", "payload")
         jobs.append(read_record(Job, raw, "executable", kind=kind, payload=payload))
     ewf = read_record(ExecutableWorkflow, doc, "executable", jobs=tuple(jobs))
-    _check_jobs(ewf)
+    require_acyclic(_check_jobs(ewf), ewf.edges)
     return ewf
 
 

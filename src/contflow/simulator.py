@@ -293,9 +293,9 @@ class _Flow:
 def _bucket_spans(t0: float, t1: float) -> tuple[int | None, float, int, float | None]:
     """The 1-second buckets an interval [t0, t1) adds to, as a per-second walk finds them.
 
-    The walk starts at t = t0 and, while t < t1 - _EPS, adds min(t1, i + 1) - t
-    seconds to bucket i = int(t) and moves t to i + 1; an interval shorter than
-    _EPS takes that one step, so its bytes still land in bucket int(t0).
+    The walk starts at t = t0 and, while t < t1, adds min(t1, i + 1) - t
+    seconds to bucket i = int(t) and moves t to i + 1, so however short the
+    interval or its part past the last whole second, its bytes land.
     Returns ``(first, span0, stop, span1)``: bucket ``first`` gets span0
     seconds (first is None for an empty interval), each bucket in
     ``range(first + 1, stop)`` gets exactly 1.0, and bucket ``stop`` gets span1
@@ -306,7 +306,7 @@ def _bucket_spans(t0: float, t1: float) -> tuple[int | None, float, int, float |
     first = int(t0)
     span0 = min(t1, first + 1.0) - t0
     stop = max(first + 1, int(t1))
-    return first, span0, stop, (t1 - stop if stop < t1 - _EPS else None)
+    return first, span0, stop, (t1 - stop if stop < t1 else None)
 
 
 class _Engine:
@@ -540,7 +540,8 @@ class _Engine:
                 return False
             self.running_on[node] += 1
             self.timeline[job.id] = (self.now, -1.0, node)
-            self._compute_image_phase(job, node)
+            routine = self._compute(job, node, lambda: next(routine, None))
+            next(routine)
             return True
 
         if job.kind is JobKind.CLEANUP:
@@ -566,7 +567,13 @@ class _Engine:
         )
         return True
 
-    def _compute_image_phase(self, job: Job, node: str) -> None:
+    def _compute(self, job: Job, node: str, then):
+        """Run compute job ``job`` on ``node``, one phase per ``yield``.
+
+        The phases are the image copy, the image load (untar), stage-in, the
+        run and stage-out.  Each hands ``then`` to the flow, untar or timer it
+        starts and yields; ``then`` resumes the routine when that one ends.
+        """
         p = job.payload
         assert isinstance(p, ComputePayload)
         if p.container is not None and p.placement in (
@@ -575,53 +582,34 @@ class _Engine:
             raise MissingSize(
                 f"job {job.id!r}: container {p.container!r} has no image size"
             )
-        after = lambda: self._compute_untar_phase(job, node)
         if p.placement is PlacementMode.STAGE_COPY and p.image_bytes > 0:
             staging = self._staging_node(p.staging_site)
-            self.start_flow(staging, node, p.image_bytes, "container", after)
+            self.start_flow(staging, node, p.image_bytes, "container", then)
         else:
             # symlink / bypass / local registry / no container: no copy to the worker
-            self.at(self.now, after)
-
-    def _compute_untar_phase(self, job: Job, node: str) -> None:
-        p = job.payload
-        assert isinstance(p, ComputePayload)
-        after = lambda: self._compute_stagein_phase(job, node)
-        needs_untar = (
+            self.at(self.now, then)
+        yield
+        key = (p.container, node)
+        if not (
             p.backend is ContainerRuntime.DOCKER
             and p.container is not None
             and p.image_bytes > 0
             and p.placement is not PlacementMode.BYPASS
-        )
-        if not needs_untar:
-            self.at(self.now, after)
-            return
-        key = (p.container, node)
-        if self.cfg.docker_load_dedup and key in self.untar_done_at:
-            self.at(max(self.now, self.untar_done_at[key]), after)
-            return
-        end = self.enqueue_untar(node, p.image_bytes, after)
-        self.untar_done_at[key] = end
-
-    def _compute_stagein_phase(self, job: Job, node: str) -> None:
-        p = job.payload
-        assert isinstance(p, ComputePayload)
-        nbytes = sum(s for _, s in p.input_files)
+        ):
+            self.at(self.now, then)
+        elif self.cfg.docker_load_dedup and key in self.untar_done_at:
+            self.at(max(self.now, self.untar_done_at[key]), then)
+        else:
+            self.untar_done_at[key] = self.enqueue_untar(node, p.image_bytes, then)
+        yield
         staging = self._staging_node(p.staging_site)
-        self.start_flow(
-            staging, node, nbytes, "data_in",
-            lambda: self.at(self.now + p.runtime_s,
-                            lambda: self._compute_stageout_phase(job, node)),
-        )
-
-    def _compute_stageout_phase(self, job: Job, node: str) -> None:
-        p = job.payload
-        assert isinstance(p, ComputePayload)
-        nbytes = sum(s for _, s in p.output_files)
-        staging = self._staging_node(p.staging_site)
-        self.start_flow(
-            node, staging, nbytes, "data_out", lambda: self.finish_job(job)
-        )
+        self.start_flow(staging, node, sum(s for _, s in p.input_files), "data_in", then)
+        yield
+        self.at(self.now + p.runtime_s, then)
+        yield
+        self.start_flow(node, staging, sum(s for _, s in p.output_files), "data_out", then)
+        yield
+        self.finish_job(job)
 
     def finish_job(self, job: Job) -> None:
         self.done.add(job.id)
@@ -761,7 +749,8 @@ def critical_path_lower_bound(ewf: ExecutableWorkflow, topo: Topology) -> float:
 
 # --- reporting -------------------------------------------------------------
 
-WRITE_CHUNK = 4096  # rows or lines per write of a long run
+WRITE_CHUNK = 4096  # lines per write of a long run in result.json
+WRITE_CHARS = 1 << 16  # characters per write of a long run of table rows
 
 
 def _write_series_table(f, series_map: dict[str, Runs]) -> None:
@@ -769,7 +758,7 @@ def _write_series_table(f, series_map: dict[str, Runs]) -> None:
 
     A series shorter than the longest reads as 0.0 past its end.  The rows
     where every column stays in one run share their cells, each formatted
-    once, and go out in pieces of at most WRITE_CHUNK rows.
+    once, and go out in pieces of at most WRITE_CHARS characters, or one row.
     """
     nodes = sorted(series_map)
     n = max((len(series_map[x]) for x in nodes), default=0)
@@ -788,8 +777,9 @@ def _write_series_table(f, series_map: dict[str, Runs]) -> None:
                 col[1:] = next(col[0])
         step = min(col[2] for col in columns)
         row = "".join(col[1] for col in columns) + "\n"
-        for lo in range(t, t + step, WRITE_CHUNK):
-            f.write(row.join(map(str, range(lo, min(lo + WRITE_CHUNK, t + step)))) + row)
+        rows = max(1, WRITE_CHARS // (len(str(t + step)) + len(row)))
+        for lo in range(t, t + step, rows):
+            f.write(row.join(map(str, range(lo, min(lo + rows, t + step)))) + row)
         for col in columns:
             col[2] -= step
         t += step

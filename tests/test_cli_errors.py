@@ -240,6 +240,22 @@ def test_executable_runtime_must_be_finite_and_not_negative(docs, tmp_path, caps
             f"got {expected}\n")
 
 
+def test_cyclic_executable_exits_1_in_every_command(docs, tmp_path, capsys):
+    p, paths = docs
+    edited(paths["executable"], "edges:\n", "edges:\n"
+           "- - compute_nowcast00\n  - compute_nowcast01\n"
+           "- - compute_nowcast01\n  - compute_nowcast00\n")
+    for argv in (["wrappers", p["executable"], p["catalog"], "--out", str(tmp_path / "w")],
+                 ["run", p["executable"], p["catalog"]],
+                 ["simulate", p["executable"], p["topology"], "--out", str(tmp_path / "s")]):
+        capsys.readouterr()
+        assert main(argv) == 1, argv[0]
+        assert capsys.readouterr().err == (
+            "error: cycle detected: compute_nowcast00 -> compute_nowcast01 "
+            "-> compute_nowcast00\n"), argv[0]
+    assert not (tmp_path / "w").exists()
+
+
 @pytest.mark.parametrize("fail_step, message", [
     ("ghost:stage-in", "no job 'ghost'"),
     (f"{FETCH_JOB}:stage-in", f"job '{FETCH_JOB}' runs no stage-in step"),

@@ -27,6 +27,7 @@ from contflow.scenarios import (
     demo_workflow,
 )
 from contflow.simulator import (
+    WRITE_CHARS,
     WRITE_CHUNK,
     FlowRecord,
     Runs,
@@ -164,6 +165,27 @@ class TestResultWriter:
         _write_series_table(out, {"a": Runs([(1.0, n)]), "b": Runs([(0.0, 7), (2.0, n - 7)])})
         assert out.chars > n * len("\t1.000000\t2.000000\n")
         assert out.largest <= WRITE_CHUNK * len("300000\t1.000000\t2.000000\n")
+
+
+@pytest.mark.parametrize("value", [0.0, 1.25e8])
+def test_series_table_pieces_are_bounded_in_characters_not_rows(value):
+    """18 columns of 100,000 equal rows: each write, and the memory it takes,
+    stays near WRITE_CHARS characters however wide a row is."""
+    series_map = {f"w{i:02d}": Runs([(value, 100_000)]) for i in range(18)}
+    out = CountingFile()
+    tracemalloc.start()
+    try:
+        _write_series_table(out, series_map)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.chars > 100_000 * 18 * len("\t0.000000")
+    assert out.largest <= WRITE_CHARS
+    assert peak < 4 * WRITE_CHARS + 64_000
+    few = {x: Runs([(value, 1_000)]) for x in series_map}  # several pieces, not 100,000 rows
+    text = io.StringIO()
+    _write_series_table(text, few)
+    assert text.getvalue() == series_table_reference(few)
 
 
 def test_simulate_memory_does_not_grow_with_simulated_seconds():

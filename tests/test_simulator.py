@@ -287,6 +287,27 @@ class TestReport:
         assert res.egress_totals == {"submit": 10.0, "nfs": 11.0}
         assert sums == pytest.approx(res.egress_totals, rel=1e-6)
 
+    def test_sliver_after_the_last_whole_second_reaches_the_egress_columns(self, tmp_path):
+        # the stage-out sends over [0.5, 3.0000000005) at 1e12 B/s; bucket 3
+        # must get the last 5e-10 s, 500 B, although that is under 1e-9 s
+        topo = Topology(submit=NodeSpec("submit"), nfs=NodeSpec("nfs"),
+                        links={("submit", "nfs"): 1e12, ("nfs", "submit"): 1e12})
+        ewf = ExecutableWorkflow(
+            jobs=(Job("in", JobKind.STAGE_IN, "nfs",
+                      TransferPayload((("a", "b", 500_000_000_000),), "submit", "nfs")),
+                  Job("out", JobKind.STAGE_OUT, "submit",
+                      TransferPayload((("b", "c", 2_500_000_000_500),), "nfs", "submit"))),
+            edges=(("in", "out"),),
+        )
+        res = simulate(ewf, topo, SimConfig())
+        report(res, tmp_path)
+        header, *rows = (tmp_path / "egress.tsv").read_text().splitlines()
+        columns = zip(*(row.split("\t")[1:] for row in rows))
+        sums = {node: sum(map(float, col)) for node, col in zip(header.split("\t")[1:], columns)}
+        assert res.egress_totals == {"submit": 5e11, "nfs": 2_500_000_000_500.0}
+        assert len(rows) == 4
+        assert sums == pytest.approx(res.egress_totals, rel=0, abs=1.0)
+
     def test_timeline_covers_every_job(self, tmp_path):
         ewf = demo_plan("docker", cluster_size=12)
         res = simulate(ewf, demo_topology(), SimConfig())
@@ -444,7 +465,7 @@ def links_and_flows(draw):
 def account_reference(buckets, t0, t1, rate):
     """Reference egress accounting for one flow: walks each 1-second bucket of [t0, t1)."""
     t = t0
-    while t < t1 - 1e-9 or t == t0 < t1:  # an interval under 1e-9 takes one step
+    while t < t1:
         idx = int(t)
         while len(buckets) <= idx:
             buckets.append(0.0)
