@@ -10,7 +10,6 @@ one thread, in deterministic rounds of up to ``slots`` jobs.
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass, field
 
 from .catalog import Catalog, ContainerDef, ContainerRuntime, MountSpec
@@ -255,8 +254,8 @@ class StepRecord:
     job_id: str
     kind: StepKind
     node: str
-    started: float
-    ended: float
+    started: int  # logical ticks, see execute_local
+    ended: int
     effect: str = ""
 
 
@@ -301,9 +300,12 @@ def execute_local(
     and then releases the jobs that finished ok.  That is what ``slots``
     workers would do if every job took the same time, and the same inputs
     always give the same report.  Each step is simulated and its effect
-    recorded.  A step that fails, by injection or by raising, fails its job,
-    skips the job's descendants and makes the call raise StepFailed once every
-    other job has finished.  ``slots`` or ``node_count`` below 1, and a
+    recorded, with a logical clock for its start and end: a step takes one
+    tick, the jobs of a round start together at the round's first tick, and
+    the next round starts when the round's longest job ends.  A step that
+    fails, by injection or by raising, fails its job, skips the job's
+    descendants and makes the call raise StepFailed once every other job has
+    finished.  ``slots`` or ``node_count`` below 1, and a
     ``fail_step`` whose job is not in ``ewf`` or runs no step of that kind,
     raise ValidationError, and a cycle raises CycleDetected, before any job
     starts.
@@ -325,10 +327,9 @@ def execute_local(
     loaded: set[tuple[str, str]] = set()  # (image, node) pairs already loaded
     first_error: StepFailed | None = None
 
-    def run_steps(job: Job, node: str) -> JobReport:
+    def run_steps(job: Job, node: str, clock: int) -> JobReport:
         jr = JobReport(job_id=job.id, status="ok", node=node)
-        for step in job_steps(job, plans.get(job.id)):
-            t0 = time.monotonic()
+        for tick, step in enumerate(job_steps(job, plans.get(job.id)), clock):
             effect = ""
             try:
                 if fail_step is not None and fail_step == (job.id, step.kind):
@@ -342,24 +343,27 @@ def execute_local(
                     effect = "files-written"
             except Exception as exc:  # a malformed step fails its job, not the run
                 jr.error = f"{type(exc).__name__}: {exc}"
-            jr.steps.append(StepRecord(job.id, step.kind, node, t0, time.monotonic(), effect))
+            jr.steps.append(StepRecord(job.id, step.kind, node, tick, tick + 1, effect))
             if jr.error:
                 jr.status = "failed"
                 return jr
         return jr
 
     dispatched = 0
+    clock = 0  # the round's first tick
     while ready:
         started = []
         while ready and len(started) < slots:
             started.append(ready.pop())
         # nothing is popped until the next round, so releasing each job as
         # soon as it has run is the same as releasing the round at its end
+        longest = 0  # steps in the round's longest job
         for job_id in started:
             jr = report.jobs[job_id] = run_steps(
-                jobs[job_id], f"node{dispatched % node_count}"
+                jobs[job_id], f"node{dispatched % node_count}", clock
             )
             dispatched += 1
+            longest = max(longest, len(jr.steps))
             if jr.status == "ok":
                 ready.release(job_id)
                 continue
@@ -371,6 +375,7 @@ def execute_local(
                     if child not in report.jobs:
                         report.jobs[child] = JobReport(job_id=child, status="skipped")
                         stack.append(child)
+        clock += longest
 
     if first_error is not None:
         first_error.report = report  # let callers inspect partial results

@@ -365,32 +365,45 @@ def _value(token: str):
     return value
 
 
+def _item(item: str):
+    """The value of a flow list item or flow mapping value; _Unsure if none.
+
+    It is a ``_QUOTED`` string, or a plain scalar or number without ':' (inside
+    a flow collection, ``a: b`` would be a mapping).
+    """
+    if _QUOTED.fullmatch(item):
+        return item[1:-1]
+    if ":" in item:
+        raise _Unsure
+    return _value(item)
+
+
 def _token(token: str):
     """The value of a value token; a list comes back as a tuple.
 
-    Besides ``dump_yaml``'s own tokens, this reads the two inline forms that
-    hand-written documents use: a ``_QUOTED`` string, and a one-line flow list
-    ``[a, "b"]`` whose items are such strings, or plain scalars and numbers
-    without ':' (inside ``[...]``, ``a: b`` would be a mapping).
+    Besides ``dump_yaml``'s own tokens, this reads the three inline forms that
+    hand-written documents use: a ``_QUOTED`` string, a one-line flow list
+    ``[a, "b"]`` of ``_item``s, and a one-line flow mapping ``{a: 1, b: "c"}``
+    of distinct plain keys and ``_item`` values.
     """
     first = token[:1]
     if first == '"' and _QUOTED.fullmatch(token):
         return token[1:-1]
     if token == "[]" or token == "{}":
         return () if token == "[]" else {}
+    if first == "{" and token[-1] == "}":
+        mapping = {}
+        for item in token[1:-1].split(", "):
+            key, sep, value = item.partition(": ")
+            if not sep or len(key) >= 128 or key in mapping:
+                raise _Unsure
+            mapping[_plain(key)] = _item(value)
+        return mapping
     if first != "[":
         return _value(token)
     if token[-1] != "]":
         raise _Unsure
-    items = []
-    for item in token[1:-1].split(", "):
-        if _QUOTED.fullmatch(item):
-            items.append(item[1:-1])
-        elif ":" in item:
-            raise _Unsure
-        else:
-            items.append(_value(item))
-    return tuple(items)
+    return tuple(map(_item, token[1:-1].split(", ")))
 
 
 # How a memoised token value is copied for each entry: no two share a list or dict.
@@ -401,10 +414,11 @@ def _fast_load(text: str):
     """Read a document in ``_fast_dump``'s grammar, checking each token as it goes.
 
     Every line is a row: zero or more ``- `` item markers, then a ``key: token``,
-    a ``key:`` or a bare token.  A list continues at its own column; a dict
-    under ``key:`` starts two columns in and a list under it at the key's
-    column.  Each distinct key and token is checked once.  Anything else,
-    including a repeated key, raises _Unsure.
+    a ``key:`` or a bare token; an item that starts with ``{`` is a token, a
+    flow mapping.  A list continues at its own column; a dict under ``key:``
+    starts two columns in and a list under it at the key's column.  Each
+    distinct key and token is checked once.  Anything else, including a
+    repeated key, raises _Unsure.
     """
     lines = text.split("\n")
     if len(lines) < 2 or lines.pop():
@@ -438,7 +452,7 @@ def _fast_load(text: str):
             s = s[2:]
             col += 2
             item = s[:2] == "- "
-            if item or ": " in s or s[-1:] == ":":  # the item is a block list or dict
+            if item or s[:1] != "{" and (": " in s or s[-1:] == ":"):  # a block list or dict
                 if col > _MAX_INDENT:
                     raise _Unsure
                 child = [] if item else {}
@@ -485,9 +499,9 @@ def load_yaml(text: str, what: str, shape: type | tuple[type, ...] = dict):
     An empty document reads as ``{}``.  Malformed YAML, a value PyYAML cannot
     construct (``2020-13-45``, ``!!int 'x'``: a ValueError) and any other
     top-level type raise ValidationError.  A document in the block style
-    ``dump_yaml`` writes, with quoted strings and one-line flow lists allowed
-    as values, is read by a line reader that checks each token; every other
-    document goes to PyYAML.
+    ``dump_yaml`` writes, with quoted strings and one-line flow lists and
+    mappings allowed as values, is read by a line reader that checks each
+    token; every other document goes to PyYAML.
     """
     try:
         doc = _fast_load(text)

@@ -391,6 +391,26 @@ class TestDeterministicRounds:
             tables.append(capsys.readouterr().out)
         assert tables[0] == tables[1]
 
+    def test_two_calls_give_equal_reports(self, mixed_executable):
+        exe, catalog = mixed_executable
+        ewf = parse_executable(Path(exe).read_text())
+        plans = build_plans(ewf, parse_catalog(Path(catalog).read_text()))
+        first = execute_local(ewf, plans, slots=3, node_count=4)
+        assert execute_local(ewf, plans, slots=3, node_count=4) == first
+
+    def test_step_ticks_follow_the_rounds(self):
+        ewf, cat = shared_image_workflow(12)
+        report = execute_local(ewf, build_plans(ewf, cat), slots=8, node_count=3)
+        by_round = sorted(report.jobs.values(), key=lambda jr: jr.steps[0].started)
+        first, second = by_round[:8], by_round[8:]
+        assert {jr.steps[0].started for jr in first} == {0}
+        longest = max(len(jr.steps) for jr in first)
+        assert {jr.steps[0].started for jr in second} == {longest}
+        for jr in report.jobs.values():  # one tick per step, back to back
+            start = jr.steps[0].started
+            assert [(s.started, s.ended) for s in jr.steps] == [
+                (start + i, start + i + 1) for i in range(len(jr.steps))]
+
     @pytest.mark.parametrize("slots", [1, 2, 64])
     def test_one_load_per_image_and_node_and_parents_first(self, mixed_executable, slots):
         exe, catalog = mixed_executable

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -271,11 +272,26 @@ def hand_text(doc, quote: bool) -> str:
     """``doc`` as the benchmark's inputs are written by hand.
 
     Dicts, and lists holding a dict or list, are in block style; any other
-    list is one flow line ``[a, "b"]``.  Numbers are written with ``repr``.  A
-    string is double-quoted when ``quote`` is set or when it cannot be plain,
-    with JSON's escapes where it holds a quote, a backslash or a control
-    character.  A key is plain when it can be, else quoted.
+    list is one flow line ``[a, "b"]``.  Every second nested dict of plain
+    keys and scalar values, counting in the order written, is one flow line
+    ``{a: 1, b: "c"}`` instead, as the benchmark's sites and topology are
+    written; a string value of such a dict holds none of ``,:{}[]``.  Numbers
+    are written with ``repr``.  A string is double-quoted when ``quote`` is
+    set or when it cannot be plain, with JSON's escapes where it holds a
+    quote, a backslash or a control character.  A key is plain when it can
+    be, else quoted.
     """
+    seen = []  # the nested dicts that could be flow lines, in the order written
+
+    def flow(x):
+        if type(x) is dict and x and all(
+                fast_text({k: 0}) and (v is None or type(v) in (bool, int, float)
+                                       or type(v) is str and not set(v) & set(",:{}[]"))
+                for k, v in x.items()):
+            seen.append(x)
+            return len(seen) % 2 == 0
+        return False
+
     def string(x, plain):
         if plain:
             try:
@@ -300,13 +316,15 @@ def hand_text(doc, quote: bool) -> str:
             type(x) is dict or any(type(v) in (dict, list) for v in x))
 
     def value(x):
+        if type(x) is dict and x:
+            return "{" + ", ".join(f"{k}: {scalar(v)}" for k, v in x.items()) + "}"
         return "[" + ", ".join(map(scalar, x)) + "]" if type(x) is list and x else scalar(x)
 
     def emit(node, first, rest):
         if type(node) is dict:
             for key, v in node.items():
                 key = string(key, True) if key else '""'
-                if block(v):
+                if block(v) and not flow(v):
                     out.append(f"{first}{key}:")
                     indent = rest + "  " if type(v) is dict else rest
                     emit(v, indent, indent)
@@ -315,7 +333,7 @@ def hand_text(doc, quote: bool) -> str:
                 first = rest
         else:
             for v in node:
-                if block(v):
+                if block(v) and not flow(v):
                     emit(v, first + "- ", rest + "  ")
                 else:
                     out.append(f"{first}- {value(v)}")
@@ -384,6 +402,28 @@ def test_repeated_key_is_left_to_pyyaml():
         with pytest.raises(workflow._Unsure):
             workflow._fast_load(text)
         assert read(text) == libyaml_read(text)
+
+
+@pytest.mark.parametrize("token", [
+    "{a: 1, a: 2}", "{a: x:y}", "{ a: b }", "{a: b,}", "{a: {b: c}}", "{a: [b]}",
+    '{a: "x, y"}', "{a: 1e8}", "{a: ~}",
+])
+def test_flow_mappings_outside_the_grammar_are_left_to_libyaml(token):
+    for text in (f"- {token}\n", f"k: {token}\n"):
+        with pytest.raises(workflow._Unsure):
+            workflow._fast_load(text)
+        assert read(text) == libyaml_read(text)
+
+
+@pytest.mark.parametrize("text", [
+    "- {a: b}: c\n", "k: {}\n", "- {name: submit}\n- {name: nfs, shared_fs: true}\n",
+    "submit: {name: submit, slots: 1}\nlinks:\n"
+    "- {src: submit, dst: condorpool/w1, bandwidth: 125000000.0}\n",
+    '- - {a: "x y", b: -1, c: null, d: \'\'}\n', "- {a:b: c, d: e/f}\n",
+    '- {a: "x: y", b: "[c]", c: "{d}"}\n', '- {a: "p, q: r"}\n',
+])
+def test_flow_mapping_documents_agree_with_libyaml(text):
+    assert read(text) == libyaml_read(text)
 
 
 def test_no_two_entries_share_a_list_or_dict():
@@ -470,16 +510,39 @@ def test_no_module_imports_a_private_name_of_another():
 
 
 def test_importing_the_cli_leaves_pyyaml_unloaded():
-    # a flow-style document still parses: PyYAML is imported when it is needed
+    # a document with a comment still parses: PyYAML is imported when it is needed
     code = ("import sys, contflow.cli\n"
             "print('yaml' in sys.modules)\n"
             "from contflow.planner import parse_sites\n"
-            "site, = parse_sites('- {name: s, shared_fs: true}\\n')\n"
+            "site, = parse_sites('# one site\\n- {name: s, shared_fs: true}\\n')\n"
             "print(site.name, site.shared_fs, 'yaml' in sys.modules)\n")
     src = str(Path(contflow.__file__).parent.parent)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout == "False\ns True True\n"
+
+
+def test_plan_and_simulate_on_benchmark_inputs_leave_pyyaml_unloaded(tmp_path, monkeypatch):
+    benchmarks = Path(__file__).resolve().parents[1] / "benchmarks"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads",
+                                                  benchmarks / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks it up
+    spec.loader.exec_module(workloads)
+    src = str(Path(contflow.__file__).parent.parent)
+    for name in workloads.WORKLOADS:
+        i = {k: str(v) for k, v in workloads.write_inputs(name, 0, tmp_path / name).items()}
+        exe = str(tmp_path / name / "executable.yml")
+        argvs = [["plan", i["workflow.yml"], i["catalog.yml"], i["sites.yml"], "--out", exe],
+                 ["simulate", exe, i["topology.yml"], "--out", str(tmp_path / name / "sim")]]
+        code = ("import sys\nfrom contflow.cli import main\n"
+                f"for argv in {argvs!r}:\n"
+                "    assert main(argv) == 0\n"
+                "    print('yaml after', argv[0], 'yaml' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        seen = [line for line in out.stdout.splitlines() if line.startswith("yaml after")]
+        assert seen == ["yaml after plan False", "yaml after simulate False"], name
 
 
 def test_long_escaped_string_loads_back_through_either_path():
