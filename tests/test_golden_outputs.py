@@ -5,12 +5,19 @@ four report files that ``contflow simulate`` writes for each demo scenario
 below, and of the report files that ``contflow report`` renders again from that
 ``result.json``.  A change to the engine, the series representation or the
 writers that moves one output byte fails here.
+
+``tests/golden/executable_digests.json`` holds the SHA-256 of the serialized
+executable workflow that ``plan()`` makes for each scenario and for
+``conftest.plan_random`` seeds 0-49 (several staging sites, shared FS,
+clustering and cleanup).  The simulator's outputs do not see the order of the
+executable's jobs and edges; these digests do.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -26,7 +33,10 @@ from contflow.scenarios import (
 )
 from contflow.simulator import serialize_topology
 
-DIGESTS = Path(__file__).parent / "golden" / "sim_digests.json"
+from conftest import GOLDEN, plan_random
+
+DIGESTS = GOLDEN / "sim_digests.json"
+EXECUTABLE_DIGESTS = GOLDEN / "executable_digests.json"
 REPORT_FILES = ("summary.txt", "egress.tsv", "io_wait.tsv", "timeline.tsv")
 
 # name: (container, cluster size, shared FS, tasks, task runtime in s,
@@ -44,17 +54,25 @@ SCENARIOS = {
 }
 
 
+def plan_scenario(name: str):
+    container, k, shared_fs, n_tasks, runtime_s, _, cleanup = SCENARIOS[name]
+    return plan(demo_workflow(n_tasks=n_tasks, runtime_s=runtime_s), demo_catalog(container),
+                demo_sites(shared_fs=shared_fs),
+                PlanConfig(cluster_size=k, output_site=SUBMIT_SITE, cleanup=cleanup))
+
+
+def executable_digest(ewf) -> str:
+    return hashlib.sha256(serialize_executable(ewf).encode()).hexdigest()
+
+
 def output_digests(name: str, work: Path) -> dict[str, str]:
     """Simulate scenario ``name`` and re-render its report through the CLI.
 
     Returns the SHA-256 of each file, keyed ``sim/<file>`` and ``report/<file>``.
     """
-    container, k, shared_fs, n_tasks, runtime_s, flags, cleanup = SCENARIOS[name]
-    ewf = plan(demo_workflow(n_tasks=n_tasks, runtime_s=runtime_s), demo_catalog(container),
-               demo_sites(shared_fs=shared_fs),
-               PlanConfig(cluster_size=k, output_site=SUBMIT_SITE, cleanup=cleanup))
+    flags = SCENARIOS[name][5]
     exe, topo = work / "executable.yml", work / "topology.yml"
-    exe.write_text(serialize_executable(ewf))
+    exe.write_text(serialize_executable(plan_scenario(name)))
     topo.write_text(serialize_topology(demo_topology()))
     assert main(["simulate", str(exe), str(topo), *flags, "--out", str(work / "sim")]) == 0
     assert main(["report", str(work / "sim" / "result.json"),
@@ -68,3 +86,16 @@ def output_digests(name: str, work: Path) -> dict[str, str]:
 def test_outputs_match_pinned_digests(name, tmp_path, capsys):
     expected = json.loads(DIGESTS.read_text())[name]
     assert output_digests(name, tmp_path) == expected
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_executable_matches_pinned_digest(name):
+    expected = json.loads(EXECUTABLE_DIGESTS.read_text())["scenarios"][name]
+    assert executable_digest(plan_scenario(name)) == expected
+
+
+def test_random_executables_match_pinned_digests():
+    expected = json.loads(EXECUTABLE_DIGESTS.read_text())["plan_random"]
+    got = {str(seed): executable_digest(plan_random(random.Random(seed))[0])
+           for seed in range(50)}
+    assert got == expected
