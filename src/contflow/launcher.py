@@ -75,6 +75,11 @@ def build_wrapper_plan(
         raise InconsistentPlacement(
             f"job {job.id!r}: container definition does not match payload"
         )
+    if cdef is not None and payload.backend not in (None, cdef.runtime):
+        raise InconsistentPlacement(
+            f"job {job.id!r}: planned for runtime {payload.backend.value!r}, but the "
+            f"catalog runs container {cdef.name!r} on {cdef.runtime.value!r}"
+        )
     if placement is PlacementMode.BYPASS and cdef is not None and not cdef.site_local:
         raise InconsistentPlacement(
             f"job {job.id!r}: bypass placement requires a site-local container"
@@ -108,7 +113,11 @@ def build_wrapper_plan(
         host.append(Step(StepKind.MATERIALIZE_IMAGE, {"mode": "symlink", "image": image_url}))
     # Bypass / ShifterLocal reference the image directly, no materialization
     if backend is ContainerRuntime.DOCKER:
-        host.append(Step(StepKind.LOAD_IMAGE, {"image": image_url, "dedup": dedup_load}))
+        # a bypassed image is loaded from the site's own path, not the job dir
+        host.append(Step(StepKind.LOAD_IMAGE, {
+            "image": image_url, "dedup": dedup_load,
+            "site_path": placement is PlacementMode.BYPASS,
+        }))
         host.append(Step(StepKind.ENSURE_USER))
     if not staging_inside:
         host.append(stage_in)
@@ -142,19 +151,22 @@ def _render_step(step: Step, plan: WrapperPlan, where: str) -> list[str]:
         else:
             lines += [f'fetch-image "{step.args["image"]}" image']
     elif k is StepKind.LOAD_IMAGE:
+        source = "image"  # a copy or symlink in the job directory
+        if step.args.get("site_path"):
+            source = f'"$(image_path {step.args["image"]})"'
         if step.args.get("dedup"):
             tag = step.args["image"].split("://", 1)[-1].strip("/").replace("/", "_")
             lines += [
                 f'exec 9>"/var/lock/contflow-{tag}.lock"',
                 "flock 9",
                 f'if [ ! -e "/var/run/contflow-{tag}.loaded" ]; then',
-                "    docker load -i image",
+                f"    docker load -i {source}",
                 f'    touch "/var/run/contflow-{tag}.loaded"',
                 "fi",
                 "flock -u 9",
             ]
         else:
-            lines += ["docker load -i image"]
+            lines += [f"docker load -i {source}"]
     elif k is StepKind.ENSURE_USER:
         lines += ['ensure-container-user "$(id -u)" "$(id -g)"']
     elif k is StepKind.START_CONTAINER:

@@ -158,11 +158,7 @@ def validate_executable(ewf: ExecutableWorkflow) -> None:
     ids = _check_jobs(ewf)
     require_acyclic(ids, ewf.edges)
 
-    fetch_for: dict[str, tuple[str, str]] = {}
-    for j in ewf.jobs_of_kind(JobKind.CONTAINER_FETCH):
-        assert isinstance(j.payload, TransferPayload)
-        fetch_for[j.id] = (j.id.split("fetch_", 1)[-1], j.site)
-
+    fetch_ids = {j.id for j in ewf.jobs_of_kind(JobKind.CONTAINER_FETCH)}
     parents = ewf.parents()
     for j in ewf.jobs_of_kind(JobKind.COMPUTE):
         p = j.payload
@@ -171,7 +167,7 @@ def validate_executable(ewf: ExecutableWorkflow) -> None:
             raise PlanError(f"compute job {j.id!r} has an empty task list")
         if p.container is None or p.placement not in TRANSFERABLE_PLACEMENTS:
             continue
-        fetch_parents = [q for q in parents[j.id] if q in fetch_for]
+        fetch_parents = [q for q in parents[j.id] if q in fetch_ids]
         if len(fetch_parents) != 1:
             raise PlanError(
                 f"compute job {j.id!r} must depend on exactly one container-fetch "
@@ -386,67 +382,48 @@ def plan(
     jobs = list(ewf.jobs)
     edges = list(ewf.edges)
 
-    # stage-in: workflow inputs land on each staging site used by consumers
-    stagein_needs: dict[str, dict[str, int]] = {}
-    stagein_consumers: dict[str, dict[str, None]] = {}  # insertion-ordered set
+    # one scan: per staging site, the workflow inputs to stage in with the jobs
+    # that read them, and the workflow outputs to ship out with the jobs that
+    # write them; a file's entry keeps the size its last user gave
+    wf_outputs = set(wf.workflow_outputs())
+    stage_in: dict[str, tuple[dict[str, int], list[str]]] = {}
+    stage_out: dict[str, tuple[dict[str, int], list[str]]] = {}
     for j in ewf.jobs_of_kind(JobKind.COMPUTE):
         p = j.payload
         assert isinstance(p, ComputePayload)
-        for fname, size in p.input_files:
-            if fname in producers:
-                continue
-            meta = wf.files.get(fname)
-            if meta is None or meta.initial_location is None:
-                continue
-            stagein_needs.setdefault(p.staging_site, {})[fname] = size
-            stagein_consumers.setdefault(p.staging_site, {})[j.id] = None
-    for staging in sorted(stagein_needs):
-        transfers = tuple(
-            (wf.files[f].initial_location or "", f"file:///staging/{staging}/{f}", size)
-            for f, size in sorted(stagein_needs[staging].items())
-        )
+        ins = [(f, size) for f, size in p.input_files
+               if f not in producers and wf.file_meta(f).initial_location is not None]
+        outs = [(f, size) for f, size in p.output_files if f in wf_outputs]
+        for by_site, files in ((stage_in, ins), (stage_out, outs)):
+            if files:
+                site_files, site_jobs = by_site.setdefault(p.staging_site, ({}, []))
+                site_files.update(files)
+                site_jobs.append(j.id)
+
+    for staging, (files, readers) in sorted(stage_in.items()):
         sj = Job(
             id=f"stage_in_{staging}",
             kind=JobKind.STAGE_IN,
             site=staging,
-            payload=TransferPayload(transfers=transfers, src_site="", dst_site=staging),
+            payload=TransferPayload(transfers=tuple(
+                (wf.files[f].initial_location, f"file:///staging/{staging}/{f}", size)
+                for f, size in sorted(files.items())
+            ), src_site="", dst_site=staging),
         )
         jobs.append(sj)
-        for cid in stagein_consumers[staging]:
-            edges.append((sj.id, cid))
-
-    # stage-out: ship workflow outputs from their staging site to the output site
-    wf_outputs = set(wf.workflow_outputs())
-    stageout_files: dict[str, dict[str, int]] = {}
-    stageout_producers: dict[str, list[str]] = {}
-    for j in ewf.jobs_of_kind(JobKind.COMPUTE):
-        p = j.payload
-        assert isinstance(p, ComputePayload)
-        outs = [(f, s) for f, s in p.output_files if f in wf_outputs]
-        if not outs:
-            continue
-        for f, s in outs:
-            stageout_files.setdefault(p.staging_site, {})[f] = s
-        stageout_producers.setdefault(p.staging_site, []).append(j.id)
-    stageout_ids: dict[str, str] = {}
-    for staging in sorted(stageout_files):
-        transfers = tuple(
-            (f"file:///staging/{staging}/{f}",
-             f"file:///output/{cfg.output_site}/{f}", size)
-            for f, size in sorted(stageout_files[staging].items())
-        )
+        edges.extend((sj.id, r) for r in readers)
+    for staging, (files, writers) in sorted(stage_out.items()):
         so = Job(
             id=f"stage_out_{staging}",
             kind=JobKind.STAGE_OUT,
             site=cfg.output_site,
-            payload=TransferPayload(
-                transfers=transfers, src_site=staging, dst_site=cfg.output_site
-            ),
+            payload=TransferPayload(transfers=tuple(
+                (f"file:///staging/{staging}/{f}", f"file:///output/{cfg.output_site}/{f}", size)
+                for f, size in sorted(files.items())
+            ), src_site=staging, dst_site=cfg.output_site),
         )
         jobs.append(so)
-        stageout_ids[staging] = so.id
-        for pid in stageout_producers[staging]:
-            edges.append((pid, so.id))
+        edges.extend((w, so.id) for w in writers)
 
     # cleanup: one job per compute-job directory, after its last consumer
     if cfg.cleanup:

@@ -590,12 +590,7 @@ class _Engine:
             self.at(self.now, then)
         yield
         key = (p.container, node)
-        if not (
-            p.backend is ContainerRuntime.DOCKER
-            and p.container is not None
-            and p.image_bytes > 0
-            and p.placement is not PlacementMode.BYPASS
-        ):
+        if p.backend is not ContainerRuntime.DOCKER:
             self.at(self.now, then)
         elif self.cfg.docker_load_dedup and key in self.untar_done_at:
             self.at(max(self.now, self.untar_done_at[key]), then)

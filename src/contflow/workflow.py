@@ -53,7 +53,8 @@ class AbstractWorkflow:
     files: dict[str, FileMeta] = field(default_factory=dict)
 
     def file_meta(self, name: str) -> FileMeta:
-        return self.files.get(name, FileMeta(name=name))
+        meta = self.files.get(name)
+        return FileMeta(name=name) if meta is None else meta
 
     def producers(self) -> dict[str, str]:
         """Map logical file name → producing task id."""

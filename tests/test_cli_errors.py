@@ -256,6 +256,20 @@ def test_cyclic_executable_exits_1_in_every_command(docs, tmp_path, capsys):
     assert not (tmp_path / "w").exists()
 
 
+def test_catalog_runtime_other_than_planned_exits_1(docs, tmp_path, capsys):
+    p, _ = docs
+    catalog = tmp_path / "singularity.yml"
+    catalog.write_text(serialize_catalog(demo_catalog("singularity")))
+    for argv in (["wrappers", p["executable"], str(catalog), "--out", str(tmp_path / "w")],
+                 ["run", p["executable"], str(catalog)]):
+        capsys.readouterr()
+        assert main(argv) == 1, argv[0]
+        assert capsys.readouterr().err == (
+            "error: job 'compute_nowcast00': planned for runtime 'docker', but the "
+            "catalog runs container 'radar-tools' on 'singularity'\n"), argv[0]
+    assert not (tmp_path / "w").exists()
+
+
 @pytest.mark.parametrize("fail_step, message", [
     ("ghost:stage-in", "no job 'ghost'"),
     (f"{FETCH_JOB}:stage-in", f"job '{FETCH_JOB}' runs no stage-in step"),

@@ -33,8 +33,12 @@ from contflow.planner import (
     Job,
     JobKind,
     PlacementMode,
+    PlanConfig,
     parse_executable,
+    plan,
 )
+from contflow.scenarios import demo_catalog, demo_sites, demo_topology, demo_workflow
+from contflow.simulator import SimConfig, _Engine
 
 from conftest import GOLDEN, IMAGE_URL
 
@@ -218,6 +222,44 @@ class TestRenderWrapper:
         assert "flock" in guarded
         assert "flock" not in plain
         assert "docker load -i" in plain
+
+
+class TestDockerBypass:
+    """A bypassed Docker image is loaded from the site's own path."""
+
+    SITE_IMAGE = "file:///cvmfs/radar/radar-tools.tar"
+
+    @pytest.fixture
+    def bypassed(self):
+        cat = demo_catalog("docker")
+        cat = replace(cat, containers={name: replace(
+            cdef, image=parse_image_url(self.SITE_IMAGE), site_local=True,
+        ) for name, cdef in cat.containers.items()})
+        ewf = plan(demo_workflow(), cat, demo_sites(),
+                   PlanConfig(cleanup=False, placement_override="bypass"))
+        return ewf, build_plans(ewf, cat)
+
+    def test_wrapper_loads_from_the_site_path(self, bypassed):
+        _, plans = bypassed
+        script = render_wrapper(plans["compute_nowcast00"])
+        assert f'docker load -i "$(image_path {self.SITE_IMAGE})"' in script
+        assert "docker load -i image" not in script
+        assert "fetch-image" not in script and "ln -s" not in script
+
+    def test_simulator_queues_one_untar_per_worker(self, bypassed):
+        ewf, _ = bypassed
+        topo = demo_topology()
+        engine = _Engine(ewf, topo, SimConfig())
+        engine.run()
+        workers = [n.name for n in topo.workers]
+        assert {n: len(engine.untar_records[n]) for n in workers} == dict.fromkeys(workers, 1)
+
+    def test_mock_run_loads_once_per_node(self, bypassed):
+        ewf, plans = bypassed
+        report = execute_local(ewf, plans, slots=8, node_count=4)
+        assert report.ok
+        assert report.count_effects("load") == 4
+        assert report.count_effects("cache-hit") == len(plans) - 4
 
 
 def shared_image_workflow(n_jobs=12):
