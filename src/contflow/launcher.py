@@ -381,15 +381,13 @@ def execute_local(
                 continue
             if first_error is None:
                 first_error = StepFailed(job_id, jr.steps[-1].kind.value, jr.error)
-            stack = [job_id]  # skip every descendant of the failed job
-            while stack:
-                for child in ready.children[stack.pop()]:
-                    if child not in report.jobs:
-                        report.jobs[child] = JobReport(job_id=child, status="skipped")
-                        stack.append(child)
         clock += longest
 
     if first_error is not None:
+        # a failed job is never released, so the jobs left are its descendants
+        for job_id in jobs:
+            if job_id not in report.jobs:
+                report.jobs[job_id] = JobReport(job_id=job_id, status="skipped")
         first_error.report = report  # let callers inspect partial results
         raise first_error
     return report

@@ -95,6 +95,12 @@ class ComputePayload:
     input_files: tuple[tuple[str, int], ...] = ()
     output_files: tuple[tuple[str, int], ...] = ()
 
+    @property
+    def fetches_image(self) -> bool:
+        """True when the job's image comes from a container-fetch job: it has a
+        container placed by copy or symlink from the staging site."""
+        return self.container is not None and self.placement in TRANSFERABLE_PLACEMENTS
+
 
 @dataclass(frozen=True)
 class TransferPayload:
@@ -165,7 +171,7 @@ def validate_executable(ewf: ExecutableWorkflow) -> None:
         assert isinstance(p, ComputePayload)
         if not p.task_ids:
             raise PlanError(f"compute job {j.id!r} has an empty task list")
-        if p.container is None or p.placement not in TRANSFERABLE_PLACEMENTS:
+        if not p.fetches_image:
             continue
         fetch_parents = [q for q in parents[j.id] if q in fetch_ids]
         if len(fetch_parents) != 1:
@@ -271,7 +277,7 @@ def insert_container_fetch_jobs(ewf: ExecutableWorkflow, cat: Catalog) -> Execut
     for j in ewf.jobs_of_kind(JobKind.COMPUTE):
         p = j.payload
         assert isinstance(p, ComputePayload)
-        if p.container is None or p.placement not in TRANSFERABLE_PLACEMENTS:
+        if not p.fetches_image:
             continue
         pairs.setdefault((p.container, p.staging_site), []).append(j.id)
 

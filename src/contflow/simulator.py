@@ -576,9 +576,7 @@ class _Engine:
         """
         p = job.payload
         assert isinstance(p, ComputePayload)
-        if p.container is not None and p.placement in (
-            PlacementMode.STAGE_COPY, PlacementMode.SHARED_FS_SYMLINK
-        ) and p.image_bytes <= 0:
+        if p.fetches_image and p.image_bytes <= 0:
             raise MissingSize(
                 f"job {job.id!r}: container {p.container!r} has no image size"
             )

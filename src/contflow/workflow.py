@@ -92,10 +92,10 @@ class ReadySet:
     """
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]]):
-        self.children: dict[str, list[str]] = {n: [] for n in nodes}
-        self._indeg = dict.fromkeys(self.children, 0)
+        self._children: dict[str, list[str]] = {n: [] for n in nodes}
+        self._indeg = dict.fromkeys(self._children, 0)
         for u, v in edges:
-            self.children[u].append(v)
+            self._children[u].append(v)
             self._indeg[v] += 1
         self._ready = [n for n, d in self._indeg.items() if d == 0]
         heapq.heapify(self._ready)
@@ -107,10 +107,21 @@ class ReadySet:
         return heapq.heappop(self._ready)
 
     def release(self, node: str) -> None:
-        for child in self.children[node]:
+        for child in self._children[node]:
             self._indeg[child] -= 1
             if self._indeg[child] == 0:
                 heapq.heappush(self._ready, child)
+
+    def release_all(self) -> set[str]:
+        """Release every node that is or becomes ready, in no set order, and
+        return the nodes left: those on or after a cycle."""
+        ready, indeg = self._ready, self._indeg
+        while ready:
+            for child in self._children[ready.pop()]:
+                indeg[child] -= 1
+                if indeg[child] == 0:
+                    ready.append(child)
+        return {n for n, d in indeg.items() if d}
 
 
 def topological_order(
@@ -126,47 +137,31 @@ def topological_order(
     return order
 
 
-def _find_cycle(adj: dict[str, list[str]]) -> list[str] | None:
-    """Return one cycle as a node list, or None if the graph is acyclic.
-
-    Depth-first from each unvisited node in sorted order, following adjacency
-    lists in order; the first edge back into the current path closes the cycle.
-    """
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = dict.fromkeys(adj, WHITE)
-    for root in sorted(adj):
-        if color[root] != WHITE:
-            continue
-        color[root] = GRAY
-        path = [root]
-        pending = [iter(adj[root])]  # unexplored successors of each path node
-        while pending:
-            for nxt in pending[-1]:
-                if color[nxt] == GRAY:
-                    return path[path.index(nxt):] + [nxt]
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    path.append(nxt)
-                    pending.append(iter(adj[nxt]))
-                    break
-            else:
-                color[path.pop()] = BLACK
-                pending.pop()
-    return None
-
-
 def require_acyclic(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> None:
     """Raise CycleDetected with one cycle's path if the graph has a cycle.
 
-    Successors are followed in sorted order, so the cycle reported does not
-    depend on the order the edges are listed in.
+    Each node the ready set leaves has a parent that is left too.  From the
+    smallest node left, step to its smallest parent left until a node comes up
+    twice; the steps between its two visits, reversed, are the cycle.  So the
+    cycle reported does not depend on the order the nodes or edges are listed in.
     """
-    adj: dict[str, list[str]] = {n: [] for n in nodes}
-    for u, v in edges:
-        adj[u].append(v)
-    cycle = _find_cycle({n: sorted(succ) for n, succ in adj.items()})
-    if cycle:
-        raise CycleDetected(cycle)
+    ready = ReadySet(nodes, edges)
+    left = ready.release_all()
+    if not left:
+        return
+    parent: dict[str, str] = {}  # smallest parent that is left
+    for u in left:
+        for v in ready._children[u]:
+            if v in left and (v not in parent or u < parent[v]):
+                parent[v] = u
+    step: dict[str, int] = {}  # node -> when it was stepped through
+    node = min(left)
+    while node not in step:
+        step[node] = len(step)
+        node = parent[node]
+    cycle = list(step)[step[node]:] + [node]
+    cycle.reverse()
+    raise CycleDetected(cycle)
 
 
 def validate_dag(wf: AbstractWorkflow) -> None:

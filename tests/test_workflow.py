@@ -19,6 +19,7 @@ from contflow.workflow import (
     ReadySet,
     Task,
     parse_workflow,
+    require_acyclic,
     serialize_workflow,
     topological_levels,
     topological_order,
@@ -123,6 +124,51 @@ class TestValidateDag:
         with pytest.raises(CycleDetected) as exc:
             validate_dag(wf)
         assert exc.value.cycle == ["t2997", "t2998", "t2999", "t2997"]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 2000), st.integers(0, 3), st.booleans(), st.integers(0, 10**6))
+    def test_cycle_report_at_scale(self, n, back_edges, self_loop, seed):
+        # forward edges over a shuffled order; each back edge closes a forward walk
+        rng = random.Random(seed)
+        nodes = [f"t{i}" for i in range(n)]
+        order = rng.sample(nodes, n)
+        edges = []
+        for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
+            i = rng.randrange(n - 1)
+            edges.append((order[i], order[rng.randint(i + 1, min(i + 10, n - 1))]))
+        children: dict[str, list[str]] = {}
+        for u, v in edges:
+            children.setdefault(u, []).append(v)
+        for _ in range(back_edges):
+            start = node = rng.choice(nodes)
+            for _ in range(rng.randint(1, n)):
+                if node not in children:
+                    break
+                node = rng.choice(children[node])
+            if node != start:
+                edges.append((node, start))
+        if self_loop:
+            loop = rng.choice(nodes)
+            edges.append((loop, loop))
+        edge_set = set(edges)
+
+        def reported(nodes, edges):
+            try:
+                require_acyclic(nodes, edges)
+            except CycleDetected as exc:
+                return exc.cycle
+            return None
+
+        cycle = reported(nodes, edges)
+        assert (cycle is None) == dfs_acyclic_oracle(n, edge_set)
+        if cycle is None:
+            return
+        assert cycle[0] == cycle[-1]
+        assert len(set(cycle)) == len(cycle) - 1
+        assert all(edge in edge_set for edge in zip(cycle, cycle[1:]))
+        if self_loop and not back_edges:  # the self-loop is the only cycle
+            assert cycle == [loop, loop]
+        assert reported(rng.sample(nodes, n), rng.sample(edges, len(edges))) == cycle
 
     def test_idempotent(self):
         wf = make_diamond()
