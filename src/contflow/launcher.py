@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .catalog import Catalog, ContainerDef, ContainerRuntime, MountSpec
 from .errors import DanglingContainerRef, InconsistentPlacement, StepFailed, ValidationError
-from .planner import ComputePayload, ExecutableWorkflow, Job, JobKind, PlacementMode
+from .planner import ComputePayload, ExecutableWorkflow, Job, JobKind, PlacementMode, job_shape
 from .workflow import ReadySet, require_acyclic
 
 JOB_DIR_MOUNT = {
@@ -58,14 +58,16 @@ class WrapperPlan:
 def build_wrapper_plan(
     job: Job,
     cdef: ContainerDef | None,
-    placement: PlacementMode | None,
     *,
     staging_inside: bool = True,
     dedup_load: bool = True,
 ) -> WrapperPlan:
     """Build the wrapper plan for one compute job.
 
-    The task's own steps run inside the container, or on the host when the job
+    The job's row of ``planner.SHAPES`` decides how the image reaches the job
+    directory and where ``docker load`` reads it from; ``cdef`` gives the image
+    URL, mounts and profiles, and must run on the job's planned backend.  The
+    task's own steps run inside the container, or on the host when the job
     has none; the executor runs them where the rendered script does.
     """
     assert job.kind is JobKind.COMPUTE
@@ -75,12 +77,13 @@ def build_wrapper_plan(
         raise InconsistentPlacement(
             f"job {job.id!r}: container definition does not match payload"
         )
-    if cdef is not None and payload.backend not in (None, cdef.runtime):
+    shape = job_shape(job)
+    if cdef is not None and payload.backend is not cdef.runtime:
         raise InconsistentPlacement(
             f"job {job.id!r}: planned for runtime {payload.backend.value!r}, but the "
             f"catalog runs container {cdef.name!r} on {cdef.runtime.value!r}"
         )
-    if placement is PlacementMode.BYPASS and cdef is not None and not cdef.site_local:
+    if payload.placement is PlacementMode.BYPASS and not cdef.site_local:
         raise InconsistentPlacement(
             f"job {job.id!r}: bypass placement requires a site-local container"
         )
@@ -105,19 +108,17 @@ def build_wrapper_plan(
         host.append(Step(StepKind.REMOVE_JOB_DIR))
         return WrapperPlan(job.id, tuple(host), container_steps=(), backend=None)
 
-    backend = cdef.runtime
+    backend = payload.backend
     image_url = cdef.image.url()
-    if placement is PlacementMode.STAGE_COPY:
-        host.append(Step(StepKind.MATERIALIZE_IMAGE, {"mode": "pull", "image": image_url}))
-    elif placement is PlacementMode.SHARED_FS_SYMLINK:
-        host.append(Step(StepKind.MATERIALIZE_IMAGE, {"mode": "symlink", "image": image_url}))
-    # Bypass / ShifterLocal reference the image directly, no materialization
-    if backend is ContainerRuntime.DOCKER:
-        # a bypassed image is loaded from the site's own path, not the job dir
+    if shape.materialize:
+        host.append(Step(StepKind.MATERIALIZE_IMAGE,
+                         {"mode": shape.materialize, "image": image_url}))
+    if shape.load:
         host.append(Step(StepKind.LOAD_IMAGE, {
             "image": image_url, "dedup": dedup_load,
-            "site_path": placement is PlacementMode.BYPASS,
+            "site_path": shape.load == "site_path",
         }))
+    if backend is ContainerRuntime.DOCKER:
         host.append(Step(StepKind.ENSURE_USER))
     if not staging_inside:
         host.append(stage_in)
@@ -237,8 +238,8 @@ def build_plans(
                     f"job {job.id!r} references container {payload.container!r}, "
                     f"which the catalog does not define"
                 )
-        plans[job.id] = build_wrapper_plan(job, cdef, payload.placement,
-                                           staging_inside=staging_inside, dedup_load=dedup_load)
+        plans[job.id] = build_wrapper_plan(job, cdef, staging_inside=staging_inside,
+                                           dedup_load=dedup_load)
     return plans
 
 

@@ -57,7 +57,38 @@ class PlacementMode(enum.Enum):
     SHIFTER_LOCAL = "shifter_local"
 
 
+# the placements whose image a container-fetch job stages; the planner itself
+# reads SHAPES, whose rows with a ``materialize`` are exactly these
 TRANSFERABLE_PLACEMENTS = {PlacementMode.STAGE_COPY, PlacementMode.SHARED_FS_SYMLINK}
+
+
+@dataclass(frozen=True)
+class Shape:
+    """What a compute job does with its image.
+
+    ``materialize`` is how the image reaches the job directory: ``"pull"``, a
+    copy from the staging site; ``"symlink"``, a link into the shared
+    filesystem; or None, not at all.  ``load`` is where ``docker load`` reads
+    it from: ``"image"`` in the job directory, ``"site_path"``, the site's own
+    copy, or None for no load.
+    """
+
+    materialize: str | None
+    load: str | None
+
+
+# the one source of each compute job's image rules, by (backend, placement):
+# a row for each shape plan() writes, which wrappers, mock run and simulator read
+SHAPES: dict[tuple[ContainerRuntime | None, PlacementMode | None], Shape] = {
+    (None, None): Shape(None, None),
+    (ContainerRuntime.DOCKER, PlacementMode.STAGE_COPY): Shape("pull", "image"),
+    (ContainerRuntime.DOCKER, PlacementMode.SHARED_FS_SYMLINK): Shape("symlink", "image"),
+    (ContainerRuntime.DOCKER, PlacementMode.BYPASS): Shape(None, "site_path"),
+    (ContainerRuntime.SINGULARITY, PlacementMode.STAGE_COPY): Shape("pull", None),
+    (ContainerRuntime.SINGULARITY, PlacementMode.SHARED_FS_SYMLINK): Shape("symlink", None),
+    (ContainerRuntime.SINGULARITY, PlacementMode.BYPASS): Shape(None, None),
+    (ContainerRuntime.SHIFTER, PlacementMode.SHIFTER_LOCAL): Shape(None, None),
+}
 
 
 @dataclass(frozen=True)
@@ -95,12 +126,6 @@ class ComputePayload:
     input_files: tuple[tuple[str, int], ...] = ()
     output_files: tuple[tuple[str, int], ...] = ()
 
-    @property
-    def fetches_image(self) -> bool:
-        """True when the job's image comes from a container-fetch job: it has a
-        container placed by copy or symlink from the staging site."""
-        return self.container is not None and self.placement in TRANSFERABLE_PLACEMENTS
-
 
 @dataclass(frozen=True)
 class TransferPayload:
@@ -126,6 +151,22 @@ class Job:
     payload: ComputePayload | TransferPayload | CleanupPayload
 
 
+def job_shape(job: Job) -> Shape:
+    """Compute job ``job``'s row of SHAPES.
+
+    Raises InconsistentPlacement when its (backend, placement) is not a row, or
+    when it names a container without a backend or a backend without one.
+    """
+    p = job.payload
+    if (p.container is None) != (p.backend is None) or (p.backend, p.placement) not in SHAPES:
+        raise InconsistentPlacement(
+            f"job {job.id!r}: container {p.container!r} with backend "
+            f"{p.backend and p.backend.value!r} and placement "
+            f"{p.placement and p.placement.value!r} is not a compute-job shape"
+        )
+    return SHAPES[(p.backend, p.placement)]
+
+
 @dataclass(frozen=True)
 class ExecutableWorkflow:
     jobs: tuple[Job, ...] = ()
@@ -143,7 +184,8 @@ class ExecutableWorkflow:
 
 def _check_jobs(ewf: ExecutableWorkflow) -> set[str]:
     """Return the job ids; reject a duplicate id, an edge that names an unknown
-    job, or a compute runtime that is negative or not finite."""
+    job, a compute runtime that is negative or not finite, or a compute job
+    whose shape is not a row of SHAPES."""
     ids = {j.id for j in ewf.jobs}
     if len(ids) != len(ewf.jobs):
         raise PlanError("duplicate job ids in executable workflow")
@@ -156,6 +198,7 @@ def _check_jobs(ewf: ExecutableWorkflow) -> set[str]:
             raise PlanError(
                 f"job {j.id!r}: runtime_s must be finite and >= 0, got {runtime!r}"
             )
+        job_shape(j)
     return ids
 
 
@@ -171,7 +214,7 @@ def validate_executable(ewf: ExecutableWorkflow) -> None:
         assert isinstance(p, ComputePayload)
         if not p.task_ids:
             raise PlanError(f"compute job {j.id!r} has an empty task list")
-        if not p.fetches_image:
+        if job_shape(j).materialize is None:
             continue
         fetch_parents = [q for q in parents[j.id] if q in fetch_ids]
         if len(fetch_parents) != 1:
@@ -277,7 +320,7 @@ def insert_container_fetch_jobs(ewf: ExecutableWorkflow, cat: Catalog) -> Execut
     for j in ewf.jobs_of_kind(JobKind.COMPUTE):
         p = j.payload
         assert isinstance(p, ComputePayload)
-        if not p.fetches_image:
+        if job_shape(j).materialize is None:
             continue
         pairs.setdefault((p.container, p.staging_site), []).append(j.id)
 

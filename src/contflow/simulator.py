@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .catalog import ContainerRuntime
 from .errors import (
     MissingSize,
     SimError,
@@ -31,8 +30,8 @@ from .planner import (
     ExecutableWorkflow,
     Job,
     JobKind,
-    PlacementMode,
     TransferPayload,
+    job_shape,
 )
 from .workflow import (
     ReadySet,
@@ -576,11 +575,12 @@ class _Engine:
         """
         p = job.payload
         assert isinstance(p, ComputePayload)
-        if p.fetches_image and p.image_bytes <= 0:
+        shape = job_shape(job)
+        if shape.materialize and p.image_bytes <= 0:
             raise MissingSize(
                 f"job {job.id!r}: container {p.container!r} has no image size"
             )
-        if p.placement is PlacementMode.STAGE_COPY and p.image_bytes > 0:
+        if shape.materialize == "pull":
             staging = self._staging_node(p.staging_site)
             self.start_flow(staging, node, p.image_bytes, "container", then)
         else:
@@ -588,7 +588,7 @@ class _Engine:
             self.at(self.now, then)
         yield
         key = (p.container, node)
-        if p.backend is not ContainerRuntime.DOCKER:
+        if shape.load is None:
             self.at(self.now, then)
         elif self.cfg.docker_load_dedup and key in self.untar_done_at:
             self.at(max(self.now, self.untar_done_at[key]), then)
@@ -726,7 +726,7 @@ def critical_path_lower_bound(ewf: ExecutableWorkflow, topo: Topology) -> float:
         if isinstance(p, ComputePayload):
             w += p.runtime_s
             moved = sum(s for _, s in p.input_files) + sum(s for _, s in p.output_files)
-            if p.placement is PlacementMode.STAGE_COPY:
+            if job_shape(j).materialize == "pull":
                 moved += p.image_bytes
             w += moved / max_bw
         elif isinstance(p, TransferPayload):

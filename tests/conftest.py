@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from contflow.catalog import (
     parse_image_url,
 )
 from contflow.planner import PlanConfig, Site, plan
+from contflow.simulator import NodeSpec, Topology
 from contflow.workflow import AbstractWorkflow, FileMeta, Task
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -59,25 +61,46 @@ IMAGE_URL = {
 }
 
 
+SITE_IMAGE_DIR = "/cvmfs/sw"
+
+
 def make_random_model(
     rng: random.Random,
     max_tasks: int = 50,
     max_containers: int = 3,
     max_staging_sites: int = 2,
+    every_shape: bool = False,
 ) -> tuple[AbstractWorkflow, Catalog, list[Site]]:
-    """Random DAG + catalog + sites for planner/simulator property tests."""
+    """Random DAG + catalog + sites for planner/simulator property tests.
+
+    With ``every_shape``, each model also draws, swarm-style, the share of its
+    Docker and Singularity containers whose image is a site-local
+    ``file:///cvmfs/sw/...`` path, the share of compute sites that list that
+    path in ``cvmfs_like_paths`` and the share with a shared filesystem, so
+    its plans reach every row of ``planner.SHAPES``.  Without it the draws,
+    and so the models, are those the pinned executable digests were made from.
+    """
     n_tasks = rng.randint(1, max_tasks)
     n_containers = rng.randint(0, max_containers)
     n_staging = rng.randint(1, max_staging_sites)
+    local_share = cvmfs_share = 0.0
+    shared_share = 0.3
+    if every_shape:
+        local_share, cvmfs_share, shared_share = (
+            rng.choice([0.0, 0.5, 1.0]) for _ in range(3))
 
     containers: dict[str, ContainerDef] = {}
     for i in range(n_containers):
         runtime = rng.choice(RUNTIMES)
+        local = (every_shape and runtime is not ContainerRuntime.SHIFTER
+                 and rng.random() < local_share)
         containers[f"c{i}"] = ContainerDef(
             name=f"c{i}",
-            image=parse_image_url(IMAGE_URL[runtime]),
+            image=parse_image_url(f"file://{SITE_IMAGE_DIR}/c{i}.img" if local
+                                  else IMAGE_URL[runtime]),
             runtime=runtime,
             image_size_bytes=rng.randint(1, 50) * 1_000_000,
+            site_local=local,
         )
 
     sites: list[Site] = []
@@ -87,9 +110,11 @@ def make_random_model(
     for i in range(n_staging):
         s = Site(
             name=f"compute{i}",
-            shared_fs=rng.random() < 0.3,
+            shared_fs=rng.random() < shared_share,
             staging_site=f"staging{i}",
             runtimes_available=frozenset(RUNTIMES),
+            cvmfs_like_paths=(SITE_IMAGE_DIR,)
+            if every_shape and rng.random() < cvmfs_share else (),
         )
         sites.append(s)
         compute_sites.append(s)
@@ -128,8 +153,30 @@ def make_random_model(
     return wf, cat, sites
 
 
-def plan_random(rng: random.Random, **kwargs):
-    wf, cat, sites = make_random_model(rng, **kwargs)
+def plan_random(rng: random.Random, *, every_shape: bool = False, **kwargs):
+    """Plan a random model; ``every_shape`` also draws a placement override,
+    bypass only when every Docker and Singularity container is site-local."""
+    wf, cat, sites = make_random_model(rng, every_shape=every_shape, **kwargs)
     cfg = PlanConfig(cluster_size=rng.choice([1, 2, 4]),
                      output_site="staging0", cleanup=rng.random() < 0.5)
+    if every_shape:
+        overrides = [None, "copy", "symlink"]
+        if all(c.site_local or c.runtime is ContainerRuntime.SHIFTER
+               for c in cat.containers.values()):
+            overrides.append("bypass")
+        cfg = replace(cfg, placement_override=rng.choice(overrides))
     return plan(wf, cat, sites, cfg), wf, cat, sites, cfg
+
+
+def random_model_topology(sites: list[Site], workers_per_site: int = 2) -> Topology:
+    """A topology for ``make_random_model``'s sites, every pair of nodes linked.
+
+    It has the submit node, one node named after each staging site and
+    ``workers_per_site`` two-slot workers ``<site>/w<k>`` for each compute site.
+    """
+    nodes = [NodeSpec(s.name) for s in sites if not s.runtimes_available]
+    nodes += [NodeSpec(f"{s.name}/w{k}", slots=2) for s in sites if s.runtimes_available
+              for k in range(1, workers_per_site + 1)]
+    names = ["submit"] + [n.name for n in nodes]
+    links = {(a, b): 1e8 for a in names for b in names if a != b}
+    return Topology(submit=NodeSpec("submit"), workers=tuple(nodes), links=links)

@@ -125,7 +125,7 @@ def test_criterion_3_wrapper_laws_and_goldens(capfd):
                 staging_inside=rng.random() < 0.5,
                 dedup_load=rng.random() < 0.5,
             )
-            plan = build_wrapper_plan(make_job(), make_cdef(runtime), placement, **cfg)
+            plan = build_wrapper_plan(make_job(runtime, placement), make_cdef(runtime), **cfg)
             assert plan.mounts[0].dst == JOB_DIR_MOUNT[runtime]
             kinds = [s.kind for s in plan.host_steps]
             assert kinds[0] is StepKind.CREATE_JOB_DIR
@@ -158,7 +158,7 @@ def test_criterion_3_wrapper_laws_and_goldens(capfd):
             ),
         }
         for fname, (cdef, placement) in golden.items():
-            plan = build_wrapper_plan(make_job(), cdef, placement)
+            plan = build_wrapper_plan(make_job(cdef.runtime, placement), cdef)
             assert render_wrapper(plan) == (GOLDEN / fname).read_text()
 
 

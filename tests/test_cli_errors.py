@@ -256,6 +256,28 @@ def test_cyclic_executable_exits_1_in_every_command(docs, tmp_path, capsys):
     assert not (tmp_path / "w").exists()
 
 
+@pytest.mark.parametrize("edit, backend, placement", [
+    (lambda text: "".join(line for line in text.splitlines(True)
+                          if not line.lstrip().startswith("backend:")), "None", "'copy'"),
+    (lambda text: text.replace("placement: copy", "placement: shifter_local"),
+     "'docker'", "'shifter_local'"),
+], ids=["no-backend", "docker-shifter-local"])
+def test_executable_with_an_unplanned_shape_exits_1_in_every_command(
+        docs, tmp_path, capsys, edit, backend, placement):
+    p, paths = docs
+    paths["executable"].write_text(edit(paths["executable"].read_text()))
+    for argv in (["wrappers", p["executable"], p["catalog"], "--out", str(tmp_path / "w")],
+                 ["run", p["executable"], p["catalog"]],
+                 ["simulate", p["executable"], p["topology"], "--out", str(tmp_path / "s")]):
+        capsys.readouterr()
+        assert main(argv) == 1, argv[0]
+        assert capsys.readouterr().err == (
+            f"error: job 'compute_nowcast00': container 'radar-tools' with backend "
+            f"{backend} and placement {placement} is not a compute-job shape\n"), argv[0]
+    assert not (tmp_path / "w").exists()
+    assert not (tmp_path / "s").exists()
+
+
 def test_catalog_runtime_other_than_planned_exits_1(docs, tmp_path, capsys):
     p, _ = docs
     catalog = tmp_path / "singularity.yml"

@@ -34,21 +34,24 @@ from contflow.planner import (
     JobKind,
     PlacementMode,
     PlanConfig,
+    SHAPES,
     parse_executable,
     plan,
 )
 from contflow.scenarios import demo_catalog, demo_sites, demo_topology, demo_workflow
 from contflow.simulator import SimConfig, _Engine
 
-from conftest import GOLDEN, IMAGE_URL
+from conftest import GOLDEN, IMAGE_URL, plan_random, random_model_topology
 
 
-def make_job(jid="demo-job", container="tools", tasks=("task01",)):
+def make_job(runtime=ContainerRuntime.DOCKER, placement=PlacementMode.STAGE_COPY,
+             jid="demo-job", tasks=("task01",)):
+    """A compute job of shape (runtime, placement); runtime None has no container."""
     return Job(
         id=jid, kind=JobKind.COMPUTE, site="compute",
         payload=ComputePayload(
-            task_ids=tuple(tasks), container=container, placement=None,
-            backend=None, staging_site="staging0", runtime_s=2.0,
+            task_ids=tuple(tasks), container="tools" if runtime else None,
+            placement=placement, backend=runtime, staging_site="staging0", runtime_s=2.0,
             image_bytes=1000,
             input_files=(("in.dat", 100),), output_files=(("out.dat", 200),),
         ),
@@ -71,9 +74,7 @@ def step_kinds(steps):
 
 class TestBuildWrapperPlan:
     def test_docker_stage_copy_step_order(self):
-        plan = build_wrapper_plan(
-            make_job(), make_cdef(), PlacementMode.STAGE_COPY
-        )
+        plan = build_wrapper_plan(make_job(), make_cdef())
         assert step_kinds(plan.host_steps) == [
             StepKind.CREATE_JOB_DIR, StepKind.MATERIALIZE_IMAGE,
             StepKind.LOAD_IMAGE, StepKind.ENSURE_USER, StepKind.START_CONTAINER,
@@ -87,8 +88,8 @@ class TestBuildWrapperPlan:
 
     def test_singularity_symlink(self):
         plan = build_wrapper_plan(
-            make_job(), make_cdef(ContainerRuntime.SINGULARITY),
-            PlacementMode.SHARED_FS_SYMLINK,
+            make_job(ContainerRuntime.SINGULARITY, PlacementMode.SHARED_FS_SYMLINK),
+            make_cdef(ContainerRuntime.SINGULARITY),
         )
         kinds = step_kinds(plan.host_steps)
         assert StepKind.LOAD_IMAGE not in kinds
@@ -102,16 +103,14 @@ class TestBuildWrapperPlan:
 
     def test_shifter_no_materialization(self):
         plan = build_wrapper_plan(
-            make_job(), make_cdef(ContainerRuntime.SHIFTER),
-            PlacementMode.SHIFTER_LOCAL,
+            make_job(ContainerRuntime.SHIFTER, PlacementMode.SHIFTER_LOCAL),
+            make_cdef(ContainerRuntime.SHIFTER),
         )
         assert StepKind.MATERIALIZE_IMAGE not in step_kinds(plan.host_steps)
         assert plan.mounts[0].dst == "/scratch"
 
     def test_no_container_runs_on_host(self):
-        plan = build_wrapper_plan(
-            make_job(container=None), None, None
-        )
+        plan = build_wrapper_plan(make_job(None, None), None)
         assert plan.backend is None
         assert plan.container_steps == ()
         assert plan.mounts == ()
@@ -121,20 +120,14 @@ class TestBuildWrapperPlan:
         assert StepKind.LAUNCH_TASK in kinds
 
     def test_staging_outside_container(self):
-        plan = build_wrapper_plan(
-            make_job(), make_cdef(), PlacementMode.STAGE_COPY,
-            staging_inside=False,
-        )
+        plan = build_wrapper_plan(make_job(), make_cdef(), staging_inside=False)
         host = step_kinds(plan.host_steps)
         assert host.index(StepKind.STAGE_IN) < host.index(StepKind.START_CONTAINER)
         assert host.index(StepKind.STAGE_OUT) > host.index(StepKind.STOP_CONTAINER)
         assert StepKind.STAGE_IN not in step_kinds(plan.container_steps)
 
     def test_clustered_job_single_stagein_many_launches(self):
-        plan = build_wrapper_plan(
-            make_job(tasks=("a", "b", "c")), make_cdef(),
-            PlacementMode.STAGE_COPY,
-        )
+        plan = build_wrapper_plan(make_job(tasks=("a", "b", "c")), make_cdef())
         kinds = step_kinds(plan.container_steps)
         assert kinds.count(StepKind.STAGE_IN) == 1
         launches = [s.args["task"] for s in plan.container_steps
@@ -162,8 +155,9 @@ class TestBuildWrapperPlan:
                 dedup_load=rng.random() < 0.5,
             )
             plan = build_wrapper_plan(
-                make_job(tasks=tuple(f"t{j}" for j in range(rng.randint(1, 4)))),
-                make_cdef(runtime), placement, **cfg,
+                make_job(runtime, placement,
+                         tasks=tuple(f"t{j}" for j in range(rng.randint(1, 4)))),
+                make_cdef(runtime), **cfg,
             )
             assert plan.mounts[0].dst == JOB_DIR_MOUNT[runtime]
             kinds = step_kinds(plan.host_steps)
@@ -177,9 +171,7 @@ class TestBuildWrapperPlan:
 
 class TestRenderWrapper:
     def test_deterministic(self):
-        plan = build_wrapper_plan(
-            make_job(), make_cdef(), PlacementMode.STAGE_COPY
-        )
+        plan = build_wrapper_plan(make_job(), make_cdef())
         assert render_wrapper(plan) == render_wrapper(plan)
 
     @pytest.mark.parametrize("fname,runtime,placement", [
@@ -200,25 +192,22 @@ class TestRenderWrapper:
             kwargs = {"image": "shifter:///acme/tools:1.2"}
         else:
             kwargs = {"image": "shub://hub.example.org/acme/tools"}
-        plan = build_wrapper_plan(make_job(), make_cdef(runtime, **kwargs),
-                                  placement)
+        plan = build_wrapper_plan(make_job(runtime, placement),
+                                  make_cdef(runtime, **kwargs))
         assert render_wrapper(plan) == (GOLDEN / fname).read_text()
 
     def test_golden_script_staging_outside_without_dedup(self):
         cdef = make_cdef(image="docker:///acme/tools:1.2",
                          mounts=(MountSpec("/data", "/shared-data", ("ro",)),),
                          profiles={"JAVA_HOME": "/opt/java"})
-        plan = build_wrapper_plan(make_job(), cdef, PlacementMode.STAGE_COPY,
-                                  staging_inside=False, dedup_load=False)
+        plan = build_wrapper_plan(make_job(), cdef, staging_inside=False, dedup_load=False)
         assert render_wrapper(plan) == \
             (GOLDEN / "wrapper_docker_staging_outside.sh").read_text()
 
     def test_dedup_guard_present_iff_flag(self):
         job, cdef = make_job(), make_cdef()
-        guarded = render_wrapper(build_wrapper_plan(
-            job, cdef, PlacementMode.STAGE_COPY, dedup_load=True))
-        plain = render_wrapper(build_wrapper_plan(
-            job, cdef, PlacementMode.STAGE_COPY, dedup_load=False))
+        guarded = render_wrapper(build_wrapper_plan(job, cdef, dedup_load=True))
+        plain = render_wrapper(build_wrapper_plan(job, cdef, dedup_load=False))
         assert "flock" in guarded
         assert "flock" not in plain
         assert "docker load -i" in plain
@@ -260,6 +249,72 @@ class TestDockerBypass:
         assert report.ok
         assert report.count_effects("load") == 4
         assert report.count_effects("cache-hit") == len(plans) - 4
+
+
+def plan_shape(backend, placement, n_tasks=6):
+    """The demo planned so that every compute job has shape (backend, placement)."""
+    cat = demo_catalog(None if backend is None else "docker")
+    bypass = placement is PlacementMode.BYPASS
+    if backend is not None:
+        image = "file:///cvmfs/radar/radar-tools.img" if bypass else IMAGE_URL[backend]
+        cat = replace(cat, containers={name: replace(
+            cdef, runtime=backend, image=parse_image_url(image), site_local=bypass,
+        ) for name, cdef in cat.containers.items()})
+    ewf = plan(demo_workflow(n_tasks=n_tasks), cat,
+               demo_sites(shared_fs=placement is PlacementMode.SHARED_FS_SYMLINK),
+               PlanConfig(cleanup=False, placement_override="bypass" if bypass else None))
+    assert {(j.payload.backend, j.payload.placement)
+            for j in ewf.jobs_of_kind(JobKind.COMPUTE)} == {(backend, placement)}
+    return ewf, cat
+
+
+def layer_counts(ewf, cat, topo, staging_inside):
+    """Image loads and copies to workers as the wrappers, mock run and simulator
+    see them, with load dedup off everywhere."""
+    plans = build_plans(ewf, cat, staging_inside=staging_inside, dedup_load=False)
+    steps = [s for plan in plans.values() for s in plan.host_steps]
+    engine = _Engine(ewf, topo, SimConfig(docker_load_dedup=False))
+    result = engine.run()
+    mock = execute_local(ewf, plans, slots=4, node_count=len(topo.workers))
+    loads = {
+        "wrapper": sum(s.kind is StepKind.LOAD_IMAGE for s in steps),
+        "mock": mock.count_effects("load"),
+        "simulator": sum(len(records) for records in engine.untar_records.values()),
+    }
+    copies = {
+        "wrapper": sum(s.kind is StepKind.MATERIALIZE_IMAGE and s.args["mode"] == "pull"
+                       for s in steps),
+        "simulator": sum(f.kind == "container" and "/" in f.dst for f in result.flow_ledger),
+    }
+    return loads, copies
+
+
+class TestLayersAgreeOnShapes:
+    """Wrappers, mock run and simulator load and copy the image alike."""
+
+    @pytest.mark.parametrize("staging_inside", [True, False])
+    @pytest.mark.parametrize("backend, placement", list(SHAPES), ids=lambda k: getattr(
+        k, "value", "none"))
+    def test_every_row(self, backend, placement, staging_inside):
+        ewf, cat = plan_shape(backend, placement)
+        loads, copies = layer_counts(ewf, cat, demo_topology(n_workers=2), staging_inside)
+        shape = SHAPES[backend, placement]
+        n = len(ewf.jobs_of_kind(JobKind.COMPUTE))
+        assert loads == dict.fromkeys(loads, n if shape.load else 0)
+        assert copies == dict.fromkeys(copies, n if shape.materialize == "pull" else 0)
+
+    def test_random_models_reaching_every_shape(self):
+        reached = set()
+        for seed in range(50):
+            rng = random.Random(seed)
+            ewf, _, cat, sites, _ = plan_random(rng, max_tasks=20, every_shape=True)
+            reached.update((j.payload.backend, j.payload.placement)
+                           for j in ewf.jobs_of_kind(JobKind.COMPUTE))
+            loads, copies = layer_counts(ewf, cat, random_model_topology(sites),
+                                         rng.random() < 0.5)
+            assert len(set(loads.values())) == 1, (seed, loads)
+            assert len(set(copies.values())) == 1, (seed, copies)
+        assert reached == set(SHAPES)
 
 
 def shared_image_workflow(n_jobs=12):
@@ -358,9 +413,7 @@ class TestExecuteLocal:
     def test_staging_outside_runs_every_in_container_step(self):
         ewf, cat = shared_image_workflow(2)
         clustered = make_job(jid="j02", tasks=("a", "b", "c"))
-        clustered = replace(clustered, payload=replace(
-            clustered.payload, placement=PlacementMode.STAGE_COPY))
-        plain = make_job(jid="j03", container=None, tasks=("d", "e"))
+        plain = make_job(None, None, jid="j03", tasks=("d", "e"))
         ewf = ExecutableWorkflow(jobs=ewf.jobs + (clustered, plain))
         plans = build_plans(ewf, cat, staging_inside=False)
         report = execute_local(ewf, plans)
@@ -511,7 +564,7 @@ def dag_runs(draw):
     names = draw(st.permutations(range(n)))
     ids = [f"j{names[i]:03d}" for i in range(n)]
     jobs = tuple(make_job(jid=jid, tasks=(f"t{jid}",)) for jid in ids)
-    plans = {job.id: build_wrapper_plan(job, make_cdef(), PlacementMode.STAGE_COPY)
+    plans = {job.id: build_wrapper_plan(job, make_cdef())
              for i, job in enumerate(jobs) if i % 3}
     ewf = ExecutableWorkflow(jobs=jobs, edges=tuple((ids[u], ids[v]) for u, v in edges))
     fail = draw(st.none() | st.sampled_from(ids))

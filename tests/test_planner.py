@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from contflow.planner import (
     JobKind,
     PlacementMode,
     PlanConfig,
+    SHAPES,
     Site,
     TRANSFERABLE_PLACEMENTS,
     cluster_jobs,
@@ -123,6 +125,31 @@ class TestDecidePlacement:
         c = make_container(ContainerRuntime.DOCKER)
         with pytest.raises(InconsistentPlacement):
             decide_placement(c, make_site(), override="bypass")
+
+    def test_every_placement_is_a_row_of_the_shape_table(self):
+        """Whatever decide_placement returns, the executable check accepts."""
+        reached = {(None, None)}  # a job without a container
+        for runtime, available, shared_fs, site_local, cvmfs_match, override in \
+                itertools.product(ContainerRuntime, (True, False), (False, True),
+                                  (False, True), (False, True),
+                                  (None, "copy", "symlink", "bypass")):
+            c = make_container(runtime, site_local=site_local,
+                               image="file:///cvmfs/sw/tool.img" if site_local
+                               else IMAGE_URL[runtime])
+            s = make_site(shared_fs=shared_fs,
+                          runtimes_available=frozenset(ContainerRuntime) if available
+                          else frozenset(ContainerRuntime) - {runtime},
+                          cvmfs_like_paths=("/cvmfs/sw",) if cvmfs_match else ("/opt",))
+            try:
+                placement = decide_placement(c, s, override)
+            except (RuntimeUnavailable, InconsistentPlacement):
+                continue
+            assert (runtime, placement) in SHAPES
+            assert (SHAPES[runtime, placement].materialize is not None) == \
+                (placement in TRANSFERABLE_PLACEMENTS)
+            reached.add((runtime, placement))
+        assert reached == set(SHAPES)
+        assert len(SHAPES) == 8
 
 
 class TestPlan:
@@ -256,8 +283,9 @@ def _compute_job(jid, container, staging, placement=PlacementMode.STAGE_COPY,
         payload=ComputePayload(
             task_ids=tuple(tasks or (jid,)),
             container=container,
-            placement=placement,
-            backend=ContainerRuntime.DOCKER if container else None,
+            placement=placement if container else None,
+            backend=(ContainerRuntime.SHIFTER if placement is PlacementMode.SHIFTER_LOCAL
+                     else ContainerRuntime.DOCKER) if container else None,
             staging_site=staging,
             level=level,
             runtime_s=1.0,
