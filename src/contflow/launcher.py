@@ -320,8 +320,8 @@ def execute_local(
     descendants and makes the call raise StepFailed once every other job has
     finished.  ``slots`` or ``node_count`` below 1, and a
     ``fail_step`` whose job is not in ``ewf`` or runs no step of that kind,
-    raise ValidationError, and a cycle raises CycleDetected, before any job
-    starts.
+    raise ValidationError up front.  A cycle leaves its jobs unrun, and once
+    the rounds end it raises CycleDetected, ahead of any StepFailed.
     """
     if slots < 1 or node_count < 1:
         raise ValidationError(f"slots={slots} and node_count={node_count} must be at least 1")
@@ -335,7 +335,6 @@ def execute_local(
             raise ValidationError(
                 f"cannot inject a failure: job {job_id!r} runs no {kind.value} step"
             )
-    require_acyclic(jobs, ewf.edges)
     ready = ReadySet(jobs, ewf.edges)
     loaded: set[tuple[str, str]] = set()  # (image, node) pairs already loaded
     first_error: StepFailed | None = None
@@ -384,6 +383,9 @@ def execute_local(
                 first_error = StepFailed(job_id, jr.steps[-1].kind.value, jr.error)
         clock += longest
 
+    if len(report.jobs) < len(jobs):
+        # a job is left on or after a cycle, or after a failed job
+        require_acyclic(jobs, ewf.edges)
     if first_error is not None:
         # a failed job is never released, so the jobs left are its descendants
         for job_id in jobs:

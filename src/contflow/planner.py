@@ -57,11 +57,6 @@ class PlacementMode(enum.Enum):
     SHIFTER_LOCAL = "shifter_local"
 
 
-# the placements whose image a container-fetch job stages; the planner itself
-# reads SHAPES, whose rows with a ``materialize`` are exactly these
-TRANSFERABLE_PLACEMENTS = {PlacementMode.STAGE_COPY, PlacementMode.SHARED_FS_SYMLINK}
-
-
 @dataclass(frozen=True)
 class Shape:
     """What a compute job does with its image.
@@ -182,46 +177,41 @@ class ExecutableWorkflow:
         return out
 
 
-def _check_jobs(ewf: ExecutableWorkflow) -> set[str]:
-    """Return the job ids; reject a duplicate id, an edge that names an unknown
-    job, a compute runtime that is negative or not finite, or a compute job
-    whose shape is not a row of SHAPES."""
-    ids = {j.id for j in ewf.jobs}
-    if len(ids) != len(ewf.jobs):
-        raise PlanError("duplicate job ids in executable workflow")
-    for u, v in ewf.edges:
-        if u not in ids or v not in ids:
-            raise PlanError(f"edge ({u!r}, {v!r}) references unknown job")
-    for j in ewf.jobs_of_kind(JobKind.COMPUTE):
-        runtime = j.payload.runtime_s
-        if not (math.isfinite(runtime) and runtime >= 0):
-            raise PlanError(
-                f"job {j.id!r}: runtime_s must be finite and >= 0, got {runtime!r}"
-            )
-        job_shape(j)
-    return ids
-
-
 def validate_executable(ewf: ExecutableWorkflow) -> None:
-    """Check acyclicity and the one-fetch-ancestor-per-container invariant."""
-    ids = _check_jobs(ewf)
-    require_acyclic(ids, ewf.edges)
+    """Check an executable workflow, whether plan() made it or a document held it.
 
-    fetch_ids = {j.id for j in ewf.jobs_of_kind(JobKind.CONTAINER_FETCH)}
-    parents = ewf.parents()
+    Raise PlanError for a duplicate job id, an edge that names an unknown job,
+    or a compute job whose runtime is negative or not finite, whose task list
+    is empty, or whose image is pulled or symlinked without exactly one
+    container-fetch parent; InconsistentPlacement for a compute job whose
+    shape is not a row of SHAPES; and CycleDetected for a cycle.
+    """
+    kinds = {j.id: j.kind for j in ewf.jobs}
+    if len(kinds) != len(ewf.jobs):
+        raise PlanError("duplicate job ids in executable workflow")
+    fetch_parents: dict[str, int] = {}
+    for u, v in ewf.edges:
+        if u not in kinds or v not in kinds:
+            raise PlanError(f"edge ({u!r}, {v!r}) references unknown job")
+        if kinds[u] is JobKind.CONTAINER_FETCH:
+            fetch_parents[v] = fetch_parents.get(v, 0) + 1
     for j in ewf.jobs_of_kind(JobKind.COMPUTE):
         p = j.payload
         assert isinstance(p, ComputePayload)
+        if not (math.isfinite(p.runtime_s) and p.runtime_s >= 0):
+            raise PlanError(
+                f"job {j.id!r}: runtime_s must be finite and >= 0, got {p.runtime_s!r}"
+            )
+        materialize = job_shape(j).materialize
         if not p.task_ids:
             raise PlanError(f"compute job {j.id!r} has an empty task list")
-        if job_shape(j).materialize is None:
-            continue
-        fetch_parents = [q for q in parents[j.id] if q in fetch_ids]
-        if len(fetch_parents) != 1:
+        n_fetch = fetch_parents.get(j.id, 0)
+        if materialize is not None and n_fetch != 1:
             raise PlanError(
                 f"compute job {j.id!r} must depend on exactly one container-fetch "
-                f"job, found {len(fetch_parents)}"
+                f"job, found {n_fetch}"
             )
+    require_acyclic(kinds, ewf.edges)
 
 
 def decide_placement(c: ContainerDef, s: Site, override: str | None = None) -> PlacementMode:
@@ -240,6 +230,11 @@ def decide_placement(c: ContainerDef, s: Site, override: str | None = None) -> P
         if not c.site_local:
             raise InconsistentPlacement(
                 f"container {c.name!r}: bypass requires site_local"
+            )
+        if c.image.scheme is not ImageScheme.FILE:
+            raise InconsistentPlacement(
+                f"container {c.name!r}: bypass requires a file:// image on the "
+                f"site, not {c.image.url()}"
             )
         return PlacementMode.BYPASS
     if c.site_local and c.image.scheme is ImageScheme.FILE and any(
@@ -514,7 +509,7 @@ def parse_executable(text: str) -> ExecutableWorkflow:
                              raw.get("payload", {}), "executable", "payload")
         jobs.append(read_record(Job, raw, "executable", kind=kind, payload=payload))
     ewf = read_record(ExecutableWorkflow, doc, "executable", jobs=tuple(jobs))
-    require_acyclic(_check_jobs(ewf), ewf.edges)
+    validate_executable(ewf)
     return ewf
 
 

@@ -74,6 +74,9 @@ class Topology:
     workers: tuple[NodeSpec, ...] = ()
     links: dict[tuple[str, str], float] = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.validate()
+
     def nodes(self) -> list[NodeSpec]:
         out = [self.submit]
         if self.nfs is not None:
@@ -310,7 +313,6 @@ def _bucket_spans(t0: float, t1: float) -> tuple[int | None, float, int, float |
 
 class _Engine:
     def __init__(self, ewf: ExecutableWorkflow, topo: Topology, cfg: SimConfig):
-        topo.validate()
         self.topo = topo
         self.cfg = cfg
         self.now = 0.0
@@ -839,10 +841,8 @@ def parse_topology(text: str) -> Topology:
     """Parse the topology YAML document (submit / nfs / workers / links)."""
     doc = load_yaml(text, "topology")
     links = read_value(list[LinkSpec], doc.get("links", []), "topology", "links")
-    topo = read_record(Topology, doc, "topology",
+    return read_record(Topology, doc, "topology",
                        links={(link.src, link.dst): link.bandwidth for link in links})
-    topo.validate()
-    return topo
 
 
 def serialize_topology(topo: Topology) -> str:

@@ -15,7 +15,7 @@ from contflow.catalog import (
     TransformationEntry,
     parse_image_url,
 )
-from contflow.planner import PlanConfig, Site, plan
+from contflow.planner import SHAPES, PlanConfig, Site, plan
 from contflow.simulator import NodeSpec, Topology
 from contflow.workflow import AbstractWorkflow, FileMeta, Task
 
@@ -50,6 +50,10 @@ def make_diamond() -> AbstractWorkflow:
     )
     return AbstractWorkflow(tasks=tasks)
 
+
+# the placements whose image a container-fetch job stages, read off SHAPES
+TRANSFERABLE_PLACEMENTS = {placement for (_, placement), shape in SHAPES.items()
+                           if shape.materialize is not None}
 
 RUNTIMES = [ContainerRuntime.DOCKER, ContainerRuntime.SINGULARITY,
             ContainerRuntime.SHIFTER]

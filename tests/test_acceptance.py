@@ -26,11 +26,7 @@ from contflow.launcher import (
     execute_local,
     render_wrapper,
 )
-from contflow.planner import (
-    JobKind,
-    PlacementMode,
-    TRANSFERABLE_PLACEMENTS,
-)
+from contflow.planner import JobKind, PlacementMode
 from contflow.scenarios import (
     DOCKER_IMAGE_BYTES,
     GBPS,
@@ -39,7 +35,7 @@ from contflow.scenarios import (
 )
 from contflow.simulator import SimConfig, report, simulate
 
-from conftest import GOLDEN, plan_random
+from conftest import GOLDEN, TRANSFERABLE_PLACEMENTS, plan_random
 from test_launcher import make_cdef, make_job
 from test_planner import _reachability
 

@@ -8,12 +8,13 @@ from dataclasses import replace
 import pytest
 import yaml
 
-from contflow.catalog import serialize_catalog
+from contflow.catalog import parse_image_url, serialize_catalog
+from contflow import launcher, planner
 from contflow.cli import main
 from contflow.planner import JobKind, parse_executable
 from contflow.scenarios import demo_catalog, demo_topology, demo_workflow
 from contflow.simulator import serialize_topology
-from contflow.workflow import dump_yaml, serialize_workflow
+from contflow.workflow import dump_yaml, require_acyclic, serialize_workflow
 
 SITES_YML = """
 sites:
@@ -166,7 +167,9 @@ class TestPlan:
         assert "bypass requires site_local" in capsys.readouterr().err
         cat = demo_catalog("docker")
         inputs["catalog"].write_text(serialize_catalog(replace(cat, containers={
-            name: replace(cdef, site_local=True) for name, cdef in cat.containers.items()
+            name: replace(cdef, site_local=True,
+                          image=parse_image_url(f"file:///cvmfs/images/{name}.img"))
+            for name, cdef in cat.containers.items()
         })))
         code, out = run_plan(inputs, tmp_path, "--placement", "bypass")
         assert code == 0
@@ -174,6 +177,19 @@ class TestPlan:
         assert {j.payload.placement.value
                 for j in ewf.jobs_of_kind(JobKind.COMPUTE)} == {"bypass"}
         assert ewf.jobs_of_kind(JobKind.CONTAINER_FETCH) == []
+
+    def test_placement_bypass_of_a_registry_image_exits_1(self, inputs, tmp_path, capsys):
+        cat = demo_catalog("docker")
+        inputs["catalog"].write_text(serialize_catalog(replace(cat, containers={
+            name: replace(cdef, site_local=True) for name, cdef in cat.containers.items()
+        })))
+        capsys.readouterr()
+        code, out = run_plan(inputs, tmp_path, "--placement", "bypass")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: task 'nowcast00': container 'radar-tools': bypass requires a "
+            "file:// image on the site, not docker:///imaging/radar-tools:latest\n")
+        assert not out.exists()
 
 
 class TestWrappers:
@@ -242,6 +258,18 @@ edges: [[a, b], [b, a]]
         assert main(["run", str(ewf_path), str(catalog)]) == 1
         assert "cycle detected" in capsys.readouterr().err
 
+    def test_checks_for_cycles_once(self, inputs, tmp_path, monkeypatch):
+        _, ewf_path = run_plan(inputs, tmp_path)
+        calls = []
+
+        def counted(nodes, edges):
+            calls.append(1)
+            return require_acyclic(nodes, edges)
+
+        monkeypatch.setattr(planner, "require_acyclic", counted)
+        monkeypatch.setattr(launcher, "require_acyclic", counted)
+        assert main(["run", str(ewf_path), str(inputs["catalog"])]) == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("jobs,edges,message", [
         (["a"], "[[a, ghost]]", "edge ('a', 'ghost') references unknown job"),

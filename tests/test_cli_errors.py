@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import io
 import re
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from contflow import simulator
 from contflow.catalog import serialize_catalog
 from contflow.cli import main
+from contflow.planner import parse_executable, serialize_executable
 from contflow.scenarios import demo_catalog, demo_topology, demo_workflow
 from contflow.simulator import serialize_topology
 from contflow.workflow import serialize_workflow
@@ -274,6 +276,37 @@ def test_executable_with_an_unplanned_shape_exits_1_in_every_command(
         assert capsys.readouterr().err == (
             f"error: job 'compute_nowcast00': container 'radar-tools' with backend "
             f"{backend} and placement {placement} is not a compute-job shape\n"), argv[0]
+    assert not (tmp_path / "w").exists()
+    assert not (tmp_path / "s").exists()
+
+
+def without_fetch_job(ewf):
+    return replace(ewf, jobs=tuple(j for j in ewf.jobs if j.id != FETCH_JOB),
+                   edges=tuple(e for e in ewf.edges if FETCH_JOB not in e))
+
+
+def with_empty_task_list(ewf):
+    first = ewf.jobs[0]
+    return replace(ewf, jobs=(replace(first, payload=replace(first.payload, task_ids=())),
+                              *ewf.jobs[1:]))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (without_fetch_job, "compute job 'compute_nowcast00' must depend on exactly one "
+                        "container-fetch job, found 0"),
+    (with_empty_task_list, "compute job 'compute_nowcast00' has an empty task list"),
+], ids=["no-fetch-job", "empty-task-list"])
+def test_executable_that_plan_would_refuse_exits_1_in_every_command(
+        docs, tmp_path, capsys, edit, message):
+    p, paths = docs
+    paths["executable"].write_text(
+        serialize_executable(edit(parse_executable(paths["executable"].read_text()))))
+    for argv in (["wrappers", p["executable"], p["catalog"], "--out", str(tmp_path / "w")],
+                 ["run", p["executable"], p["catalog"]],
+                 ["simulate", p["executable"], p["topology"], "--out", str(tmp_path / "s")]):
+        capsys.readouterr()
+        assert main(argv) == 1, argv[0]
+        assert capsys.readouterr().err == f"error: {message}\n", argv[0]
     assert not (tmp_path / "w").exists()
     assert not (tmp_path / "s").exists()
 

@@ -429,7 +429,10 @@ class TestExecuteLocal:
                         < ran.index(StepKind.WORKER_SETUP) < ran.index(StepKind.STOP_CONTAINER)
                         < ran.index(StepKind.STAGE_OUT))
 
-    def test_cycle_raises_before_any_job_runs(self):
+    @pytest.mark.parametrize("fail_step", [None, ("a", StepKind.LAUNCH_TASK)],
+                             ids=["no-failure", "failure-before-the-cycle"])
+    def test_cycle_raises_cycle_detected(self, fail_step):
+        """A cycle raises CycleDetected, ahead of a failed job's StepFailed."""
         jobs = tuple(
             Job(id=jid, kind=JobKind.CLEANUP, site="submit",
                 payload=CleanupPayload(target_job=""))
@@ -438,7 +441,7 @@ class TestExecuteLocal:
         ewf = ExecutableWorkflow(jobs=jobs,
                                  edges=(("a", "b"), ("b", "c"), ("c", "b")))
         with pytest.raises(CycleDetected) as exc:
-            execute_local(ewf, {})
+            execute_local(ewf, {}, fail_step=fail_step)
         assert exc.value.cycle == ["b", "c", "b"]
 
     def test_starts_no_thread(self, monkeypatch):

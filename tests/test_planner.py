@@ -23,7 +23,6 @@ from contflow.planner import (
     PlanConfig,
     SHAPES,
     Site,
-    TRANSFERABLE_PLACEMENTS,
     cluster_jobs,
     decide_placement,
     insert_container_fetch_jobs,
@@ -39,7 +38,7 @@ from contflow.workflow import (
     validate_dag,
 )
 
-from conftest import IMAGE_URL, make_chain, plan_random
+from conftest import IMAGE_URL, TRANSFERABLE_PLACEMENTS, make_chain, plan_random
 
 
 def make_container(runtime=ContainerRuntime.DOCKER, **kw) -> ContainerDef:
