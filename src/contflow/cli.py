@@ -183,9 +183,10 @@ def _json_text(value, level: int):
     """Yield the text of ``json.dumps(value, indent=1, sort_keys=True)``, nested
     ``level`` deep, with a Runs written as the list it spells out.
 
-    Dict keys are strings.  Each key and scalar is one C-encoder call, and so
-    is a whole list of rows of scalars.  A run is one line repeated, at most
-    WRITE_CHUNK lines per piece.
+    Dict keys are strings, and each list is a Runs, empty, or rows of
+    scalars.  Each key and scalar is one C-encoder call, and so is a whole
+    list of rows.  A run is one line repeated, at most WRITE_CHUNK lines per
+    piece.
     """
     pad = "\n" + " " * (level + 1)
     if isinstance(value, Runs):
@@ -209,20 +210,13 @@ def _json_text(value, level: int):
         yield ("[" + pad + "[" + inner
                + text.replace("]," + inner + "[", pad + "]," + pad + "[" + inner)
                + pad + "]" + pad[:-1] + "]")
-    elif isinstance(value, dict):
+    else:
         opening = "{"
         for key in sorted(value):
             yield opening + pad + json.dumps(key) + ": "
             yield from _json_text(value[key], level + 1)
             opening = ","
         yield pad[:-1] + "}"
-    else:
-        opening = "["
-        for item in value:
-            yield opening + pad
-            yield from _json_text(item, level + 1)
-            opening = ","
-        yield pad[:-1] + "]"
 
 
 def _write_result(res: SimResult, f) -> None:

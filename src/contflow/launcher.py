@@ -14,7 +14,15 @@ from dataclasses import dataclass, field
 
 from .catalog import Catalog, ContainerDef, ContainerRuntime, MountSpec
 from .errors import DanglingContainerRef, InconsistentPlacement, StepFailed, ValidationError
-from .planner import ComputePayload, ExecutableWorkflow, Job, JobKind, PlacementMode, job_shape
+from .planner import (
+    ComputePayload,
+    ExecutableWorkflow,
+    Job,
+    JobKind,
+    PlacementMode,
+    bypass_refusal,
+    job_shape,
+)
 from .workflow import ReadySet, require_acyclic
 
 JOB_DIR_MOUNT = {
@@ -83,10 +91,9 @@ def build_wrapper_plan(
             f"job {job.id!r}: planned for runtime {payload.backend.value!r}, but the "
             f"catalog runs container {cdef.name!r} on {cdef.runtime.value!r}"
         )
-    if payload.placement is PlacementMode.BYPASS and not cdef.site_local:
-        raise InconsistentPlacement(
-            f"job {job.id!r}: bypass placement requires a site-local container"
-        )
+    refusal = bypass_refusal(cdef) if payload.placement is PlacementMode.BYPASS else None
+    if refusal is not None:
+        raise InconsistentPlacement(f"job {job.id!r}: {refusal}")
 
     stage_in = Step(StepKind.STAGE_IN, {"files": payload.input_files})
     stage_out = Step(StepKind.STAGE_OUT, {"files": payload.output_files})

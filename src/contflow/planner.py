@@ -214,6 +214,20 @@ def validate_executable(ewf: ExecutableWorkflow) -> None:
     require_acyclic(kinds, ewf.edges)
 
 
+def bypass_refusal(c: ContainerDef) -> str | None:
+    """Why container ``c`` cannot bypass staging, or None when it can.
+
+    A bypassed image is read where the site keeps it, so the container must
+    be site-local and its image a ``file://`` path.
+    """
+    if not c.site_local:
+        return f"container {c.name!r}: bypass requires site_local"
+    if c.image.scheme is not ImageScheme.FILE:
+        return (f"container {c.name!r}: bypass requires a file:// image on the "
+                f"site, not {c.image.url()}")
+    return None
+
+
 def decide_placement(c: ContainerDef, s: Site, override: str | None = None) -> PlacementMode:
     """Pick how a container image reaches the workers of a site."""
     if c.runtime not in s.runtimes_available:
@@ -226,18 +240,12 @@ def decide_placement(c: ContainerDef, s: Site, override: str | None = None) -> P
         return PlacementMode.STAGE_COPY
     if override == "symlink":
         return PlacementMode.SHARED_FS_SYMLINK
+    refusal = bypass_refusal(c)
     if override == "bypass":
-        if not c.site_local:
-            raise InconsistentPlacement(
-                f"container {c.name!r}: bypass requires site_local"
-            )
-        if c.image.scheme is not ImageScheme.FILE:
-            raise InconsistentPlacement(
-                f"container {c.name!r}: bypass requires a file:// image on the "
-                f"site, not {c.image.url()}"
-            )
+        if refusal is not None:
+            raise InconsistentPlacement(refusal)
         return PlacementMode.BYPASS
-    if c.site_local and c.image.scheme is ImageScheme.FILE and any(
+    if refusal is None and any(
         c.image.locator.startswith(p.rstrip("/") + "/") or c.image.locator == p
         for p in s.cvmfs_like_paths
     ):
@@ -344,13 +352,13 @@ def _bind_sites(
     wf: AbstractWorkflow, cat: Catalog, sites: list[Site], override: str | None
 ) -> dict[str, tuple[Site, TransformationEntry, ContainerDef | None, PlacementMode | None]]:
     """Round-robin tasks over sites able to run their transformation."""
-    resolved: dict[str, tuple[list, Exception | None]] = {}  # once per transformation
+    resolved: dict[str, tuple[list, PlanError | None]] = {}  # once per transformation
     binding = {}
     rr = 0
     for task in wf.tasks:
         if task.transformation not in resolved:
             eligible = []
-            runtime_problem: Exception | None = None
+            refusal: PlanError | None = None
             for s in sites:
                 try:
                     entry, cdef = resolve_transformation(cat, task.transformation, s.name)
@@ -362,16 +370,14 @@ def _bind_sites(
                 try:
                     placement = decide_placement(cdef, s, override)
                 except (RuntimeUnavailable, InconsistentPlacement) as exc:
-                    runtime_problem = exc
+                    refusal = exc
                     continue
                 eligible.append((s, entry, cdef, placement))
-            resolved[task.transformation] = eligible, runtime_problem
-        eligible, runtime_problem = resolved[task.transformation]
+            resolved[task.transformation] = eligible, refusal
+        eligible, refusal = resolved[task.transformation]
         if not eligible:
-            if runtime_problem is not None:
-                raise RuntimeUnavailable(
-                    f"task {task.id!r}: {runtime_problem}"
-                )
+            if refusal is not None:  # the last site's refusal, of its own class
+                raise type(refusal)(f"task {task.id!r}: {refusal}")
             raise UnresolvableTransformation(
                 f"task {task.id!r}: transformation {task.transformation!r} "
                 f"not resolvable at any site"

@@ -51,61 +51,37 @@ def demo_workflow(
     return AbstractWorkflow(tasks=tasks, edges=(), files=files)
 
 
+_DEMO_IMAGES = {  # container -> (image URL, image size in bytes)
+    "docker": ("docker:///imaging/radar-tools:latest", DOCKER_IMAGE_BYTES),
+    "singularity": ("shub://singularity-hub.org/imaging/radar-tools", SINGULARITY_IMAGE_BYTES),
+}
+
+
 def demo_catalog(container: str | None = "docker") -> Catalog:
     """Catalog for the demo transformation; container in {docker, singularity, None}."""
-    if container is None:
-        text = f"""
-transformations:
-  - namespace: radar
-    name: nowcast
-    version: "1.0"
-    site:
-      - name: {COMPUTE_SITE}
-        arch: x86_64
-        os: linux
-        pfn: /usr/local/bin/nowcast
-        type: INSTALLED
-"""
-    elif container == "docker":
-        text = f"""
-transformations:
-  - namespace: radar
-    name: nowcast
-    version: "1.0"
-    site:
-      - name: {COMPUTE_SITE}
-        arch: x86_64
-        os: linux
-        container: radar-tools
-        pfn: /usr/local/bin/nowcast
-        type: INSTALLED
-cont:
-  - name: radar-tools
-    image: "docker:///imaging/radar-tools:latest"
-    type: docker
-    image_size_bytes: {DOCKER_IMAGE_BYTES}
-"""
-    elif container == "singularity":
-        text = f"""
-transformations:
-  - namespace: radar
-    name: nowcast
-    version: "1.0"
-    site:
-      - name: {COMPUTE_SITE}
-        arch: x86_64
-        os: linux
-        container: radar-tools
-        pfn: /usr/local/bin/nowcast
-        type: INSTALLED
-cont:
-  - name: radar-tools
-    image: "shub://singularity-hub.org/imaging/radar-tools"
-    type: singularity
-    image_size_bytes: {SINGULARITY_IMAGE_BYTES}
-"""
-    else:
+    if container is not None and container not in _DEMO_IMAGES:
         raise ValueError(f"unknown demo container {container!r}")
+    text = f"""
+transformations:
+  - namespace: radar
+    name: nowcast
+    version: "1.0"
+    site:
+      - name: {COMPUTE_SITE}
+        arch: x86_64
+        os: linux
+        pfn: /usr/local/bin/nowcast
+        type: INSTALLED
+"""
+    if container is not None:
+        image, size = _DEMO_IMAGES[container]
+        text += f"""        container: radar-tools
+cont:
+  - name: radar-tools
+    image: "{image}"
+    type: {container}
+    image_size_bytes: {size}
+"""
     return parse_catalog(text)
 
 

@@ -539,13 +539,12 @@ def _fail(what: str, key: str, expected: str, value) -> typing.NoReturn:
 
 
 @functools.cache
-def _reader(tp, element: bool = False, rows: bool = False, strict: bool = False):
+def _reader(tp, element: bool = False, rows: bool = False):
     """``conv(value, what, key)``: a value of document ``what`` as annotation ``tp``.
 
     ``element`` marks the entries of a list, and ``rows`` records written as rows.
-    ``strict``, set for the fields of a record, turns down a bool or a string
-    where a number belongs (``runtime: true``, ``size_bytes: "10"``); without
-    it a number converts as ``tp(value)`` does.
+    A number turns down a bool or a string (``runtime: true``,
+    ``size_bytes: "10"``) and otherwise converts as ``tp(value)`` does.
     """
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if tp is str:
@@ -557,7 +556,7 @@ def _reader(tp, element: bool = False, rows: bool = False, strict: bool = False)
             _fail(what, key, "a string", value)
     elif tp is int or tp is float:
         def conv(value, what, key):
-            if strict and (type(value) is bool or type(value) is str):
+            if type(value) is bool or type(value) is str:
                 _fail(what, key, "a number", value)
             try:
                 return tp(value)
@@ -575,12 +574,12 @@ def _reader(tp, element: bool = False, rows: bool = False, strict: bool = False)
             except (TypeError, ValueError):
                 _fail(what, key, choices, value)
     elif origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
-        inner = _reader(next(a for a in args if a is not type(None)), element, strict=strict)
+        inner = _reader(next(a for a in args if a is not type(None)), element)
 
         def conv(value, what, key):
             return None if value is None else inner(value, what, key)
     elif origin in (list, frozenset) or (origin is tuple and args[-1] is Ellipsis):
-        item = _reader(args[0], True, rows, strict)
+        item = _reader(args[0], True, rows)
         exact = {args[0]} & {str, int, float, bool}
 
         def conv(value, what, key):
@@ -593,7 +592,7 @@ def _reader(tp, element: bool = False, rows: bool = False, strict: bool = False)
         names = [f.name for f in dataclasses.fields(tp)] if rows else None
         if rows:
             args = [typing.get_type_hints(tp)[name] for name in names]
-        items = [_reader(a, strict=strict) for a in args]
+        items = [_reader(a) for a in args]
         exact = [a if a in (str, int, float, bool) else None for a in args]
         shape = ", ".join(names or (getattr(a, "__name__", repr(a)) for a in args))
 
@@ -605,7 +604,7 @@ def _reader(tp, element: bool = False, rows: bool = False, strict: bool = False)
                 value = [c(v, what, key) for c, v in zip(items, value)]
             return tp(*value) if rows else tuple(value)
     elif origin is dict:
-        keys, values = _reader(args[0], strict=strict), _reader(args[1], strict=strict)
+        keys, values = _reader(args[0]), _reader(args[1])
 
         def conv(value, what, key):
             if type(value) is not dict:
@@ -659,7 +658,7 @@ def _fields(cls, given: tuple[str, ...] = ()) -> tuple[tuple, ...]:
     ``cls`` that is not named in ``given``."""
     hints, missing = typing.get_type_hints(cls), dataclasses.MISSING
     return tuple(
-        (f.name, f.metadata.get("key", f.name), _reader(hints[f.name], rows=rows, strict=True),
+        (f.name, f.metadata.get("key", f.name), _reader(hints[f.name], rows=rows),
          f.default is missing and f.default_factory is missing, _writer(hints[f.name], rows))
         for f in dataclasses.fields(cls) if f.name not in given
         for rows in (f.metadata.get("rows", False),)

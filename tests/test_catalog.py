@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -29,6 +31,7 @@ from contflow.errors import (
     UnknownOption,
     UnknownScheme,
 )
+from contflow.scenarios import demo_catalog
 
 
 class TestParseImageUrl:
@@ -254,3 +257,29 @@ def test_image_url_parse_is_inverse_of_render(scheme, segments, tag):
     assert ref.scheme.value == scheme
     assert ref.locator == locator
     assert ref.tag == tag
+
+
+class TestDemoCatalog:
+    ENTRY = TransformationEntry(namespace="radar", name="nowcast", version="1.0",
+                                site="condorpool", arch="x86_64", os="linux",
+                                pfn="/usr/local/bin/nowcast",
+                                install_type=InstallType.INSTALLED)
+
+    @pytest.mark.parametrize("container, image, size", [
+        ("docker", "docker:///imaging/radar-tools:latest", 488_000_000),
+        ("singularity", "shub://singularity-hub.org/imaging/radar-tools", 153_000_000),
+    ])
+    def test_container_variants(self, container, image, size):
+        assert demo_catalog(container) == Catalog(
+            transformations=(replace(self.ENTRY, container="radar-tools"),),
+            containers={"radar-tools": ContainerDef(
+                name="radar-tools", image=parse_image_url(image),
+                runtime=ContainerRuntime(container), image_size_bytes=size)},
+        )
+
+    def test_no_container(self):
+        assert demo_catalog(None) == Catalog(transformations=(self.ENTRY,))
+
+    def test_unknown_container(self):
+        with pytest.raises(ValueError, match="unknown demo container 'shifter'"):
+            demo_catalog("shifter")

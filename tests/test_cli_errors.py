@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import re
 from dataclasses import replace
 from unittest import mock
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contflow import simulator
-from contflow.catalog import serialize_catalog
+from contflow.catalog import parse_image_url, serialize_catalog
 from contflow.cli import main
 from contflow.planner import parse_executable, serialize_executable
 from contflow.scenarios import demo_catalog, demo_topology, demo_workflow
@@ -367,3 +368,75 @@ def test_output_under_a_regular_file_exits_2(docs, tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: [Errno "), err
     assert str(blocker) in err
+
+
+@pytest.mark.parametrize("site_local, image, refusal", [
+    (False, "file:///cvmfs/images/radar-tools.img", "bypass requires site_local"),
+    (True, "docker:///imaging/radar-tools:latest", "bypass requires a file:// image on the "
+                                                   "site, not docker:///imaging/radar-tools:latest"),
+], ids=["not-site-local", "registry-image"])
+def test_bypass_that_plan_would_refuse_exits_1_in_wrappers_and_run(
+        docs, tmp_path, capsys, site_local, image, refusal):
+    p, _ = docs
+    cat = demo_catalog("docker")
+
+    def catalog(name, **container):
+        path = tmp_path / name
+        path.write_text(serialize_catalog(replace(cat, containers={
+            c: replace(cdef, **container) for c, cdef in cat.containers.items()})))
+        return str(path)
+
+    bypassed = str(tmp_path / "bypassed.yml")
+    local = catalog("local.yml", site_local=True,
+                    image=parse_image_url("file:///cvmfs/images/radar-tools.img"))
+    assert main(["plan", p["workflow"], local, p["sites"], "--placement", "bypass",
+                 "--out", bypassed]) == 0
+    refused = catalog("refused.yml", site_local=site_local, image=parse_image_url(image))
+    for argv in (["wrappers", bypassed, refused, "--out", str(tmp_path / "w")],
+                 ["run", bypassed, refused]):
+        capsys.readouterr()
+        assert main(argv) == 1, argv[0]
+        assert capsys.readouterr().err == (
+            f"error: job 'compute_nowcast00': container 'radar-tools': {refusal}\n"), argv[0]
+    assert not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize("series, shown", [([True, "10"], "True"), ([1.0, "10"], "'10'")])
+def test_result_series_entry_that_is_not_a_number_exits_1(docs, tmp_path, capsys,
+                                                           series, shown):
+    p, paths = docs
+    doc = json.loads(paths["result"].read_text())
+    for key in ("per_node_egress", "per_node_io_wait_ms"):  # all of one length
+        doc[key] = {node: values[:2] for node, values in doc[key].items()}
+    doc["per_node_egress"]["submit"] = series
+    paths["result"].write_text(json.dumps(doc, indent=1, sort_keys=True))
+    capsys.readouterr()
+    assert main(["report", p["result"], "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: result document: per_node_egress must be a number, not {shown}\n")
+    assert not (tmp_path / "r").exists()
+
+
+def test_topology_without_a_link_a_flow_needs_exits_2(docs, tmp_path, capsys):
+    p, paths = docs
+    topo = demo_topology()
+    paths["topology"].write_text(serialize_topology(replace(topo, links={
+        k: bw for k, bw in topo.links.items() if k != ("submit", "condorpool/w1")})))
+    capsys.readouterr()
+    assert main(["simulate", p["executable"], p["topology"], "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err == "error: no link from 'submit' to 'condorpool/w1'\n"
+    assert not (tmp_path / "s").exists()
+
+
+def test_flow_whose_end_overflows_exits_2(docs, tmp_path, capsys):
+    """A link so slow that a flow's end time overflows to infinity: no event
+    is left to come, and the engine says so instead of looping."""
+    p, paths = docs
+    topo = demo_topology()
+    paths["topology"].write_text(serialize_topology(replace(
+        topo, links=dict.fromkeys(topo.links, 1e-300))))
+    capsys.readouterr()
+    assert main(["simulate", p["executable"], p["topology"], "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: simulation stalled; unfinished jobs: ['compute_nowcast00', ")
+    assert not (tmp_path / "s").exists()

@@ -16,7 +16,7 @@ from contflow.catalog import (
     ContainerDef, ContainerRuntime, MountSpec, parse_catalog, parse_image_url,
 )
 from contflow.cli import main
-from contflow.errors import CycleDetected, StepFailed
+from contflow.errors import CycleDetected, InconsistentPlacement, StepFailed
 from contflow.launcher import (
     JOB_DIR_MOUNT,
     Step,
@@ -35,6 +35,7 @@ from contflow.planner import (
     PlacementMode,
     PlanConfig,
     SHAPES,
+    bypass_refusal,
     parse_executable,
     plan,
 )
@@ -118,6 +119,15 @@ class TestBuildWrapperPlan:
         assert kinds[0] is StepKind.CREATE_JOB_DIR
         assert kinds[-1] is StepKind.REMOVE_JOB_DIR
         assert StepKind.LAUNCH_TASK in kinds
+
+    @pytest.mark.parametrize("runtime, placement, with_cdef", [
+        (ContainerRuntime.DOCKER, PlacementMode.STAGE_COPY, False),
+        (None, None, True),
+    ], ids=["container-without-definition", "definition-without-container"])
+    def test_definition_must_match_the_payload(self, runtime, placement, with_cdef):
+        with pytest.raises(InconsistentPlacement) as exc:
+            build_wrapper_plan(make_job(runtime, placement), make_cdef() if with_cdef else None)
+        assert str(exc.value) == "job 'demo-job': container definition does not match payload"
 
     def test_staging_outside_container(self):
         plan = build_wrapper_plan(make_job(), make_cdef(), staging_inside=False)
@@ -249,6 +259,25 @@ class TestDockerBypass:
         assert report.ok
         assert report.count_effects("load") == 4
         assert report.count_effects("cache-hit") == len(plans) - 4
+
+    @pytest.mark.parametrize("site_local, image", [
+        (False, SITE_IMAGE), (True, "docker:///imaging/radar-tools:latest"),
+    ], ids=["not-site-local", "registry-image"])
+    def test_catalog_that_plan_would_not_bypass_is_refused(self, bypassed, site_local, image):
+        """build_plans applies the planner's bypass rule to the catalog it is given."""
+        ewf, _ = bypassed
+        cat = demo_catalog("docker")
+        cat = replace(cat, containers={name: replace(
+            cdef, image=parse_image_url(image), site_local=site_local,
+        ) for name, cdef in cat.containers.items()})
+        refusal = bypass_refusal(cat.containers["radar-tools"])
+        assert refusal is not None
+        with pytest.raises(InconsistentPlacement) as exc:
+            plan(demo_workflow(), cat, demo_sites(), PlanConfig(placement_override="bypass"))
+        assert str(exc.value) == f"task 'nowcast00': {refusal}"
+        with pytest.raises(InconsistentPlacement) as exc:
+            build_plans(ewf, cat)
+        assert str(exc.value) == f"job 'compute_nowcast00': {refusal}"
 
 
 def plan_shape(backend, placement, n_tasks=6):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -125,6 +126,28 @@ class TestDecidePlacement:
         with pytest.raises(InconsistentPlacement):
             decide_placement(c, make_site(), override="bypass")
 
+    def test_site_local_registry_image_on_a_listed_path_is_copied(self):
+        """The automatic bypass keeps the file:// rule too: a registry locator
+        under a listed path is no image on the site."""
+        c = make_container(ContainerRuntime.DOCKER, site_local=True)
+        assert c.image.locator.startswith("acme/")
+        s = make_site(cvmfs_like_paths=("acme",))
+        assert decide_placement(c, s) is PlacementMode.STAGE_COPY
+
+    @pytest.mark.parametrize("site_local", [False, True], ids=["shared", "site-local"])
+    @pytest.mark.parametrize("image", ["file:///cvmfs/sw/tool.img", "docker:///acme/tool:latest"],
+                             ids=["file", "registry"])
+    def test_bypass_override_refused_exactly_when_the_rule_says(self, site_local, image):
+        c = make_container(ContainerRuntime.DOCKER, site_local=site_local, image=image)
+        refusal = planner.bypass_refusal(c)
+        assert (refusal is None) == (site_local and image.startswith("file://"))
+        if refusal is None:
+            assert decide_placement(c, make_site(), override="bypass") is PlacementMode.BYPASS
+            return
+        with pytest.raises(InconsistentPlacement) as exc:
+            decide_placement(c, make_site(), override="bypass")
+        assert str(exc.value) == refusal
+
     def test_every_placement_is_a_row_of_the_shape_table(self):
         """Whatever decide_placement returns, the executable check accepts."""
         reached = {(None, None)}  # a job without a container
@@ -200,6 +223,19 @@ class TestPlan:
                            runtimes_available=frozenset())]
         with pytest.raises(RuntimeUnavailable):
             plan(wf, cat, sites, PlanConfig())
+
+    @pytest.mark.parametrize("site_local, message", [
+        (False, "container 'c1': bypass requires site_local"),
+        (True, "container 'c1': bypass requires a file:// image on the site, not "
+               "docker:///acme/tool:latest"),
+    ], ids=["not-site-local", "registry-image"])
+    def test_bypass_refusal_keeps_its_class(self, site_local, message):
+        wf, cat, sites = single_container_model(2)
+        cat = replace(cat, containers={"c1": make_container(site_local=site_local)})
+        with pytest.raises(InconsistentPlacement) as exc:
+            plan(wf, cat, sites, PlanConfig(placement_override="bypass"))
+        assert type(exc.value) is InconsistentPlacement
+        assert str(exc.value) == f"task 't00': {message}"
 
     def test_cleanup_jobs_follow_consumers(self):
         wf, cat, sites = single_container_model(3)

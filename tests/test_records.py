@@ -131,8 +131,7 @@ class TestReader:
         assert parse_workflow("tasks:\n- {id: 1, transformation: 2.5}\n").tasks == (
             Task("1", "2.5"),)
 
-    @pytest.mark.parametrize("value, expected", [
-        (3, 3.0), (2.5, 2.5), ("4", 4.0), (True, 1.0)])
+    @pytest.mark.parametrize("value, expected", [(3, 3.0), (2.5, 2.5)])
     def test_numbers_convert_as_before(self, value, expected):
         assert read_value(float, value, "workflow", "runtime") == expected
 
@@ -155,6 +154,10 @@ class TestReader:
         (list[Site], [1], "x document: k must list one mapping per entry"),
         (Site, 1, "x document: k must be a mapping, not 1"),
         (frozenset[ContainerRuntime], ["podman"], "x document: k must be one of docker"),
+        (float, "4", "x document: k must be a number, not '4'"),
+        (float, True, "x document: k must be a number, not True"),
+        (list[float], [1.0, True], "x document: k must be a number, not True"),
+        (dict[str, int], {"a": "10"}, "x document: k must be a number, not '10'"),
     ])
     def test_wrong_type_names_document_and_key(self, tp, value, message):
         with pytest.raises(ValidationError) as exc:

@@ -162,6 +162,15 @@ class TestErrors:
             simulate(ExecutableWorkflow(jobs=(job,)), tiny_topology(),
                      SimConfig())
 
+    def test_jobs_on_a_cycle_never_become_runnable(self):
+        """simulate() takes the executable as given; a caller that skips
+        validate_executable gets the jobs the cycle holds back named."""
+        jobs = (compute_job("a"), compute_job("b"), compute_job("c"))
+        ewf = ExecutableWorkflow(jobs=jobs, edges=(("a", "b"), ("b", "c"), ("c", "b")))
+        with pytest.raises(SimError) as exc:
+            simulate(ewf, tiny_topology(), SimConfig())
+        assert str(exc.value) == "jobs never became runnable: ['b', 'c']"
+
     def test_bad_topology_link(self):
         with pytest.raises(SimError):
             Topology(submit=NodeSpec("submit"), nfs=None, workers=(),
