@@ -198,6 +198,8 @@ def _required(raw: dict, keys: tuple[str, ...], entry: str) -> list[str]:
 
 def _parse_container(raw: dict, seen: set[str]) -> ContainerDef:
     name, image_url, runtime_s = _required(raw, ("name", "image", "type"), "cont entry")
+    if not name:
+        raise CatalogSyntaxError("cont entry: container name must not be empty")
     if name in seen:
         raise DuplicateName(f"duplicate container name {name!r}")
     try:

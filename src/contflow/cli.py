@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .planner import PlanConfig, parse_executable, parse_sites, serialize_executable
-from .simulator import WRITE_CHUNK, Runs, SimConfig, SimResult, parse_topology
+from .simulator import WRITE_CHARS, Runs, SimConfig, SimResult, parse_topology
 from .workflow import load_yaml, parse_workflow, read_record, read_value, write_record
 
 
@@ -142,8 +142,8 @@ def _read_series(value, key: str) -> dict[str, Runs]:
     is read now."""
     nodes = read_value(dict, value, "result", key)
     return {
-        read_value(str, name, "result", key):
-            v if type(v) is Runs else Runs.of(read_value(list[float], v, "result", key))
+        read_value(str, name, "result", key): v if type(v) is Runs else
+            Runs((x, 1) for x in read_value(list[float], v, "result", key))
         for name, v in nodes.items()
     }
 
@@ -176,55 +176,47 @@ def _result_from_doc(doc) -> SimResult:
     return res
 
 
-_SCALARS = {str, int, float, bool, type(None)}
+_ENCODER = json.JSONEncoder(indent=1, sort_keys=True)
 
 
-def _json_text(value, level: int):
-    """Yield the text of ``json.dumps(value, indent=1, sort_keys=True)``, nested
-    ``level`` deep, with a Runs written as the list it spells out.
+def _write_series(write, series_map: dict[str, Runs]) -> None:
+    """Write a per-node series map as the value of a top-level key.
 
-    Dict keys are strings, and each list is a Runs, empty, or rows of
-    scalars.  Each key and scalar is one C-encoder call, and so is a whole
-    list of rows.  A run is one line repeated, at most WRITE_CHUNK lines per
-    piece.
+    A run is one line repeated, in pieces of at most WRITE_CHARS characters.
     """
-    pad = "\n" + " " * (level + 1)
-    if isinstance(value, Runs):
-        opening = "["
-        for v, count in value.runs():
-            line = pad + json.dumps(v)
-            yield opening + line
-            opening = ","
-            for done in range(1, count, WRITE_CHUNK):
-                yield ("," + line) * min(WRITE_CHUNK, count - done)
-        yield pad[:-1] + "]" if value else "[]"
-    elif not isinstance(value, (dict, list, tuple)) or not value:
-        yield json.dumps(value)
-    elif type(value) is list and all(
-            type(row) is list and row and set(map(type, row)) <= _SCALARS for row in value):
-        # The item separator carries the newline and the indent.  A scalar
-        # never starts with "[" nor ends with "]", so "],<sep>[" is only ever
-        # where one row ends and the next begins.
-        inner = pad + " "
-        text = json.dumps(value, separators=("," + inner, ": "))[2:-2]
-        yield ("[" + pad + "[" + inner
-               + text.replace("]," + inner + "[", pad + "]," + pad + "[" + inner)
-               + pad + "]" + pad[:-1] + "]")
-    else:
-        opening = "{"
-        for key in sorted(value):
-            yield opening + pad + json.dumps(key) + ": "
-            yield from _json_text(value[key], level + 1)
-            opening = ","
-        yield pad[:-1] + "}"
+    opening = "{"
+    for node in sorted(series_map):
+        write(opening + "\n  " + json.dumps(node) + ": ")
+        opening = ","
+        series = series_map[node]
+        item = "["
+        for v, count in series.runs():
+            line = ",\n   " + json.dumps(v)
+            write(item + line[1:])
+            item = ","
+            per = max(1, WRITE_CHARS // len(line))
+            for done in range(1, count, per):
+                write(line * min(per, count - done))
+        write("\n  ]" if series else "[]")
+    write("\n }" if series_map else "{}")
 
 
 def _write_result(res: SimResult, f) -> None:
     """Write ``res`` to text file ``f`` as ``json.dumps(write_record(res),
-    indent=1, sort_keys=True)`` would, without spelling its series out."""
+    indent=1, sort_keys=True)`` would: each value but the per-node series
+    through json's encoder, one level deeper than it would be alone."""
     doc = write_record(replace(res, **dict.fromkeys(_SERIES, {})))
-    doc.update((key, getattr(res, key)) for key in _SERIES)
-    f.writelines(_json_text(doc, 0))
+    write = f.write
+    opening = "{"
+    for key in sorted(doc):
+        write(opening + "\n " + json.dumps(key) + ": ")
+        opening = ","
+        if key in _SERIES:
+            _write_series(write, getattr(res, key))
+        else:
+            for chunk in _ENCODER.iterencode(doc[key]):
+                write(chunk.replace("\n", "\n "))
+    write("\n}")
 
 
 def cmd_simulate(args) -> int:
@@ -399,18 +391,19 @@ def _read_result(path: str):
 
     A list that read_value would turn down stays a short list that
     _result_from_doc turns down the same way.  A document the streaming reader
-    does not accept, such as malformed JSON or a top level that is not an
-    object, is read again whole by json.loads, which gives the verdict.
+    does not accept, such as malformed JSON, a top level that is not an
+    object or lists nested too deep to decode, is read again whole by
+    json.loads, which gives the verdict.
     """
     try:
         with open(path) as f:
             return _ResultReader(f).document()
-    except (OSError, ValueError, _Unsure):
+    except (OSError, ValueError, RecursionError, _Unsure):
         pass
     text = _read(path)
     try:
         return json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"result document is not valid JSON: {exc}") from None
 
 

@@ -238,7 +238,7 @@ def build_plans(
         payload = job.payload
         assert isinstance(payload, ComputePayload)
         cdef = None
-        if payload.container:
+        if payload.container is not None:
             cdef = cat.containers.get(payload.container)
             if cdef is None:
                 raise DanglingContainerRef(

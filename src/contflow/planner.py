@@ -181,8 +181,9 @@ def validate_executable(ewf: ExecutableWorkflow) -> None:
     """Check an executable workflow, whether plan() made it or a document held it.
 
     Raise PlanError for a duplicate job id, an edge that names an unknown job,
-    or a compute job whose runtime is negative or not finite, whose task list
-    is empty, or whose image is pulled or symlinked without exactly one
+    a negative file, transfer or image size, or a compute job whose runtime is
+    negative or not finite, whose container name is empty, whose task list is
+    empty, or whose image is pulled or symlinked without exactly one
     container-fetch parent; InconsistentPlacement for a compute job whose
     shape is not a row of SHAPES; and CycleDetected for a cycle.
     """
@@ -195,6 +196,9 @@ def validate_executable(ewf: ExecutableWorkflow) -> None:
             raise PlanError(f"edge ({u!r}, {v!r}) references unknown job")
         if kinds[u] is JobKind.CONTAINER_FETCH:
             fetch_parents[v] = fetch_parents.get(v, 0) + 1
+    for j in ewf.jobs:
+        if isinstance(j.payload, TransferPayload):
+            _check_sizes(j, ((dst, size) for _, dst, size in j.payload.transfers))
     for j in ewf.jobs_of_kind(JobKind.COMPUTE):
         p = j.payload
         assert isinstance(p, ComputePayload)
@@ -202,6 +206,11 @@ def validate_executable(ewf: ExecutableWorkflow) -> None:
             raise PlanError(
                 f"job {j.id!r}: runtime_s must be finite and >= 0, got {p.runtime_s!r}"
             )
+        if p.image_bytes < 0:
+            raise PlanError(f"job {j.id!r}: image_bytes must be >= 0, got {p.image_bytes}")
+        _check_sizes(j, p.input_files + p.output_files)
+        if p.container == "":
+            raise PlanError(f"job {j.id!r}: container name must not be empty")
         materialize = job_shape(j).materialize
         if not p.task_ids:
             raise PlanError(f"compute job {j.id!r} has an empty task list")
@@ -212,6 +221,13 @@ def validate_executable(ewf: ExecutableWorkflow) -> None:
                 f"job, found {n_fetch}"
             )
     require_acyclic(kinds, ewf.edges)
+
+
+def _check_sizes(job: Job, files) -> None:
+    """Raise PlanError for the first of ``job``'s (name, bytes) pairs whose size is negative."""
+    for name, size in files:
+        if size < 0:
+            raise PlanError(f"job {job.id!r}: size of {name!r} must be >= 0, got {size}")
 
 
 def bypass_refusal(c: ContainerDef) -> str | None:

@@ -58,6 +58,9 @@ class NodeSpec:
             raise SimError(f"node {self.name!r}: slots must be >= 1")
         if not self.disk_untar_rate > 0:
             raise SimError(f"node {self.name!r}: disk_untar_rate must be > 0")
+        if not 0 <= self.disk_service_base_ms < math.inf:  # NaN fails both tests
+            raise SimError(f"node {self.name!r}: disk_service_base_ms must be finite and "
+                           f">= 0, not {self.disk_service_base_ms!r}")
 
 
 @dataclass(frozen=True)
@@ -143,21 +146,6 @@ class Runs:
         self._len = 0
         for value, count in runs:
             self._append(value, count)
-
-    @classmethod
-    def of(cls, values) -> Runs:
-        """The runs of ``values``, an iterable of floats."""
-        out = cls()
-        last, counts = None, out.counts
-        for v in values:
-            if v == last and (v != 0.0 or _same(v, last)):
-                counts[-1] += 1
-            else:
-                out.values.append(v)
-                counts.append(1)
-                last = v
-        out._len = sum(counts)
-        return out
 
     def runs(self):
         """The ``(value, count)`` pairs, in order."""
@@ -744,8 +732,7 @@ def critical_path_lower_bound(ewf: ExecutableWorkflow, topo: Topology) -> float:
 
 # --- reporting -------------------------------------------------------------
 
-WRITE_CHUNK = 4096  # lines per write of a long run in result.json
-WRITE_CHARS = 1 << 16  # characters per write of a long run of table rows
+WRITE_CHARS = 1 << 16  # characters per write of a long run in result.json or a table
 
 
 def _write_series_table(f, series_map: dict[str, Runs]) -> None:

@@ -70,6 +70,10 @@ class TestParseImageUrl:
         with pytest.raises(EmptyLocator):
             parse_image_url("docker:///")
 
+    def test_empty_file_path(self):
+        with pytest.raises(EmptyLocator, match="^empty path in 'file:///'$"):
+            parse_image_url("file:///")
+
     def test_colon_before_last_segment_is_not_a_tag(self):
         ref = parse_image_url("docker:///reg:5000/repo/tool")
         assert ref.locator == "reg:5000/repo/tool"
@@ -99,6 +103,10 @@ class TestParseMountSpec:
     def test_relative_path_rejected(self):
         with pytest.raises(MalformedMount):
             parse_mount_spec("a:/b")
+
+    def test_too_many_fields(self):
+        with pytest.raises(MalformedMount, match="^too many fields in mount spec: '/a:/b:ro:x'$"):
+            parse_mount_spec("/a:/b:ro:x")
 
     def test_unknown_option(self):
         with pytest.raises(UnknownOption):
@@ -207,6 +215,23 @@ cont:
         with pytest.raises(CatalogSyntaxError, match="mount must be a sequence"):
             parse_catalog(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("cont:\n  - {name: c1, image: 'docker:///x/y:1', type: docker, profile: 5}\n",
+         "cont 'c1': profile must be a sequence"),
+        ("cont:\n  - {name: c1, image: 'docker:///x/y:1', type: docker, profile: [5]}\n",
+         "cont 'c1': bad profile entry 5"),
+        ("cont:\n  - {name: c1, image: 'docker:///x/y:1', type: docker,"
+         " image_size_bytes: -1}\n", "container 'c1': negative image_size_bytes"),
+        ("- cont: []\n- 5\n", "unexpected top-level entry 5"),
+        ("cont:\n  - {name: '', image: 'docker:///x/y:1', type: docker}\n",
+         "cont entry: container name must not be empty"),
+    ], ids=["profile-not-a-list", "profile-entry-not-a-mapping", "negative-image-size",
+            "top-level-entry-not-a-mapping", "empty-container-name"])
+    def test_malformed_entry_names_its_fault(self, text, message):
+        with pytest.raises(CatalogSyntaxError) as exc:
+            parse_catalog(text)
+        assert str(exc.value) == message
+
     def test_round_trip(self, listing_text):
         cat = parse_catalog(listing_text)
         assert parse_catalog(serialize_catalog(cat)) == cat
@@ -239,6 +264,11 @@ transformations:
 """)
         entry, cdef = resolve_transformation(cat, "ns::a:1", "s1")
         assert cdef is None
+
+    def test_logical_id_without_a_version(self, listing_text):
+        cat = parse_catalog(listing_text)
+        with pytest.raises(NotFound, match="^bad logical transformation id 'example::keg'$"):
+            resolve_transformation(cat, "example::keg", "isi")
 
     def test_unknown_site(self, listing_text):
         cat = parse_catalog(listing_text)

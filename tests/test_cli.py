@@ -148,6 +148,19 @@ class TestPlan:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_cluster_size_below_1_exits_1(self, inputs, tmp_path, capsys):
+        capsys.readouterr()
+        assert run_plan(inputs, tmp_path, "--cluster-size", "0")[0] == 1
+        assert capsys.readouterr().err == "error: cluster size must be >= 1\n"
+
+    def test_cleanup_neither_on_nor_off_is_a_usage_error(self, inputs, tmp_path, capsys):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_plan(inputs, tmp_path, "--cleanup", "maybe")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --cleanup: expected on|off, got 'maybe'\n")
+
     def test_malformed_workflow(self, inputs, tmp_path, capsys):
         bad = tmp_path / "bad.yml"
         bad.write_text("{not valid")

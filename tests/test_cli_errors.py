@@ -292,11 +292,35 @@ def with_empty_task_list(ewf):
                               *ewf.jobs[1:]))
 
 
+def with_payload(job_id, **changes):
+    """An edit that sets ``changes`` on job ``job_id``'s payload; a callable
+    value is applied to the payload."""
+    def edit(ewf):
+        return replace(ewf, jobs=tuple(
+            replace(j, payload=replace(j.payload, **{
+                k: v(j.payload) if callable(v) else v for k, v in changes.items()}))
+            if j.id == job_id else j for j in ewf.jobs))
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (without_fetch_job, "compute job 'compute_nowcast00' must depend on exactly one "
                         "container-fetch job, found 0"),
     (with_empty_task_list, "compute job 'compute_nowcast00' has an empty task list"),
-], ids=["no-fetch-job", "empty-task-list"])
+    (with_payload("compute_nowcast00", container=""),
+     "job 'compute_nowcast00': container name must not be empty"),
+    (with_payload("compute_nowcast00", input_files=(("radar_volume", -10_000_000),)),
+     "job 'compute_nowcast00': size of 'radar_volume' must be >= 0, got -10000000"),
+    (with_payload("compute_nowcast01", output_files=(("grid01", -1),)),
+     "job 'compute_nowcast01': size of 'grid01' must be >= 0, got -1"),
+    (with_payload("compute_nowcast00", image_bytes=-1),
+     "job 'compute_nowcast00': image_bytes must be >= 0, got -1"),
+    (with_payload("stage_in_submit", transfers=lambda p: tuple(
+        (src, dst, -5) for src, dst, _ in p.transfers)),
+     "job 'stage_in_submit': size of 'file:///staging/submit/radar_volume' must be >= 0, "
+     "got -5"),
+], ids=["no-fetch-job", "empty-task-list", "empty-container-name", "negative-input-size",
+        "negative-output-size", "negative-image-size", "negative-stage-in-transfer"])
 def test_executable_that_plan_would_refuse_exits_1_in_every_command(
         docs, tmp_path, capsys, edit, message):
     p, paths = docs
@@ -310,6 +334,18 @@ def test_executable_that_plan_would_refuse_exits_1_in_every_command(
         assert capsys.readouterr().err == f"error: {message}\n", argv[0]
     assert not (tmp_path / "w").exists()
     assert not (tmp_path / "s").exists()
+
+
+def test_catalog_container_with_an_empty_name_exits_1_in_plan(docs, tmp_path, capsys):
+    p, paths = docs
+    paths["catalog"].write_text(paths["catalog"].read_text()
+                                .replace("name: radar-tools", "name: ''")
+                                .replace("container: radar-tools", "container: ''"))
+    capsys.readouterr()
+    assert main(["plan", p["workflow"], p["catalog"], p["sites"],
+                 "--out", str(tmp_path / "e.yml")]) == 1
+    assert capsys.readouterr().err == "error: cont entry: container name must not be empty\n"
+    assert not (tmp_path / "e.yml").exists()
 
 
 def test_catalog_runtime_other_than_planned_exits_1(docs, tmp_path, capsys):
@@ -440,3 +476,50 @@ def test_flow_whose_end_overflows_exits_2(docs, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "error: simulation stalled; unfinished jobs: ['compute_nowcast00', ")
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("slots: 24", "slots: 0", "slots must be >= 1"),
+    ("disk_service_base_ms: 10.0", "disk_service_base_ms: .nan",
+     "disk_service_base_ms must be finite and >= 0, not nan"),
+    ("disk_service_base_ms: 10.0", "disk_service_base_ms: -50.0",
+     "disk_service_base_ms must be finite and >= 0, not -50.0"),
+    ("disk_service_base_ms: 10.0", "disk_service_base_ms: .inf",
+     "disk_service_base_ms must be finite and >= 0, not inf"),
+], ids=["slots-0", "base-nan", "base-negative", "base-inf"])
+def test_topology_node_value_out_of_range_exits_2(docs, tmp_path, capsys, old, new, message):
+    """The first worker's field, after the submit and nfs nodes."""
+    p, paths = docs
+    text = paths["topology"].read_text()
+    at = text.index("name: condorpool/w1")
+    paths["topology"].write_text(text[:at] + text[at:].replace(old, new, 1))
+    capsys.readouterr()
+    assert main(["simulate", p["executable"], p["topology"], "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err == f"error: node 'condorpool/w1': {message}\n"
+    assert not (tmp_path / "s").exists()
+
+
+DEPTH = 3000  # lists nested deeper than Python's recursion limit
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["cut-off", "closed"])
+def test_result_nested_too_deep_exits_1(docs, tmp_path, capsys, closed):
+    p, paths = docs
+    paths["result"].write_text(
+        '{"makespan_s": ' + "[" * DEPTH + ("]" * DEPTH + "}" if closed else ""))
+    capsys.readouterr()
+    assert main(["report", p["result"], "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == (
+        "error: result document is not valid JSON: maximum recursion depth exceeded "
+        "while decoding a JSON array from a unicode string\n")
+    assert not (tmp_path / "r").exists()
+
+
+def test_yaml_nested_too_deep_exits_1(docs, tmp_path, capsys):
+    p, paths = docs
+    paths["workflow"].write_text("tasks: " + "[" * DEPTH + "]" * DEPTH + "\n")
+    capsys.readouterr()
+    assert main(["plan", p["workflow"], p["catalog"], p["sites"],
+                 "--out", str(tmp_path / "e.yml")]) == 1
+    assert capsys.readouterr().err == (
+        "error: workflow document: tasks must list one mapping per entry\n")

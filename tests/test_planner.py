@@ -12,6 +12,7 @@ from contflow.catalog import (
     Catalog,
     ContainerDef,
     ContainerRuntime,
+    InstallType,
     TransformationEntry,
     parse_image_url,
 )
@@ -236,6 +237,17 @@ class TestPlan:
             plan(wf, cat, sites, PlanConfig(placement_override="bypass"))
         assert type(exc.value) is InconsistentPlacement
         assert str(exc.value) == f"task 't00': {message}"
+
+    def test_stageable_executable_is_a_0_byte_input_no_stage_in_job_carries(self):
+        wf, cat, sites = single_container_model(2)
+        entry = replace(cat.transformations[0], install_type=InstallType.STAGEABLE,
+                        pfn="http://x/tool")
+        ewf = plan(wf, replace(cat, transformations=(entry,)), sites, PlanConfig(cleanup=False))
+        for j in ewf.jobs_of_kind(JobKind.COMPUTE):
+            assert j.payload.input_files == (("seed", 100), ("http://x/tool", 0))
+        [stage_in] = ewf.jobs_of_kind(JobKind.STAGE_IN)
+        assert stage_in.payload.transfers == (
+            ("http://x/seed", "file:///staging/staging0/seed", 100),)
 
     def test_cleanup_jobs_follow_consumers(self):
         wf, cat, sites = single_container_model(3)

@@ -30,7 +30,8 @@ def todays_read_series(value, key):
     """The per-node conversion the reader replaced: each list read whole, then into runs."""
     nodes = read_value(dict, value, "result", key)
     return {
-        read_value(str, name, "result", key): Runs.of(read_value(list[float], v, "result", key))
+        read_value(str, name, "result", key):
+            Runs((x, 1) for x in read_value(list[float], v, "result", key))
         for name, v in nodes.items()
     }
 

@@ -28,7 +28,6 @@ from contflow.scenarios import (
 )
 from contflow.simulator import (
     WRITE_CHARS,
-    WRITE_CHUNK,
     FlowRecord,
     Runs,
     SimConfig,
@@ -42,9 +41,11 @@ EXTREMES = [5e-324, 1.7976931348623157e308, -0.0, 0.0, 1e16, 3.0, -2.0, 1e-7, 0.
 floats = st.one_of(st.sampled_from(EXTREMES), st.floats(allow_nan=False, allow_infinity=False))
 names = st.one_of(st.sampled_from(['"', "\\", "é", "w☃/1", 'a"b\\c\n', "submit"]),
                   st.text(max_size=4))
+# the most lines one piece of result.json holds: its shortest series line
+PIECE_LINES = WRITE_CHARS // len(",\n   0.0")
 # counts of 1 to 3, and long runs on both sides of the writers' pieces
 counts = st.one_of(st.integers(1, 3), st.sampled_from(
-    [WRITE_CHUNK - 1, WRITE_CHUNK, WRITE_CHUNK + 1, 2 * WRITE_CHUNK + 1]))
+    [PIECE_LINES - 1, PIECE_LINES, PIECE_LINES + 1, 2 * PIECE_LINES + 1]))
 runs = st.lists(st.tuples(floats, counts), max_size=4).map(Runs)
 
 
@@ -90,7 +91,7 @@ class TestRuns:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, 5e-324]), max_size=30))
     def test_reads_as_the_list_it_holds(self, values):
-        series = Runs.of(values)
+        series = Runs((v, 1) for v in values)
         assert len(series) == len(values)
         assert same_floats(list(series), values)
         assert same_floats([series[i] for i in range(len(values))], values)
@@ -132,7 +133,7 @@ def series_table_reference(series_map) -> str:
 
 @settings(max_examples=100, deadline=None)
 @given(st.dictionaries(names, st.lists(st.tuples(floats, st.sampled_from(
-    [1, 2, 3, WRITE_CHUNK + 1])), max_size=3).map(Runs), max_size=3))
+    [1, 2, 3, PIECE_LINES + 1])), max_size=3).map(Runs), max_size=3))
 def test_series_table_equals_reference(series_map):
     """Series of unequal lengths too: a short one reads as 0.0 past its end."""
     out = io.StringIO()
@@ -157,14 +158,14 @@ class TestResultWriter:
         _write_result(res, out)
         line = len(",\n   0.0")
         assert out.chars > 3 * n * line
-        assert out.largest <= WRITE_CHUNK * len(",\n   125000000.0")
+        assert out.largest <= WRITE_CHARS
 
     def test_series_table_goes_out_in_bounded_pieces(self):
         n = 300_000
         out = CountingFile()
         _write_series_table(out, {"a": Runs([(1.0, n)]), "b": Runs([(0.0, 7), (2.0, n - 7)])})
         assert out.chars > n * len("\t1.000000\t2.000000\n")
-        assert out.largest <= WRITE_CHUNK * len("300000\t1.000000\t2.000000\n")
+        assert out.largest <= WRITE_CHARS
 
 
 @pytest.mark.parametrize("value", [0.0, 1.25e8])

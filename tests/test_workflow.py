@@ -12,6 +12,7 @@ from contflow.errors import (
     DanglingEdge,
     MultipleProducers,
     OrphanInput,
+    ValidationError,
 )
 from contflow.workflow import (
     AbstractWorkflow,
@@ -91,6 +92,17 @@ class TestValidateDag:
             Task("B", "ns::x:1", outputs=("f",)),
         ))
         with pytest.raises(MultipleProducers):
+            validate_dag(wf)
+
+    def test_duplicate_task_id(self):
+        wf = AbstractWorkflow(tasks=(Task("A", "ns::x:1"), Task("A", "ns::x:1")))
+        with pytest.raises(ValidationError, match="^duplicate task id 'A'$"):
+            validate_dag(wf)
+
+    def test_inputs_and_outputs_overlap(self):
+        wf = AbstractWorkflow(tasks=(Task("A", "ns::x:1", inputs=("f",), outputs=("f",)),),
+                              files={"f": FileMeta("f", 1, initial_location="http://x/f")})
+        with pytest.raises(ValidationError, match="^task 'A': inputs and outputs overlap$"):
             validate_dag(wf)
 
     def test_orphan_input(self):
