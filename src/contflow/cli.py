@@ -1,8 +1,8 @@
 """Command-line entry point: plan, wrappers, run, simulate, report, sweep.
 
 Exit codes: 0 success; 1 a ContflowError about the input (a document, a flag
-or an unreadable file); 2 a SimError or LaunchError (a simulation, a mock run
-that failed, or an output that cannot be written).  Each is printed as
+or an unreadable file); 2 a SimError (a simulation, or an output that cannot
+be written), or a mock run with a failed step.  Each is printed as
 ``error: <message>``.  Any other exception is a program fault and shows as a
 traceback.
 """
@@ -22,7 +22,6 @@ from .catalog import parse_catalog
 from .errors import (
     ContflowError,
     DestinationUnwritable,
-    LaunchError,
     SimError,
     ValidationError,
 )
@@ -105,33 +104,23 @@ def cmd_run(args) -> int:
     fail_step = None
     if args.fail_step:
         job_id, _, step = args.fail_step.partition(":")
-        try:
-            fail_step = (job_id, launcher.StepKind(step))
-        except ValueError:
+        if step not in {kind.value for kind in launcher.StepKind}:
             raise ValidationError(
                 f"--fail-step {args.fail_step!r}: expected JOB_ID:STEP_KIND, and "
                 f"{step!r} is not a step kind"
-            ) from None
-    try:
-        rep = launcher.execute_local(
-            ewf, plans, slots=args.slots, node_count=args.nodes,
-            fail_step=fail_step,
-        )
-    except LaunchError as exc:
-        rep = getattr(exc, "report", None)
-        if rep is not None:
-            _print_run_table(rep)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _print_run_table(rep)
-    return 0 if rep.ok else 2
-
-
-def _print_run_table(rep: launcher.ExecutionReport) -> None:
+            )
+        fail_step = (job_id, launcher.StepKind(step))
+    rep = launcher.execute_local(
+        ewf, plans, slots=args.slots, node_count=args.nodes, fail_step=fail_step,
+    )
     print(f"{'job':<36} {'status':<8} node")
     for job_id in sorted(rep.jobs):
         jr = rep.jobs[job_id]
         print(f"{job_id:<36} {jr.status:<8} {jr.node}")
+    if rep.error:
+        print(f"error: {rep.error}", file=sys.stderr)
+        return 2
+    return 0
 
 
 _SERIES = ("per_node_egress", "per_node_io_wait_ms")
@@ -506,7 +495,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SimError, LaunchError) as exc:
+    except SimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ContflowError as exc:

@@ -87,19 +87,6 @@ class InconsistentPlacement(PlanError):
     pass
 
 
-# --- launcher --------------------------------------------------------------
-
-class LaunchError(ContflowError):
-    pass
-
-
-class StepFailed(LaunchError):
-    def __init__(self, job_id: str, step_kind: str, message: str = ""):
-        self.job_id = job_id
-        self.step_kind = step_kind
-        super().__init__(f"job {job_id}: step {step_kind} failed{': ' + message if message else ''}")
-
-
 # --- simulator -------------------------------------------------------------
 
 class SimError(ContflowError):

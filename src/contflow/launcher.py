@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass, field
 
 from .catalog import Catalog, ContainerDef, ContainerRuntime, MountSpec
-from .errors import DanglingContainerRef, InconsistentPlacement, StepFailed, ValidationError
+from .errors import DanglingContainerRef, InconsistentPlacement, ValidationError
 from .planner import (
     ComputePayload,
     ExecutableWorkflow,
@@ -296,6 +296,14 @@ class ExecutionReport:
     def ok(self) -> bool:
         return all(j.status == "ok" for j in self.jobs.values())
 
+    @property
+    def error(self) -> str:
+        """The first failed job's failure, in dispatch order; "" if none failed."""
+        for jr in self.jobs.values():
+            if jr.status == "failed":
+                return f"job {jr.job_id}: step {jr.steps[-1].kind.value} failed: {jr.error}"
+        return ""
+
     def count_effects(self, effect: str) -> int:
         return sum(
             1
@@ -323,12 +331,12 @@ def execute_local(
     recorded, with a logical clock for its start and end: a step takes one
     tick, the jobs of a round start together at the round's first tick, and
     the next round starts when the round's longest job ends.  A step that
-    fails, by injection or by raising, fails its job, skips the job's
-    descendants and makes the call raise StepFailed once every other job has
-    finished.  ``slots`` or ``node_count`` below 1, and a
+    fails, by injection or by raising, fails its job and skips the job's
+    descendants while every other job runs; the failure comes back in the
+    report, as its ``error``.  ``slots`` or ``node_count`` below 1, and a
     ``fail_step`` whose job is not in ``ewf`` or runs no step of that kind,
     raise ValidationError up front.  A cycle leaves its jobs unrun, and once
-    the rounds end it raises CycleDetected, ahead of any StepFailed.
+    the rounds end it raises CycleDetected, whether or not a step failed.
     """
     if slots < 1 or node_count < 1:
         raise ValidationError(f"slots={slots} and node_count={node_count} must be at least 1")
@@ -344,7 +352,6 @@ def execute_local(
             )
     ready = ReadySet(jobs, ewf.edges)
     loaded: set[tuple[str, str]] = set()  # (image, node) pairs already loaded
-    first_error: StepFailed | None = None
 
     def run_steps(job: Job, node: str, clock: int) -> JobReport:
         jr = JobReport(job_id=job.id, status="ok", node=node)
@@ -385,19 +392,13 @@ def execute_local(
             longest = max(longest, len(jr.steps))
             if jr.status == "ok":
                 ready.release(job_id)
-                continue
-            if first_error is None:
-                first_error = StepFailed(job_id, jr.steps[-1].kind.value, jr.error)
         clock += longest
 
     if len(report.jobs) < len(jobs):
         # a job is left on or after a cycle, or after a failed job
         require_acyclic(jobs, ewf.edges)
-    if first_error is not None:
         # a failed job is never released, so the jobs left are its descendants
         for job_id in jobs:
             if job_id not in report.jobs:
                 report.jobs[job_id] = JobReport(job_id=job_id, status="skipped")
-        first_error.report = report  # let callers inspect partial results
-        raise first_error
     return report

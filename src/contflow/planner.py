@@ -28,6 +28,7 @@ from .errors import (
     PlanError,
     RuntimeUnavailable,
     UnresolvableTransformation,
+    ValidationError,
 )
 from .workflow import (
     AbstractWorkflow,
@@ -35,6 +36,7 @@ from .workflow import (
     load_yaml,
     read_record,
     read_value,
+    refuse_repeats,
     require_acyclic,
     topological_levels,
     validate_dag,  # unused here, but benchmarks/tracing.py wraps planner.validate_dag
@@ -539,4 +541,6 @@ def parse_sites(text: str) -> list[Site]:
     doc = load_yaml(text, "sites", (dict, list))
     if isinstance(doc, list):
         doc = {"sites": doc}
-    return read_value(list[Site], doc.get("sites", []), "sites", "sites")
+    sites = read_value(list[Site], doc.get("sites", []), "sites", "sites")
+    refuse_repeats((site.name for site in sites), ValidationError, "site name")
+    return sites

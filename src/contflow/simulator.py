@@ -39,6 +39,7 @@ from .workflow import (
     load_yaml,
     read_record,
     read_value,
+    refuse_repeats,
     topological_order,
     write_record,
 )
@@ -100,6 +101,7 @@ class Topology:
         return out
 
     def validate(self) -> None:
+        refuse_repeats(self.node_names(), SimError, "node name")
         names = set(self.node_names())
         for (a, b), bw in self.links.items():
             if a not in names or b not in names:
@@ -828,6 +830,7 @@ def parse_topology(text: str) -> Topology:
     """Parse the topology YAML document (submit / nfs / workers / links)."""
     doc = load_yaml(text, "topology")
     links = read_value(list[LinkSpec], doc.get("links", []), "topology", "links")
+    refuse_repeats(((link.src, link.dst) for link in links), SimError, "link")
     return read_record(Topology, doc, "topology",
                        links={(link.src, link.dst): link.bandwidth for link in links})
 

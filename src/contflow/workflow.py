@@ -166,15 +166,11 @@ def require_acyclic(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> N
 
 def validate_dag(wf: AbstractWorkflow) -> None:
     """Raise a ValidationError subclass if the workflow is malformed."""
-    task_ids = [t.id for t in wf.tasks]
-    seen: set[str] = set()
-    for tid in task_ids:
-        if tid in seen:
-            raise ValidationError(f"duplicate task id {tid!r}")
-        seen.add(tid)
+    refuse_repeats((t.id for t in wf.tasks), ValidationError, "task id")
+    task_ids = {t.id for t in wf.tasks}
 
     for u, v in wf.edges:
-        if u not in seen or v not in seen:
+        if u not in task_ids or v not in task_ids:
             raise DanglingEdge(f"edge ({u!r}, {v!r}) references unknown task")
 
     for name, meta in wf.files.items():
@@ -686,6 +682,15 @@ def read_value(tp, value, what: str, key: str):
     return _reader(tp)(value, what, key)
 
 
+def refuse_repeats(keys: Iterable, error: type[Exception], what: str) -> None:
+    """Raise ``error`` naming the first key that ``keys`` holds a second time."""
+    seen = set()
+    for key in keys:
+        if key in seen:
+            raise error(f"duplicate {what} {key!r}")
+        seen.add(key)
+
+
 def write_record(record) -> dict:
     """``record`` as its document entry: ``read_record``'s inverse.
 
@@ -703,6 +708,7 @@ def parse_workflow(text: str) -> AbstractWorkflow:
     """Parse the workflow YAML document (tasks / edges / files sections)."""
     doc = load_yaml(text, "workflow")
     files = read_value(list[FileMeta], doc.get("files", []), "workflow", "files")
+    refuse_repeats((m.name for m in files), ValidationError, "file name")
     return read_record(AbstractWorkflow, doc, "workflow", files={m.name: m for m in files})
 
 

@@ -84,6 +84,7 @@ class TestParseImageUrl:
             "docker:///rynge/montage:latest",
             "shub://singularity-hub.org/pegasus-isi/fedora-montage",
             "shifter:///papajim/namd_image:latest",
+            "http://example.org:8080/images/tool.tar:1",
         ):
             assert parse_image_url(url).url() == url
 
@@ -235,6 +236,15 @@ cont:
     def test_round_trip(self, listing_text):
         cat = parse_catalog(listing_text)
         assert parse_catalog(serialize_catalog(cat)) == cat
+
+    def test_transformation_profile_round_trip(self):
+        entry = TransformationEntry(namespace="ns", name="tool", version="1",
+                                    site="condorpool", pfn="/opt/tool",
+                                    profiles={"TOOL_HOME": "/opt/tool"})
+        cat = Catalog(transformations=(entry,))
+        text = serialize_catalog(cat)
+        assert "    profile:\n    - env:\n        TOOL_HOME: /opt/tool\n" in text
+        assert parse_catalog(text) == cat
 
     def test_extension_fields(self):
         text = """

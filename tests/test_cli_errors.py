@@ -376,15 +376,71 @@ def test_fail_step_that_injects_nothing_exits_1(docs, capsys, fail_step, message
     assert captured.err == f"error: cannot inject a failure: {message}\n"
 
 
-def test_fail_step_on_a_job_without_a_plan_exits_2(docs, capsys):
+def run_table(*rows):
+    """``contflow run``'s table: a header, then one row per job in id order."""
+    return "".join(line + "\n" for line in (
+        "job                                  status   node", *rows))
+
+
+RUN_OK = run_table(
+    "cleanup_compute_nowcast00            ok       node0",
+    "cleanup_compute_nowcast01            ok       node0",
+    "cleanup_compute_nowcast02            ok       node0",
+    "cleanup_compute_nowcast03            ok       node0",
+    "compute_nowcast00                    ok       node0",
+    "compute_nowcast01                    ok       node0",
+    "compute_nowcast02                    ok       node0",
+    "compute_nowcast03                    ok       node0",
+    "fetch_radar-tools_submit             ok       node0",
+    "stage_in_submit                      ok       node0",
+    "stage_out_submit                     ok       node0",
+)
+RUN_COMPUTE_FAILED = run_table(
+    "cleanup_compute_nowcast00            skipped  ",
+    "cleanup_compute_nowcast01            skipped  ",
+    "cleanup_compute_nowcast02            skipped  ",
+    "cleanup_compute_nowcast03            skipped  ",
+    "compute_nowcast00                    failed   node0",
+    "compute_nowcast01                    ok       node0",
+    "compute_nowcast02                    ok       node0",
+    "compute_nowcast03                    ok       node0",
+    "fetch_radar-tools_submit             ok       node0",
+    "stage_in_submit                      ok       node0",
+    "stage_out_submit                     skipped  ",
+)
+RUN_FETCH_FAILED = run_table(
+    "cleanup_compute_nowcast00            skipped  ",
+    "cleanup_compute_nowcast01            skipped  ",
+    "cleanup_compute_nowcast02            skipped  ",
+    "cleanup_compute_nowcast03            skipped  ",
+    "compute_nowcast00                    skipped  ",
+    "compute_nowcast01                    skipped  ",
+    "compute_nowcast02                    skipped  ",
+    "compute_nowcast03                    skipped  ",
+    "fetch_radar-tools_submit             failed   node0",
+    "stage_in_submit                      ok       node0",
+    "stage_out_submit                     skipped  ",
+)
+
+
+@pytest.mark.parametrize("fail_step, code, out, err", [
+    (None, 0, RUN_OK, ""),
+    ("compute_nowcast00:stage-in", 2, RUN_COMPUTE_FAILED,
+     "error: job compute_nowcast00: step stage-in failed: injected failure at stage-in\n"),
+    (f"{FETCH_JOB}:launch-task", 2, RUN_FETCH_FAILED,
+     f"error: job {FETCH_JOB}: step launch-task failed: injected failure at launch-task\n"),
+], ids=["no-failure", "compute-stage-in", "fetch-launch-task"])
+def test_run_prints_the_same_bytes_and_exit_code(docs, capsys, fail_step, code, out, err):
+    """A failed job's table still prints, its descendants skipped on no node;
+    the fetch job, which has no wrapper plan, fails at its one launch-task."""
     p, _ = docs
     capsys.readouterr()
-    argv = ["run", p["executable"], p["catalog"], "--fail-step", f"{FETCH_JOB}:launch-task"]
-    assert main(argv) == 2
+    argv = ["run", p["executable"], p["catalog"]]
+    if fail_step is not None:
+        argv += ["--fail-step", fail_step]
+    assert main(argv) == code
     captured = capsys.readouterr()
-    assert captured.err == (f"error: job {FETCH_JOB}: step launch-task failed: "
-                            f"injected failure at launch-task\n")
-    assert "skipped" in captured.out
+    assert (captured.out, captured.err) == (out, err)
 
 
 @pytest.mark.parametrize("command", ["plan", "wrappers", "simulate", "report"])
@@ -476,6 +532,41 @@ def test_flow_whose_end_overflows_exits_2(docs, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "error: simulation stalled; unfinished jobs: ['compute_nowcast00', ")
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("- name: condorpool/w2\n", "- name: condorpool/w1\n",
+     "duplicate node name 'condorpool/w1'"),
+    ("- name: condorpool/w4\n", "- name: submit\n", "duplicate node name 'submit'"),
+    ("links:\n", "links:\n- src: submit\n  dst: nfs\n  bandwidth: 5.0\n"
+     "- src: submit\n  dst: nfs\n  bandwidth: 125000000.0\n",
+     "duplicate link ('submit', 'nfs')"),
+], ids=["worker-twice", "worker-named-submit", "link-twice"])
+def test_topology_with_a_repeated_name_exits_2(docs, tmp_path, capsys, old, new, message):
+    p, paths = docs
+    edited(paths["topology"], old, new)
+    capsys.readouterr()
+    assert main(["simulate", p["executable"], p["topology"], "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("name, old, new, message", [
+    ("workflow", "files:\n", "files:\n- name: radar_volume\n  size_bytes: 10000000\n",
+     "duplicate file name 'radar_volume'"),
+    ("sites", "  - {name: nfs, shared_fs: true}\n",
+     "  - {name: nfs, shared_fs: true}\n  - {name: condorpool, runtimes: [docker]}\n",
+     "duplicate site name 'condorpool'"),
+], ids=["workflow-file", "site"])
+def test_workflow_or_sites_with_a_repeated_name_exits_1(docs, tmp_path, capsys,
+                                                        name, old, new, message):
+    p, paths = docs
+    edited(paths[name], old, new)
+    out = tmp_path / "plan" / "executable.yml"
+    capsys.readouterr()
+    assert main(["plan", p["workflow"], p["catalog"], p["sites"], "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("old, new, message", [

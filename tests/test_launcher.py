@@ -16,7 +16,7 @@ from contflow.catalog import (
     ContainerDef, ContainerRuntime, MountSpec, parse_catalog, parse_image_url,
 )
 from contflow.cli import main
-from contflow.errors import CycleDetected, InconsistentPlacement, StepFailed
+from contflow.errors import CycleDetected, InconsistentPlacement, ValidationError
 from contflow.launcher import (
     JOB_DIR_MOUNT,
     Step,
@@ -368,6 +368,14 @@ def shared_image_workflow(n_jobs=12):
     return ExecutableWorkflow(jobs=jobs), cat
 
 
+def with_malformed_load(plan):
+    """``plan`` with a load step that lacks its image argument, so it raises KeyError."""
+    return replace(plan, host_steps=tuple(
+        Step(StepKind.LOAD_IMAGE, {}) if s.kind is StepKind.LOAD_IMAGE else s
+        for s in plan.host_steps
+    ))
+
+
 class TestExecuteLocal:
     def test_three_job_chain_order(self):
         ewf, cat = shared_image_workflow(3)
@@ -402,11 +410,11 @@ class TestExecuteLocal:
         ewf, cat = shared_image_workflow(3)
         ewf = ExecutableWorkflow(jobs=ewf.jobs, edges=(("j00", "j01"), ("j01", "j02")))
         plans = build_plans(ewf, cat)
-        with pytest.raises(StepFailed) as exc:
-            execute_local(ewf, plans, fail_step=("j00", StepKind.STAGE_IN))
-        assert exc.value.job_id == "j00"
-        assert exc.value.step_kind == StepKind.STAGE_IN.value
-        report = exc.value.report
+        report = execute_local(ewf, plans, fail_step=("j00", StepKind.STAGE_IN))
+        assert not report.ok
+        assert report.error == "job j00: step stage-in failed: injected failure at stage-in"
+        assert report.jobs["j00"].status == "failed"
+        assert report.jobs["j00"].steps[-1].kind is StepKind.STAGE_IN
         assert report.jobs["j01"].status == "skipped"
         assert report.jobs["j02"].status == "skipped"
 
@@ -414,30 +422,42 @@ class TestExecuteLocal:
         ewf, cat = shared_image_workflow(3)
         ewf = ExecutableWorkflow(jobs=ewf.jobs, edges=(("j00", "j01"), ("j01", "j02")))
         plans = build_plans(ewf, cat)
-        # a load step without its image argument raises KeyError inside the runtime
-        plans["j00"] = replace(plans["j00"], host_steps=tuple(
-            Step(StepKind.LOAD_IMAGE, {}) if s.kind is StepKind.LOAD_IMAGE else s
-            for s in plans["j00"].host_steps
-        ))
-        raised: list[StepFailed] = []
+        plans["j00"] = with_malformed_load(plans["j00"])
+        report = run_within(lambda: execute_local(ewf, plans), timeout=10)
+        assert not report.ok
+        assert report.error == "job j00: step load-image failed: KeyError: 'image'"
+        assert report.jobs["j00"].status == "failed"
+        assert report.jobs["j00"].steps[-1].kind is StepKind.LOAD_IMAGE
+        assert report.jobs["j01"].status == "skipped"
+        assert report.jobs["j02"].status == "skipped"
 
-        def call():
-            try:
-                execute_local(ewf, plans)
-            except StepFailed as exc:
-                raised.append(exc)
+    def test_error_is_the_first_failure_in_dispatch_order(self):
+        ewf, cat = shared_image_workflow(4)
+        plans = build_plans(ewf, cat)
+        assert execute_local(ewf, plans).error == ""
+        # one slot runs j02, j03, j01, j00: j00 fails last though its id is smallest
+        ewf = ExecutableWorkflow(jobs=ewf.jobs, edges=(("j03", "j01"), ("j01", "j00")))
+        plans["j00"] = with_malformed_load(plans["j00"])
+        report = execute_local(ewf, plans, slots=1, fail_step=("j02", StepKind.STAGE_IN))
+        assert [jid for jid, jr in report.jobs.items() if jr.status == "failed"] == ["j02", "j00"]
+        assert report.error == "job j02: step stage-in failed: injected failure at stage-in"
 
-        thread = threading.Thread(target=call, daemon=True)
-        thread.start()
-        thread.join(timeout=10)
-        assert not thread.is_alive(), "execute_local hung on a raising step"
-        (exc,) = raised
-        assert exc.job_id == "j00"
-        assert exc.step_kind == StepKind.LOAD_IMAGE.value
-        assert "KeyError" in str(exc)
-        assert exc.report.jobs["j00"].status == "failed"
-        assert exc.report.jobs["j01"].status == "skipped"
-        assert exc.report.jobs["j02"].status == "skipped"
+    @pytest.mark.parametrize("bad", [
+        {"slots": 0}, {"node_count": 0},
+        {"fail_step": ("ghost", StepKind.STAGE_IN)},
+        {"fail_step": ("a", StepKind.STAGE_IN)},
+    ], ids=["slots", "node-count", "unknown-job", "step-the-job-lacks"])
+    def test_bad_settings_raise_before_any_job_runs(self, bad):
+        """Each is refused up front, so a cycle the rounds would find stays unseen."""
+        jobs = tuple(
+            Job(id=jid, kind=JobKind.CLEANUP, site="submit",
+                payload=CleanupPayload(target_job=""))
+            for jid in ("a", "b")
+        )
+        ewf = ExecutableWorkflow(jobs=jobs, edges=(("a", "b"), ("b", "a")))
+        with pytest.raises(ValidationError) as exc:
+            execute_local(ewf, {}, **bad)
+        assert not isinstance(exc.value, CycleDetected)
 
     def test_staging_outside_runs_every_in_container_step(self):
         ewf, cat = shared_image_workflow(2)
@@ -461,7 +481,7 @@ class TestExecuteLocal:
     @pytest.mark.parametrize("fail_step", [None, ("a", StepKind.LAUNCH_TASK)],
                              ids=["no-failure", "failure-before-the-cycle"])
     def test_cycle_raises_cycle_detected(self, fail_step):
-        """A cycle raises CycleDetected, ahead of a failed job's StepFailed."""
+        """A cycle raises CycleDetected, also when a step failed before it."""
         jobs = tuple(
             Job(id=jid, kind=JobKind.CLEANUP, site="submit",
                 payload=CleanupPayload(target_job=""))
@@ -605,12 +625,8 @@ def dag_runs(draw):
 
 def report_of(ewf, plans, slots, node_count, fail):
     fail_step = None if fail is None else (fail, StepKind.LAUNCH_TASK)
-    try:
-        return execute_local(ewf, plans, slots=slots, node_count=node_count,
-                             fail_step=fail_step)
-    except StepFailed as exc:
-        assert exc.job_id == fail
-        return exc.report
+    return execute_local(ewf, plans, slots=slots, node_count=node_count,
+                         fail_step=fail_step)
 
 
 def run_summary(report):
@@ -638,6 +654,9 @@ class TestRoundsAtScale:
         by_status = {status: {jid for jid, jr in report.jobs.items() if jr.status == status}
                      for status in ("ok", "failed", "skipped")}
         assert by_status["failed"] == ({fail} if fail is not None else set())
+        assert report.error == ("" if fail is None else
+                                f"job {fail}: step launch-task failed: "
+                                f"injected failure at launch-task")
         assert by_status["skipped"] == descendants
 
         for jid in by_status["ok"]:

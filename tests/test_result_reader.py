@@ -196,6 +196,18 @@ def test_hand_written_documents(tmp_path, text, chunk):
         assert outcome(streamed, path) == outcome(reference, path)
 
 
+def test_text_after_a_series_list_gets_json_s_own_error(tmp_path, capsys):
+    text = '{"per_node_egress": {"a": [1.0] 2}}'
+    path = tmp_path / "result.json"
+    path.write_text(text)
+    with pytest.raises(cli._Unsure):
+        streams_without_json_loads(path)
+    with pytest.raises(ValueError) as exc:
+        json.loads(text)
+    assert cli.main(["report", str(path), "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == f"error: result document is not valid JSON: {exc.value}\n"
+
+
 def test_every_cut_of_the_text_reads_alike(tmp_path):
     """With reads of 1 to 9 characters, runs, numbers, names and escapes all
     straddle a read boundary somewhere."""

@@ -101,6 +101,14 @@ class TestClosedFormOracles:
         assert res.makespan_s == pytest.approx(11.5, rel=1e-6)
         assert res.container_bytes_from("submit") == 0
 
+    def test_site_without_a_node_of_its_name_stages_on_its_first_node(self):
+        # no node is named "site", so a transfer to it lands on site/w1
+        job = Job(id="s0", kind=JobKind.STAGE_IN, site="submit",
+                  payload=TransferPayload((("a", "b", 100_000_000),), "submit", "site"))
+        res = simulate(ExecutableWorkflow(jobs=(job,)), tiny_topology(workers=2), SimConfig())
+        assert [(f.src, f.dst) for f in res.flow_ledger] == [("submit", "site/w1")]
+        assert res.makespan_s == pytest.approx(1.0, rel=1e-6)
+
     def test_two_flows_share_the_link_fairly(self):
         # two stage-ins on one 1e8 link: 100 MB each at 5e7 B/s = 2.0 s
         jobs = (compute_job("c0", runtime_s=0.0, outputs=()),
