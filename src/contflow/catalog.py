@@ -101,7 +101,6 @@ class TransformationEntry:
     pfn: str = ""
     install_type: InstallType = field(default=InstallType.INSTALLED, metadata={"key": "type"})
     container: str | None = None
-    profiles: dict[str, str] = field(default_factory=dict)
 
     @property
     def logical_id(self) -> str:
@@ -117,6 +116,11 @@ class Catalog:
         if entry.container is None:
             return None
         return self.containers[entry.container]
+
+
+def load_key(url: str) -> str:
+    """The name of the Docker image at ``url`` in a node's load lock and marker."""
+    return url.split("://", 1)[-1].strip("/").replace("/", "_")
 
 
 def parse_image_url(url: str) -> ImageRef:
@@ -234,10 +238,12 @@ def _parse_transformation(raw: dict) -> list[TransformationEntry]:
     for site_raw in sites:
         if not isinstance(site_raw, dict) or "name" not in site_raw:
             raise CatalogSyntaxError(f"transformation {name!r}: bad site entry")
+        if "profile" in site_raw:
+            raise CatalogSyntaxError(
+                f"transformation {name!r}: env profiles go on the container, not the site")
         entries.append(read_record(
             TransformationEntry, site_raw, "catalog",
             namespace=namespace, name=name, version=version,
-            profiles=_parse_profiles(site_raw.get("profile"), f"transformation {name!r}"),
         ))
     return entries
 
@@ -264,9 +270,17 @@ def parse_catalog(text: str) -> Catalog:
         raise CatalogSyntaxError(str(exc)) from None
 
     containers: dict[str, ContainerDef] = {}
+    loaded_as: dict[str, str] = {}  # Docker load key -> container
     for raw in conts:
         cdef = _parse_container(raw, set(containers))
         containers[cdef.name] = cdef
+        if cdef.runtime is ContainerRuntime.DOCKER:
+            key = load_key(cdef.image.url())
+            if key in loaded_as:
+                raise DuplicateName(
+                    f"containers {loaded_as[key]!r} and {cdef.name!r} load as one "
+                    f"Docker image {key!r}")
+            loaded_as[key] = cdef.name
 
     transformations: list[TransformationEntry] = []
     seen_keys: set[tuple[str, str, str, str]] = set()
@@ -301,8 +315,6 @@ def serialize_catalog(cat: Catalog) -> str:
                           "pfn": e.pfn, "type": e.install_type.value}
             if e.container is not None:
                 site["container"] = e.container
-            if e.profiles:
-                site["profile"] = [{"env": dict(e.profiles)}]
             sites.append(site)
         transformations.append({
             "namespace": namespace, "name": name, "version": version, "site": sites,

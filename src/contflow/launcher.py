@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .catalog import Catalog, ContainerDef, ContainerRuntime, MountSpec
+from .catalog import Catalog, ContainerDef, ContainerRuntime, MountSpec, load_key
 from .errors import DanglingContainerRef, InconsistentPlacement, ValidationError
 from .planner import (
     ComputePayload,
@@ -163,7 +163,7 @@ def _render_step(step: Step, plan: WrapperPlan, where: str) -> list[str]:
         if step.args.get("site_path"):
             source = f'"$(image_path {step.args["image"]})"'
         if step.args.get("dedup"):
-            tag = step.args["image"].split("://", 1)[-1].strip("/").replace("/", "_")
+            tag = load_key(step.args["image"])
             lines += [
                 f'exec 9>"/var/lock/contflow-{tag}.lock"',
                 "flock 9",
@@ -351,7 +351,7 @@ def execute_local(
                 f"cannot inject a failure: job {job_id!r} runs no {kind.value} step"
             )
     ready = ReadySet(jobs, ewf.edges)
-    loaded: set[tuple[str, str]] = set()  # (image, node) pairs already loaded
+    loaded: set[tuple[str, str]] = set()  # (load key, node) pairs already loaded
 
     def run_steps(job: Job, node: str, clock: int) -> JobReport:
         jr = JobReport(job_id=job.id, status="ok", node=node)
@@ -361,7 +361,7 @@ def execute_local(
                 if fail_step is not None and fail_step == (job.id, step.kind):
                     jr.error = f"injected failure at {step.kind.value}"
                 elif step.kind is StepKind.LOAD_IMAGE:
-                    key = (step.args["image"], node)
+                    key = (load_key(step.args["image"]), node)
                     hit = bool(step.args.get("dedup")) and key in loaded
                     effect = "cache-hit" if hit else "load"
                     loaded.add(key)

@@ -74,8 +74,9 @@ class Shape:
     load: str | None
 
 
-# the one source of each compute job's image rules, by (backend, placement):
-# a row for each shape plan() writes, which wrappers, mock run and simulator read
+# the one source of each compute job's image rules, by (backend, placement): a row for each
+# shape plan() writes, which wrappers, mock run and simulator read; a Docker image loads once
+# per (container, node), and parse_catalog makes sure a container and its load_key name one image
 SHAPES: dict[tuple[ContainerRuntime | None, PlacementMode | None], Shape] = {
     (None, None): Shape(None, None),
     (ContainerRuntime.DOCKER, PlacementMode.STAGE_COPY): Shape("pull", "image"),
@@ -189,9 +190,8 @@ def validate_executable(ewf: ExecutableWorkflow) -> None:
     container-fetch parent; InconsistentPlacement for a compute job whose
     shape is not a row of SHAPES; and CycleDetected for a cycle.
     """
+    refuse_repeats((j.id for j in ewf.jobs), PlanError, "job id")
     kinds = {j.id: j.kind for j in ewf.jobs}
-    if len(kinds) != len(ewf.jobs):
-        raise PlanError("duplicate job ids in executable workflow")
     fetch_parents: dict[str, int] = {}
     for u, v in ewf.edges:
         if u not in kinds or v not in kinds:
@@ -418,12 +418,14 @@ def plan(
     jobs: list[Job] = []
     edges: list[tuple[str, str]] = []
     compute_id = {t.id: f"compute_{t.id}" for t in wf.tasks}
+    sources = {f: meta.initial_location for f, meta in wf.files.items()  # outside input → url
+               if f not in producers and meta.initial_location is not None}
     for task in wf.tasks:
         site, entry, cdef, placement = binding[task.id]
-        extra_inputs: list[tuple[str, int]] = []
+        inputs = [(f, wf.file_meta(f).size_bytes) for f in task.inputs]
         if entry.install_type is InstallType.STAGEABLE and entry.pfn:
-            # stageable executables travel with the job; size unknown → 0
-            extra_inputs.append((entry.pfn, 0))
+            sources[entry.pfn] = entry.pfn  # a stageable executable; size unknown → 0
+            inputs.append((entry.pfn, 0))
         payload = ComputePayload(
             task_ids=(task.id,),
             container=cdef.name if cdef else None,
@@ -433,9 +435,7 @@ def plan(
             level=levels[task.id],
             runtime_s=task.expected_runtime_s,
             image_bytes=cdef.image_size_bytes if cdef else 0,
-            input_files=tuple(
-                [(f, wf.file_meta(f).size_bytes) for f in task.inputs] + extra_inputs
-            ),
+            input_files=tuple(inputs),
             output_files=tuple((f, wf.file_meta(f).size_bytes) for f in task.outputs),
         )
         jobs.append(Job(id=compute_id[task.id], kind=JobKind.COMPUTE,
@@ -450,7 +450,7 @@ def plan(
     jobs = list(ewf.jobs)
     edges = list(ewf.edges)
 
-    # one scan: per staging site, the workflow inputs to stage in with the jobs
+    # one scan: per staging site, the outside inputs to stage in with the jobs
     # that read them, and the workflow outputs to ship out with the jobs that
     # write them; a file's entry keeps the size its last user gave
     wf_outputs = set(wf.workflow_outputs())
@@ -459,8 +459,7 @@ def plan(
     for j in ewf.jobs_of_kind(JobKind.COMPUTE):
         p = j.payload
         assert isinstance(p, ComputePayload)
-        ins = [(f, size) for f, size in p.input_files
-               if f not in producers and wf.file_meta(f).initial_location is not None]
+        ins = [(f, size) for f, size in p.input_files if f in sources]
         outs = [(f, size) for f, size in p.output_files if f in wf_outputs]
         for by_site, files in ((stage_in, ins), (stage_out, outs)):
             if files:
@@ -474,7 +473,7 @@ def plan(
             kind=JobKind.STAGE_IN,
             site=staging,
             payload=TransferPayload(transfers=tuple(
-                (wf.files[f].initial_location, f"file:///staging/{staging}/{f}", size)
+                (sources[f], f"file:///staging/{staging}/{f}", size)
                 for f, size in sorted(files.items())
             ), src_site="", dst_site=staging),
         )

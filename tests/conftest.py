@@ -12,6 +12,7 @@ from contflow.catalog import (
     Catalog,
     ContainerDef,
     ContainerRuntime,
+    InstallType,
     TransformationEntry,
     parse_image_url,
 )
@@ -80,28 +81,35 @@ def make_random_model(
     With ``every_shape``, each model also draws, swarm-style, the share of its
     Docker and Singularity containers whose image is a site-local
     ``file:///cvmfs/sw/...`` path, the share of compute sites that list that
-    path in ``cvmfs_like_paths`` and the share with a shared filesystem, so
-    its plans reach every row of ``planner.SHAPES``.  Without it the draws,
-    and so the models, are those the pinned executable digests were made from.
+    path in ``cvmfs_like_paths``, the share with a shared filesystem and the
+    share of transformation entries that are STAGEABLE, so its plans reach
+    every row of ``planner.SHAPES`` and stage executables in.  Each Docker
+    container then has an image URL of its own, as ``parse_catalog`` requires.
+    Without it the draws, and so the models, are those the pinned executable
+    digests were made from.
     """
     n_tasks = rng.randint(1, max_tasks)
     n_containers = rng.randint(0, max_containers)
     n_staging = rng.randint(1, max_staging_sites)
-    local_share = cvmfs_share = 0.0
+    local_share = cvmfs_share = stageable_share = 0.0
     shared_share = 0.3
     if every_shape:
-        local_share, cvmfs_share, shared_share = (
-            rng.choice([0.0, 0.5, 1.0]) for _ in range(3))
+        local_share, cvmfs_share, shared_share, stageable_share = (
+            rng.choice([0.0, 0.5, 1.0]) for _ in range(4))
 
     containers: dict[str, ContainerDef] = {}
     for i in range(n_containers):
         runtime = rng.choice(RUNTIMES)
         local = (every_shape and runtime is not ContainerRuntime.SHIFTER
                  and rng.random() < local_share)
+        image = IMAGE_URL[runtime]
+        if local:
+            image = f"file://{SITE_IMAGE_DIR}/c{i}.img"
+        elif every_shape and runtime is ContainerRuntime.DOCKER:
+            image = f"docker:///acme/tool{i}:latest"
         containers[f"c{i}"] = ContainerDef(
             name=f"c{i}",
-            image=parse_image_url(f"file://{SITE_IMAGE_DIR}/c{i}.img" if local
-                                  else IMAGE_URL[runtime]),
+            image=parse_image_url(image),
             runtime=runtime,
             image_size_bytes=rng.randint(1, 50) * 1_000_000,
             site_local=local,
@@ -128,9 +136,11 @@ def make_random_model(
     for i in range(n_transforms):
         cname = f"c{i}" if i < n_containers else None
         for s in compute_sites:
+            stageable = every_shape and rng.random() < stageable_share
             transformations.append(TransformationEntry(
                 namespace="ns", name=f"tool{i}", version="1.0", site=s.name,
                 pfn=f"/opt/tool{i}", container=cname,
+                install_type=InstallType.STAGEABLE if stageable else InstallType.INSTALLED,
             ))
     cat = Catalog(transformations=tuple(transformations), containers=containers)
 

@@ -176,6 +176,30 @@ cont:
         with pytest.raises(DuplicateName):
             parse_catalog(text)
 
+    @pytest.mark.parametrize("first, second, key", [
+        ("docker:///x/y:1", "docker:///x/y:1", "x_y:1"),
+        ("docker:///x/y:1", "docker://x/y:1", "x_y:1"),
+        ("docker:///a/b_c:1", "docker:///a_b/c:1", "a_b_c:1"),
+    ], ids=["same-url", "same-url-spelled-apart", "same-load-key"])
+    def test_docker_containers_with_one_load_key(self, first, second, key):
+        text = f"""
+cont:
+  - {{name: c1, image: "{first}", type: docker}}
+  - {{name: c2, image: "{second}", type: docker}}
+"""
+        with pytest.raises(DuplicateName) as exc:
+            parse_catalog(text)
+        assert str(exc.value) == f"containers 'c1' and 'c2' load as one Docker image '{key}'"
+
+    @pytest.mark.parametrize("first, second", [
+        ("image: 'docker:///x/y:1', type: docker", "image: 'shifter:///x/y:1', type: shifter"),
+        ("image: 'shub://hub/x/y', type: singularity",
+         "image: 'shub://hub/x/y', type: singularity"),
+    ], ids=["docker-and-shifter", "two-singularity"])
+    def test_containers_that_do_not_both_docker_load_may_share_an_image(self, first, second):
+        text = f"cont:\n  - {{name: c1, {first}}}\n  - {{name: c2, {second}}}\n"
+        assert list(parse_catalog(text).containers) == ["c1", "c2"]
+
     def test_duplicate_transformation_site(self):
         text = """
 transformations:
@@ -226,8 +250,11 @@ cont:
         ("- cont: []\n- 5\n", "unexpected top-level entry 5"),
         ("cont:\n  - {name: '', image: 'docker:///x/y:1', type: docker}\n",
          "cont entry: container name must not be empty"),
+        ("transformations:\n  - {namespace: ns, name: tool, version: '1', site:\n"
+         "      [{name: s1, profile: [{env: {TOOL_HOME: /opt/tool}}]}]}\n",
+         "transformation 'tool': env profiles go on the container, not the site"),
     ], ids=["profile-not-a-list", "profile-entry-not-a-mapping", "negative-image-size",
-            "top-level-entry-not-a-mapping", "empty-container-name"])
+            "top-level-entry-not-a-mapping", "empty-container-name", "transformation-profile"])
     def test_malformed_entry_names_its_fault(self, text, message):
         with pytest.raises(CatalogSyntaxError) as exc:
             parse_catalog(text)
@@ -236,15 +263,6 @@ cont:
     def test_round_trip(self, listing_text):
         cat = parse_catalog(listing_text)
         assert parse_catalog(serialize_catalog(cat)) == cat
-
-    def test_transformation_profile_round_trip(self):
-        entry = TransformationEntry(namespace="ns", name="tool", version="1",
-                                    site="condorpool", pfn="/opt/tool",
-                                    profiles={"TOOL_HOME": "/opt/tool"})
-        cat = Catalog(transformations=(entry,))
-        text = serialize_catalog(cat)
-        assert "    profile:\n    - env:\n        TOOL_HOME: /opt/tool\n" in text
-        assert parse_catalog(text) == cat
 
     def test_extension_fields(self):
         text = """

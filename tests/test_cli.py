@@ -286,7 +286,7 @@ edges: [[a, b], [b, a]]
 
     @pytest.mark.parametrize("jobs,edges,message", [
         (["a"], "[[a, ghost]]", "edge ('a', 'ghost') references unknown job"),
-        (["a", "a"], "[]", "duplicate job ids in executable workflow"),
+        (["a", "a"], "[]", "duplicate job id 'a'"),
     ], ids=["unknown-job", "duplicate-id"])
     def test_executable_job_ids_checked_on_read(self, inputs, tmp_path, capsys,
                                                 jobs, edges, message):

@@ -348,6 +348,34 @@ def test_catalog_container_with_an_empty_name_exits_1_in_plan(docs, tmp_path, ca
     assert not (tmp_path / "e.yml").exists()
 
 
+SECOND_DOCKER = "- {name: radar-tools-2, image: 'docker:///%s', type: docker}\n"
+
+
+@pytest.mark.parametrize("edits, message", [
+    ([("  image_size_bytes: 488000000\n", "  image_size_bytes: 488000000\n"
+       + SECOND_DOCKER % "imaging/radar-tools:latest")],
+     "containers 'radar-tools' and 'radar-tools-2' load as one Docker image "
+     "'imaging_radar-tools:latest'"),
+    ([("docker:///imaging/radar-tools:latest", "docker:///a/b_c:1"),
+      ("  image_size_bytes: 488000000\n", "  image_size_bytes: 488000000\n"
+       + SECOND_DOCKER % "a_b/c:1")],
+     "containers 'radar-tools' and 'radar-tools-2' load as one Docker image 'a_b_c:1'"),
+    ([("    container: radar-tools\n",
+       "    container: radar-tools\n    profile: [{env: {TOOL_HOME: /opt/tool}}]\n")],
+     "transformation 'nowcast': env profiles go on the container, not the site"),
+], ids=["same-url", "same-load-key", "transformation-profile"])
+def test_catalog_refusal_exits_1_in_every_command_that_reads_it(docs, tmp_path, capsys,
+                                                                edits, message):
+    _, paths = docs
+    for old, new in edits:
+        edited(paths["catalog"], old, new)
+    for argv in commands(paths, tmp_path / "out")["catalog"]:
+        capsys.readouterr()
+        assert main(argv) == 1, argv[0]
+        assert capsys.readouterr().err == f"error: {message}\n", argv[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_catalog_runtime_other_than_planned_exits_1(docs, tmp_path, capsys):
     p, _ = docs
     catalog = tmp_path / "singularity.yml"

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from contflow.catalog import (
     ContainerDef, ContainerRuntime, MountSpec, parse_catalog, parse_image_url,
+    serialize_catalog,
 )
 from contflow.cli import main
 from contflow.errors import CycleDetected, InconsistentPlacement, ValidationError
@@ -297,25 +298,60 @@ def plan_shape(backend, placement, n_tasks=6):
     return ewf, cat
 
 
-def layer_counts(ewf, cat, topo, staging_inside):
-    """Image loads and copies to workers as the wrappers, mock run and simulator
-    see them, with load dedup off everywhere."""
-    plans = build_plans(ewf, cat, staging_inside=staging_inside, dedup_load=False)
-    steps = [s for plan in plans.values() for s in plan.host_steps]
-    engine = _Engine(ewf, topo, SimConfig(docker_load_dedup=False))
-    result = engine.run()
-    mock = execute_local(ewf, plans, slots=4, node_count=len(topo.workers))
+def layer_counts(ewf, cat, topo, staging_inside, *, dedup=False, node_count=None):
+    """Image loads, as the wrappers (with load dedup off), mock run and
+    simulator see them, and what the wrapper plans and the simulator move to
+    and from workers: image copies, image bytes, stage-in and stage-out bytes."""
+    plans = build_plans(ewf, cat, staging_inside=staging_inside, dedup_load=dedup)
+    jobs = {j.id: j for j in ewf.jobs}
+    steps = [(jobs[job_id], s) for job_id, plan in plans.items()
+             for s in plan.host_steps + plan.container_steps]
+    engine = _Engine(ewf, topo, SimConfig(docker_load_dedup=dedup))
+    ledger = engine.run().flow_ledger
+    mock = execute_local(ewf, plans, slots=4, node_count=node_count or len(topo.workers))
     loads = {
-        "wrapper": sum(s.kind is StepKind.LOAD_IMAGE for s in steps),
         "mock": mock.count_effects("load"),
         "simulator": sum(len(records) for records in engine.untar_records.values()),
     }
-    copies = {
-        "wrapper": sum(s.kind is StepKind.MATERIALIZE_IMAGE and s.args["mode"] == "pull"
-                       for s in steps),
-        "simulator": sum(f.kind == "container" and "/" in f.dst for f in result.flow_ledger),
+    if not dedup:
+        loads["wrapper"] = sum(s.kind is StepKind.LOAD_IMAGE for _, s in steps)
+    pulled = [job.payload.image_bytes for job, s in steps
+              if s.kind is StepKind.MATERIALIZE_IMAGE and s.args["mode"] == "pull"]
+    copies = [f.bytes for f in ledger if f.kind == "container" and "/" in f.dst]
+
+    def staged(kind):
+        return sum(size for _, s in steps if s.kind is kind for _, size in s.args["files"])
+
+    def flowed(kind):
+        return sum(f.bytes for f in ledger if f.kind == kind)
+
+    moved = {
+        "wrapper": (len(pulled), sum(pulled), staged(StepKind.STAGE_IN),
+                    staged(StepKind.STAGE_OUT)),
+        "simulator": (len(copies), sum(copies), flowed("data_in"), flowed("data_out")),
     }
-    return loads, copies
+    return loads, moved
+
+
+def assert_inputs_reach_their_jobs(ewf):
+    """Every file a compute job stages in is made by an ancestor, or carried to
+    the job's staging site by a stage-in job among its ancestors."""
+    parents = ewf.parents()
+    jobs = {j.id: j for j in ewf.jobs}
+    for job in ewf.jobs_of_kind(JobKind.COMPUTE):
+        ancestors, todo = set(), list(parents[job.id])
+        while todo:
+            u = todo.pop()
+            if u not in ancestors:
+                ancestors.add(u)
+                todo.extend(parents[u])
+        made = {f for u in ancestors if jobs[u].kind is JobKind.COMPUTE
+                for f, _ in jobs[u].payload.output_files}
+        carried = {dst for u in ancestors if jobs[u].kind is JobKind.STAGE_IN
+                   for _, dst, _ in jobs[u].payload.transfers}
+        staging = f"file:///staging/{job.payload.staging_site}/"
+        for f, _ in job.payload.input_files:
+            assert f in made or staging + f in carried, (job.id, f)
 
 
 class TestLayersAgreeOnShapes:
@@ -326,23 +362,30 @@ class TestLayersAgreeOnShapes:
         k, "value", "none"))
     def test_every_row(self, backend, placement, staging_inside):
         ewf, cat = plan_shape(backend, placement)
-        loads, copies = layer_counts(ewf, cat, demo_topology(n_workers=2), staging_inside)
+        loads, moved = layer_counts(ewf, cat, demo_topology(n_workers=2), staging_inside)
         shape = SHAPES[backend, placement]
         n = len(ewf.jobs_of_kind(JobKind.COMPUTE))
         assert loads == dict.fromkeys(loads, n if shape.load else 0)
-        assert copies == dict.fromkeys(copies, n if shape.materialize == "pull" else 0)
+        assert moved["wrapper"] == moved["simulator"]
+        assert moved["wrapper"][0] == (n if shape.materialize == "pull" else 0)
 
-    def test_random_models_reaching_every_shape(self):
+    @pytest.mark.parametrize("dedup", [False, True], ids=["no-dedup", "dedup"])
+    def test_random_models_reaching_every_shape(self, dedup):
+        """On one worker, so a deduplicated load happens once per image in every layer."""
         reached = set()
         for seed in range(50):
             rng = random.Random(seed)
-            ewf, _, cat, sites, _ = plan_random(rng, max_tasks=20, every_shape=True)
+            ewf, _, cat, sites, _ = plan_random(rng, max_tasks=20, max_staging_sites=1,
+                                                every_shape=True)
             reached.update((j.payload.backend, j.payload.placement)
                            for j in ewf.jobs_of_kind(JobKind.COMPUTE))
-            loads, copies = layer_counts(ewf, cat, random_model_topology(sites),
-                                         rng.random() < 0.5)
+            assert_inputs_reach_their_jobs(ewf)
+            loads, moved = layer_counts(
+                ewf, parse_catalog(serialize_catalog(cat)),
+                random_model_topology(sites, workers_per_site=1), rng.random() < 0.5,
+                dedup=dedup, node_count=1)
             assert len(set(loads.values())) == 1, (seed, loads)
-            assert len(set(copies.values())) == 1, (seed, copies)
+            assert moved["wrapper"] == moved["simulator"], (seed, moved)
         assert reached == set(SHAPES)
 
 

@@ -14,9 +14,14 @@ from contflow.catalog import (
     ContainerRuntime,
     InstallType,
     TransformationEntry,
+    parse_catalog,
     parse_image_url,
+    serialize_catalog,
 )
-from contflow.errors import InconsistentPlacement, RuntimeUnavailable, UnresolvableTransformation
+from contflow.errors import (
+    InconsistentPlacement, PlanError, RuntimeUnavailable, UnresolvableTransformation,
+)
+from contflow.launcher import build_plans, render_wrapper
 from contflow.planner import (
     ComputePayload,
     ExecutableWorkflow,
@@ -238,16 +243,53 @@ class TestPlan:
         assert type(exc.value) is InconsistentPlacement
         assert str(exc.value) == f"task 't00': {message}"
 
-    def test_stageable_executable_is_a_0_byte_input_no_stage_in_job_carries(self):
+    def test_stageable_executable_is_staged_in_from_its_pfn(self):
         wf, cat, sites = single_container_model(2)
         entry = replace(cat.transformations[0], install_type=InstallType.STAGEABLE,
                         pfn="http://x/tool")
-        ewf = plan(wf, replace(cat, transformations=(entry,)), sites, PlanConfig(cleanup=False))
+        cat = replace(cat, transformations=(entry,))
+        ewf = plan(wf, cat, sites, PlanConfig(cleanup=False))
         for j in ewf.jobs_of_kind(JobKind.COMPUTE):
             assert j.payload.input_files == (("seed", 100), ("http://x/tool", 0))
         [stage_in] = ewf.jobs_of_kind(JobKind.STAGE_IN)
         assert stage_in.payload.transfers == (
-            ("http://x/seed", "file:///staging/staging0/seed", 100),)
+            ("http://x/tool", "file:///staging/staging0/http://x/tool", 0),
+            ("http://x/seed", "file:///staging/staging0/seed", 100),
+        )
+        assert {v for u, v in ewf.edges if u == stage_in.id} == {"compute_t00", "compute_t01"}
+        script = render_wrapper(build_plans(ewf, cat)["compute_t00"])
+        assert 'stage-in "http://x/tool"  # 0 bytes' in script.splitlines()
+
+    def test_fetch_job_ids_that_collide_are_named(self):
+        """Container a_b staged at c and container a staged at b_c both fetch as fetch_a_b_c."""
+        cat = Catalog(
+            transformations=(
+                TransformationEntry(namespace="ns", name="t1", version="1", site="p",
+                                    container="a_b"),
+                TransformationEntry(namespace="ns", name="t2", version="1", site="q",
+                                    container="a"),
+            ),
+            containers={"a_b": make_container(name="a_b", image="docker:///x/a_b:1"),
+                        "a": make_container(name="a", image="docker:///x/a:1")},
+        )
+        sites = [Site(name="c"), Site(name="b_c"), make_site(name="p", staging_site="c"),
+                 make_site(name="q", staging_site="b_c")]
+        wf = AbstractWorkflow(tasks=(Task("t1", "ns::t1:1"), Task("t2", "ns::t2:1")))
+        with pytest.raises(PlanError) as exc:
+            plan(wf, cat, sites, PlanConfig())
+        assert str(exc.value) == "duplicate job id 'fetch_a_b_c'"
+
+    def test_singularity_containers_with_one_image_get_a_fetch_job_each(self):
+        wf, cat, sites = single_container_model(2, ContainerRuntime.SINGULARITY)
+        entry, c1 = cat.transformations[0], cat.containers["c1"]
+        cat = parse_catalog(serialize_catalog(Catalog(
+            transformations=(entry, replace(entry, name="tool2", container="c2")),
+            containers={"c1": c1, "c2": replace(c1, name="c2")},
+        )))
+        wf = replace(wf, tasks=(wf.tasks[0], replace(wf.tasks[1], transformation="ns::tool2:1")))
+        ewf = plan(wf, cat, sites, PlanConfig(cleanup=False))
+        assert [j.id for j in ewf.jobs_of_kind(JobKind.CONTAINER_FETCH)] == [
+            "fetch_c1_staging0", "fetch_c2_staging0"]
 
     def test_cleanup_jobs_follow_consumers(self):
         wf, cat, sites = single_container_model(3)
