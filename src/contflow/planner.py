@@ -273,6 +273,23 @@ def decide_placement(c: ContainerDef, s: Site, override: str | None = None) -> P
     return PlacementMode.STAGE_COPY
 
 
+def _distinct(ids: list[str]) -> list[str]:
+    """``ids`` with each repeat of an earlier id given the first suffix ``_2``,
+    ``_3``, ... that no id in the list has or gets; every other id stays."""
+    taken = set(ids)
+    seen: set[str] = set()
+    out = []
+    for base in ids:
+        new, n = base, 1
+        while base in seen and new in taken:
+            n += 1
+            new = f"{base}_{n}"
+        taken.add(new)
+        seen.add(base)
+        out.append(new)
+    return out
+
+
 def cluster_jobs(ewf: ExecutableWorkflow, k: int) -> ExecutableWorkflow:
     """Merge same-level, same-site, same-container compute jobs into clusters of <= k.
 
@@ -290,35 +307,40 @@ def cluster_jobs(ewf: ExecutableWorkflow, k: int) -> ExecutableWorkflow:
         assert isinstance(p, ComputePayload)
         groups.setdefault((p.level, j.site, p.container), []).append(j)
 
-    remap: dict[str, str] = {}
-    new_jobs: list[Job] = []
+    chunks = []  # (group key, index in group, members)
     for key in sorted(groups, key=lambda g: (g[0], g[1], g[2] or "")):
         members = sorted(groups[key], key=lambda j: j.id)
-        n_clusters = math.ceil(len(members) / k)
-        for i in range(n_clusters):
-            chunk = members[i * k:(i + 1) * k]
-            if len(chunk) == 1:
-                new_jobs.append(chunk[0])
-                remap[chunk[0].id] = chunk[0].id
-                continue
-            payloads = [m.payload for m in chunk]
-            produced = {f for p in payloads for f, _ in p.output_files}
-            # dicts keep the first occurrence of each file in member order
-            inputs = dict.fromkeys(f for p in payloads for f in p.input_files
-                                   if f[0] not in produced)
-            outputs = dict.fromkeys(f for p in payloads for f in p.output_files)
-            merged = replace(
-                payloads[0],
-                task_ids=tuple(t for p in payloads for t in p.task_ids),
-                runtime_s=sum(p.runtime_s for p in payloads),
-                input_files=tuple(inputs),
-                output_files=tuple(outputs),
-            )
-            level, site, container = key
-            cid = f"cluster_l{level}_{site}_{container or 'plain'}_{i:03d}"
-            new_jobs.append(Job(id=cid, kind=JobKind.COMPUTE, site=site, payload=merged))
-            for m in chunk:
-                remap[m.id] = cid
+        chunks += [(key, i, members[i * k:(i + 1) * k])
+                   for i in range(math.ceil(len(members) / k))]
+    ids = _distinct([
+        chunk[0].id if len(chunk) == 1 else
+        f"cluster_l{level}_{site}_{container or 'plain'}_{i:03d}"
+        for (level, site, container), i, chunk in chunks
+    ])
+
+    remap: dict[str, str] = {}
+    new_jobs: list[Job] = []
+    for ((_, site, _), _, chunk), cid in zip(chunks, ids):
+        if len(chunk) == 1:
+            new_jobs.append(chunk[0])
+            remap[cid] = cid
+            continue
+        payloads = [m.payload for m in chunk]
+        produced = {f for p in payloads for f, _ in p.output_files}
+        # dicts keep the first occurrence of each file in member order
+        inputs = dict.fromkeys(f for p in payloads for f in p.input_files
+                               if f[0] not in produced)
+        outputs = dict.fromkeys(f for p in payloads for f in p.output_files)
+        merged = replace(
+            payloads[0],
+            task_ids=tuple(t for p in payloads for t in p.task_ids),
+            runtime_s=sum(p.runtime_s for p in payloads),
+            input_files=tuple(inputs),
+            output_files=tuple(outputs),
+        )
+        new_jobs.append(Job(id=cid, kind=JobKind.COMPUTE, site=site, payload=merged))
+        for m in chunk:
+            remap[m.id] = cid
 
     for j in ewf.jobs:
         if j.id not in remap:
@@ -347,11 +369,13 @@ def insert_container_fetch_jobs(ewf: ExecutableWorkflow, cat: Catalog) -> Execut
 
     new_jobs = list(ewf.jobs)
     new_edges = list(ewf.edges)
-    for (cname, staging), dependents in sorted(pairs.items()):
+    pairs = sorted(pairs.items())
+    ids = _distinct([f"fetch_{cname}_{staging}" for (cname, staging), _ in pairs])
+    for ((cname, staging), dependents), fetch_id in zip(pairs, ids):
         cdef = cat.containers[cname]
         dst = f"file:///staging/{staging}/containers/{cname}.img"
         fetch = Job(
-            id=f"fetch_{cname}_{staging}",
+            id=fetch_id,
             kind=JobKind.CONTAINER_FETCH,
             site=staging,
             payload=TransferPayload(

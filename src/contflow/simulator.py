@@ -16,14 +16,17 @@ with ``<site>/``; workers for a compute site are conventionally named
 from __future__ import annotations
 
 import heapq
+import json
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import (
     MissingSize,
     SimError,
     UnmappedSite,
+    ValidationError,
 )
 from .planner import (
     ComputePayload,
@@ -806,6 +809,259 @@ def report(res: SimResult, out: str | Path) -> list[Path]:
     timeline.write_text("\n".join(rows) + "\n")
     written.append(timeline)
     return written
+
+
+# --- result.json -------------------------------------------------------------
+
+_SERIES = ("per_node_egress", "per_node_io_wait_ms")
+_ENCODER = json.JSONEncoder(indent=1, sort_keys=True)
+
+
+def _write_series(write, series_map: dict[str, Runs]) -> None:
+    """Write a per-node series map as the value of a top-level key.
+
+    A run is one line repeated, in pieces of at most WRITE_CHARS characters.
+    """
+    opening = "{"
+    for node in sorted(series_map):
+        write(opening + "\n  " + json.dumps(node) + ": ")
+        opening = ","
+        series = series_map[node]
+        item = "["
+        for v, count in series.runs():
+            line = ",\n   " + json.dumps(v)
+            write(item + line[1:])
+            item = ","
+            per = max(1, WRITE_CHARS // len(line))
+            for done in range(1, count, per):
+                write(line * min(per, count - done))
+        write("\n  ]" if series else "[]")
+    write("\n }" if series_map else "{}")
+
+
+def write_result(res: SimResult, f) -> None:
+    """Write ``res`` to text file ``f`` as ``json.dumps(write_record(res),
+    indent=1, sort_keys=True)`` would: each value but the per-node series
+    through json's encoder, one level deeper than it would be alone."""
+    doc = write_record(replace(res, **dict.fromkeys(_SERIES, {})))
+    write = f.write
+    opening = "{"
+    for key in sorted(doc):
+        write(opening + "\n " + json.dumps(key) + ": ")
+        opening = ","
+        if key in _SERIES:
+            _write_series(write, getattr(res, key))
+        else:
+            for chunk in _ENCODER.iterencode(doc[key]):
+                write(chunk.replace("\n", "\n "))
+    write("\n}")
+
+
+def _read_series(value, key: str) -> dict[str, Runs]:
+    """The per-node series under ``key``; a node's list not yet read into runs
+    is read now."""
+    nodes = read_value(dict, value, "result", key)
+    return {
+        read_value(str, name, "result", key): v if type(v) is Runs else
+            Runs((x, 1) for x in read_value(list[float], v, "result", key))
+        for name, v in nodes.items()
+    }
+
+
+def _result_from_doc(doc) -> SimResult:
+    if not isinstance(doc, dict):
+        raise ValidationError(f"result document cannot be a {type(doc).__name__}")
+    series = {key: _read_series(doc[key], key) for key in _SERIES if key in doc}
+    res = read_record(SimResult, doc, "result", **series)
+    for a, b, what in (("transfer_count_by_kind", "transfer_bytes_by_kind", "kinds"),
+                       (*_SERIES, "nodes")):
+        if set(getattr(res, a)) != set(getattr(res, b)):
+            raise ValidationError(f"result document: {a} and {b} name different {what}")
+    lengths = {len(s) for m in (res.per_node_egress, res.per_node_io_wait_ms) for s in m.values()}
+    if len(lengths) > 1:
+        raise ValidationError(
+            f"result document: the per-node series differ in length: {sorted(lengths)}"
+        )
+    for jid, start, end, _ in res.job_timeline:
+        if not end >= start:
+            raise ValidationError(
+                f"result document: job_timeline entry {jid!r} must not end before "
+                f"it starts: start {start!r}, end {end!r}"
+            )
+    return res
+
+
+READ_CHUNK = 1 << 16  # characters per read of result.json
+
+_WS = re.compile(r"[ \t\n\r]*")
+# A number as JSON writes it, or a constant json reads, then each later list
+# item with the same text and the same separator: one match is a whole run.  A
+# separator starts with whitespace or ",", so only the last copy could be cut
+# short, and the end of its item must be seen: a match never stops inside a
+# number cut off at the end of the text read.
+_RUN = re.compile(r"(-?Infinity|NaN|-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)"
+                  r"(?:([ \t\n\r]*,[ \t\n\r]*)\1(?:\2\1)*)?(?=[ \t\n\r]*[,\]])")
+_DECODE = json.JSONDecoder().raw_decode
+
+
+class _Unsure(Exception):
+    """The streaming reader met text that json.loads must judge."""
+
+
+class _ResultReader:
+    """Reads a result document from text file ``f`` in pieces of at most
+    READ_CHUNK characters, each per-node series list straight into Runs.
+
+    It holds the text not yet consumed, which is one piece unless a single key
+    or value spans more, the runs, and the values outside the series.  A step
+    that fails is tried again on more text; at the end of the file it raises
+    _Unsure.
+    """
+
+    def __init__(self, f):
+        self.f = f
+        self.text = ""
+        self.pos = 0
+        self.eof = False
+        self.bad = None  # the first element of the current list that is not a number
+
+    def _more(self) -> None:
+        """Drop the consumed text and read at least as much again as is left."""
+        if self.eof:
+            raise _Unsure
+        left = self.text[self.pos:]
+        parts, size = [left], 0
+        while size <= len(left):
+            piece = self.f.read(READ_CHUNK)
+            if not piece:
+                self.eof = True
+                break
+            parts.append(piece)
+            size += len(piece)
+        self.text, self.pos = "".join(parts), 0
+
+    def _skip(self) -> str:
+        """Skip whitespace; the next character, or "" at the end of the file."""
+        while True:
+            self.pos = _WS.match(self.text, self.pos).end()
+            if self.pos < len(self.text) or self.eof:
+                return self.text[self.pos:self.pos + 1]
+            self._more()
+
+    def _sep(self, ends: str) -> str:
+        """Consume the next character, which must be one of ``ends``."""
+        c = self._skip()
+        if not c or c not in ends:
+            raise _Unsure
+        self.pos += 1
+        return c
+
+    def _value(self, ends: str):
+        """The value at pos, and the one of ``ends`` that must follow it.
+
+        The two are read together: a number is only known to be whole once the
+        text after it is read.
+        """
+        while True:
+            try:
+                value, end = _DECODE(self.text, self.pos)
+            except ValueError:
+                pass
+            else:
+                end = _WS.match(self.text, end).end()
+                if end < len(self.text) and self.text[end] in ends:
+                    self.pos = end + 1
+                    return value, self.text[end]
+            self._more()
+
+    def _object(self, read) -> dict:
+        """The object at pos, just past its "{", each value and the "," or "}"
+        after it read by ``read(key, first character)``."""
+        out = {}
+        if self._skip() == "}":
+            self.pos += 1
+            return out
+        while True:
+            self._skip()
+            while not self.text.startswith('"', self.pos):
+                self._more()
+            key, _ = self._value(":")
+            out[key], end = read(key, self._skip())
+            if end == "}":
+                return out
+
+    def _field(self, key: str, first: str):
+        if key in _SERIES and first == "{":
+            self.pos += 1
+            return self._object(self._node), self._sep(",}")
+        return self._value(",}")
+
+    def _node(self, key: str, first: str):
+        """A node's series as Runs; where read_value turns an element down, a list
+        of that element alone; and a value that is not a list, as it is."""
+        if first != "[":
+            return self._value(",}")
+        self.pos += 1
+        self.bad = None
+        runs = Runs(self._runs(key))
+        return runs if self.bad is None else self.bad, self._sep(",}")
+
+    def _runs(self, key: str):
+        """Yield the (value, count) runs of the list at pos, just past its "[",
+        each value as ``read_value(float, ...)`` reads it, and consume the "]"."""
+        if self._skip() == "]":
+            self.pos += 1
+            return
+        while True:
+            m = _RUN.match(self.text, self.pos)
+            if m:
+                value = _DECODE(self.text, self.pos)[0]
+                count = 1 + self.text.count(",", m.end(1), m.end())
+                self.pos = m.end()
+                end = self._sep(",]")
+            else:
+                (value, end), count = self._value(",]"), 1
+            if self.bad is None:
+                try:
+                    yield read_value(float, value, "result", key), count
+                except ValidationError:
+                    self.bad = [value]
+            if end == "]":
+                return
+            self._skip()
+
+    def document(self):
+        if self._skip() != "{":
+            raise _Unsure
+        self.pos += 1
+        doc = self._object(self._field)
+        if self._skip():
+            raise _Unsure  # trailing data
+        return doc
+
+
+def read_result(f) -> SimResult:
+    """The result in text file ``f``, read as ``json.loads`` reads its text,
+    except that each per-node series list is read straight into Runs, in
+    bounded memory.
+
+    A list that read_value would turn down stays a short list that
+    _result_from_doc turns down the same way.  A document the streaming reader
+    does not accept, such as malformed JSON, a top level that is not an
+    object or lists nested too deep to decode, is read again whole by
+    json.loads, which gives the verdict.  An OSError or UnicodeDecodeError
+    from reading ``f`` is left to the caller.
+    """
+    try:
+        doc = _ResultReader(f).document()
+    except (ValueError, RecursionError, _Unsure):
+        f.seek(0)
+        text = f.read()
+        try:
+            doc = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise ValidationError(f"result document is not valid JSON: {exc}") from None
+    return _result_from_doc(doc)
 
 
 def sweep(

@@ -537,6 +537,40 @@ def test_result_series_entry_that_is_not_a_number_exits_1(docs, tmp_path, capsys
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("wrap, message", [
+    (lambda text: f"[{text}]", "result document cannot be a list"),
+    (json.dumps, "result document cannot be a str"),
+], ids=["list", "string"])
+def test_result_that_is_not_an_object_exits_1(docs, tmp_path, capsys, wrap, message):
+    p, paths = docs
+    paths["result"].write_text(wrap(paths["result"].read_text()))
+    capsys.readouterr()
+    assert main(["report", p["result"], "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("fault, reason", [
+    ("missing", "[Errno 2] No such file or directory: {path!r}"),
+    ("not-utf8", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ("directory", "[Errno 21] Is a directory: {path!r}"),
+], ids=["missing", "not-utf8", "directory"])
+def test_result_that_cannot_be_read_exits_1(docs, tmp_path, capsys, fault, reason):
+    p, paths = docs
+    if fault == "missing":
+        paths["result"].unlink()
+    elif fault == "not-utf8":
+        paths["result"].write_bytes(b"\xff" + paths["result"].read_bytes())
+    else:
+        paths["result"].unlink()
+        paths["result"].mkdir()
+    capsys.readouterr()
+    assert main(["report", p["result"], "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot read {p['result']}: {reason.format(path=p['result'])}\n")
+    assert not (tmp_path / "r").exists()
+
+
 def test_topology_without_a_link_a_flow_needs_exits_2(docs, tmp_path, capsys):
     p, paths = docs
     topo = demo_topology()

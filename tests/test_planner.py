@@ -260,24 +260,50 @@ class TestPlan:
         script = render_wrapper(build_plans(ewf, cat)["compute_t00"])
         assert 'stage-in "http://x/tool"  # 0 bytes' in script.splitlines()
 
-    def test_fetch_job_ids_that_collide_are_named(self):
-        """Container a_b staged at c and container a staged at b_c both fetch as fetch_a_b_c."""
-        cat = Catalog(
+    def test_generated_job_ids_that_would_collide_are_all_distinct(self):
+        """Container a_b staged at c and container a staged at b_c would both
+        fetch as fetch_a_b_c; a container named plain and a container-less
+        transformation would both cluster as cluster_l0_p_plain_000.  The
+        second of each gets the first suffix that no other id has, and every
+        id that does not collide stays as it is: a_b staged at c_2 keeps
+        fetch_a_b_c_2."""
+        fetch_cat = Catalog(
             transformations=(
                 TransformationEntry(namespace="ns", name="t1", version="1", site="p",
                                     container="a_b"),
                 TransformationEntry(namespace="ns", name="t2", version="1", site="q",
                                     container="a"),
+                TransformationEntry(namespace="ns", name="t3", version="1", site="r",
+                                    container="a_b"),
             ),
             containers={"a_b": make_container(name="a_b", image="docker:///x/a_b:1"),
                         "a": make_container(name="a", image="docker:///x/a:1")},
         )
-        sites = [Site(name="c"), Site(name="b_c"), make_site(name="p", staging_site="c"),
-                 make_site(name="q", staging_site="b_c")]
-        wf = AbstractWorkflow(tasks=(Task("t1", "ns::t1:1"), Task("t2", "ns::t2:1")))
-        with pytest.raises(PlanError) as exc:
-            plan(wf, cat, sites, PlanConfig())
-        assert str(exc.value) == "duplicate job id 'fetch_a_b_c'"
+        fetch_sites = [Site(name="c"), Site(name="b_c"), Site(name="c_2"),
+                       make_site(name="p", staging_site="c"),
+                       make_site(name="q", staging_site="b_c"),
+                       make_site(name="r", staging_site="c_2")]
+        fetch_wf = AbstractWorkflow(tasks=tuple(Task(f"t{n}", f"ns::t{n}:1") for n in (1, 2, 3)))
+        cluster_cat = Catalog(
+            transformations=(
+                TransformationEntry(namespace="ns", name="t1", version="1", site="p",
+                                    container="plain"),
+                TransformationEntry(namespace="ns", name="t2", version="1", site="p"),
+            ),
+            containers={"plain": make_container(name="plain")},
+        )
+        cluster_wf = AbstractWorkflow(tasks=tuple(
+            Task(f"t{n}{i}", f"ns::t{n}:1") for n in (1, 2) for i in range(2)))
+        for wf, cat, sites, k, kind, ids in [
+            (fetch_wf, fetch_cat, fetch_sites, 1, JobKind.CONTAINER_FETCH,
+             ["fetch_a_b_c", "fetch_a_b_c_3", "fetch_a_b_c_2"]),
+            (cluster_wf, cluster_cat, [Site(name="s"), make_site(name="p", staging_site="s")],
+             2, JobKind.COMPUTE, ["cluster_l0_p_plain_000", "cluster_l0_p_plain_000_2"]),
+        ]:
+            ewf = plan(wf, cat, sites, PlanConfig(cluster_size=k))
+            all_ids = [j.id for j in ewf.jobs]
+            assert len(set(all_ids)) == len(all_ids)
+            assert [j.id for j in ewf.jobs_of_kind(kind)] == ids
 
     def test_singularity_containers_with_one_image_get_a_fetch_job_each(self):
         wf, cat, sites = single_container_model(2, ContainerRuntime.SINGULARITY)

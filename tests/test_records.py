@@ -22,7 +22,7 @@ from contflow.catalog import (
     parse_catalog,
     parse_image_url,
 )
-from contflow.cli import _result_from_doc, main
+from contflow.cli import main
 from contflow.errors import ValidationError
 from contflow.planner import (
     CleanupPayload,
@@ -45,6 +45,7 @@ from contflow.simulator import (
     SimConfig,
     SimResult,
     Topology,
+    _result_from_doc,
     parse_topology,
     serialize_topology,
     simulate,

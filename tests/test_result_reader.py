@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contflow import cli
+from contflow import cli, simulator
 from contflow.errors import ValidationError
 from contflow.simulator import Runs, SimResult
 from contflow.workflow import read_value, write_record
@@ -42,12 +42,13 @@ def reference(path: Path) -> SimResult:
         doc = json.loads(path.read_text())
     except ValueError as exc:
         raise ValidationError(f"result document is not valid JSON: {exc}") from None
-    with mock.patch.object(cli, "_read_series", todays_read_series):
-        return cli._result_from_doc(doc)
+    with mock.patch.object(simulator, "_read_series", todays_read_series):
+        return simulator._result_from_doc(doc)
 
 
 def streamed(path: Path) -> SimResult:
-    return cli._result_from_doc(cli._read_result(str(path)))
+    with open(path) as f:
+        return simulator.read_result(f)
 
 
 def outcome(read, path: Path):
@@ -66,7 +67,7 @@ def outcome(read, path: Path):
 def streams_without_json_loads(path: Path):
     """The reader's own document, with no fallback to ``json.loads``."""
     with open(path) as f:
-        return cli._ResultReader(f).document()
+        return simulator._ResultReader(f).document()
 
 
 # --- random results ----------------------------------------------------------
@@ -123,14 +124,14 @@ def test_reads_what_json_loads_and_the_old_conversion_read(tmp_path_factory, doc
                                                            chunk):
     path = tmp_path_factory.mktemp("r") / "result.json"
     path.write_text(written(doc, style))
-    with mock.patch.object(cli, "READ_CHUNK", chunk):
+    with mock.patch.object(simulator, "READ_CHUNK", chunk):
         got = outcome(streamed, path)
         mine = streams_without_json_loads(path)  # valid JSON never falls back
     want = outcome(reference, path)
     assert got == want
     if got[0] == "ok":
         ref = json.loads(path.read_text())
-        for key in cli._SERIES:
+        for key in simulator._SERIES:
             for name, series in mine[key].items():
                 assert type(series) is Runs
                 assert json.dumps(list(series)) == json.dumps(
@@ -149,7 +150,7 @@ def test_malformed_text_gets_json_s_own_error(tmp_path_factory, doc, style, data
     ]))
     path = tmp_path_factory.mktemp("r") / "result.json"
     path.write_text(text)
-    with mock.patch.object(cli, "READ_CHUNK", data.draw(st.sampled_from([1 << 16, 5]))):
+    with mock.patch.object(simulator, "READ_CHUNK", data.draw(st.sampled_from([1 << 16, 5]))):
         assert outcome(streamed, path) == outcome(reference, path)
 
 
@@ -192,7 +193,7 @@ HAND_WRITTEN = [
 def test_hand_written_documents(tmp_path, text, chunk):
     path = tmp_path / "result.json"
     path.write_text(text, encoding="utf-8")
-    with mock.patch.object(cli, "READ_CHUNK", chunk):
+    with mock.patch.object(simulator, "READ_CHUNK", chunk):
         assert outcome(streamed, path) == outcome(reference, path)
 
 
@@ -200,7 +201,7 @@ def test_text_after_a_series_list_gets_json_s_own_error(tmp_path, capsys):
     text = '{"per_node_egress": {"a": [1.0] 2}}'
     path = tmp_path / "result.json"
     path.write_text(text)
-    with pytest.raises(cli._Unsure):
+    with pytest.raises(simulator._Unsure):
         streams_without_json_loads(path)
     with pytest.raises(ValueError) as exc:
         json.loads(text)
@@ -222,7 +223,7 @@ def test_every_cut_of_the_text_reads_alike(tmp_path):
     want = outcome(reference, path)
     assert want[0] == "ok"
     for chunk in range(1, 10):
-        with mock.patch.object(cli, "READ_CHUNK", chunk):
+        with mock.patch.object(simulator, "READ_CHUNK", chunk):
             assert outcome(streamed, path) == want
             runs = streams_without_json_loads(path)["per_node_egress"]["b"]
             assert list(runs.runs()) == [(0.0, 6), (1e300, 1)]
@@ -235,13 +236,14 @@ def test_a_long_series_is_read_in_bounded_memory(tmp_path):
                     {"submit": 0.0}, {"submit": 0.0}, [])
     path = tmp_path / "result.json"
     with open(path, "w") as f:
-        cli._write_result(res, f)
+        simulator.write_result(res, f)
     assert path.stat().st_size > 2 * n * len(",\n   0.0")
     tracemalloc.start()
     try:
-        doc = cli._read_result(str(path))
+        with open(path) as f:
+            got = simulator.read_result(f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cli._result_from_doc(doc) == res
+    assert got == res
     assert peak < 4e6

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contflow.cli import _write_result
 from contflow.planner import PlanConfig, plan
 from contflow.scenarios import (
     SUBMIT_SITE,
@@ -34,6 +33,7 @@ from contflow.simulator import (
     SimResult,
     _write_series_table,
     simulate,
+    write_result,
 )
 from contflow.workflow import write_record
 
@@ -146,7 +146,7 @@ class TestResultWriter:
     @given(sim_results())
     def test_writes_what_json_dumps_writes(self, res):
         out = io.StringIO()
-        _write_result(res, out)
+        write_result(res, out)
         assert out.getvalue() == json.dumps(write_record(res), indent=1, sort_keys=True)
 
     def test_a_long_run_goes_out_in_bounded_pieces(self):
@@ -155,7 +155,7 @@ class TestResultWriter:
         res = SimResult(float(n), series, {k: Runs([(10.0, n)]) for k in series}, {}, {}, [],
                         {}, {}, [])
         out = CountingFile()
-        _write_result(res, out)
+        write_result(res, out)
         line = len(",\n   0.0")
         assert out.chars > 3 * n * line
         assert out.largest <= WRITE_CHARS
