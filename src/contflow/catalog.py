@@ -13,17 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .errors import (
-    CatalogSyntaxError,
-    DanglingContainerRef,
-    DuplicateName,
-    EmptyLocator,
-    MalformedMount,
-    NotFound,
-    UnknownOption,
-    UnknownScheme,
-    ValidationError,
-)
+from .errors import NotFound, ValidationError
 from .workflow import dump_yaml, load_yaml, read_record, read_value
 
 MOUNT_OPTIONS = {"ro", "rw"}
@@ -130,18 +120,18 @@ def parse_image_url(url: str) -> ImageRef:
     else stays in the locator.  Tags apply to registry schemes only.
     """
     if "://" not in url:
-        raise UnknownScheme(f"no scheme in image URL: {url!r}")
+        raise ValidationError(f"no scheme in image URL: {url!r}")
     scheme_s, rest = url.split("://", 1)
     try:
         scheme = ImageScheme(scheme_s)
     except ValueError:
-        raise UnknownScheme(f"unknown image URL scheme: {scheme_s!r}") from None
+        raise ValidationError(f"unknown image URL scheme: {scheme_s!r}") from None
 
     tag: str | None = None
     if scheme is ImageScheme.FILE:
         locator = "/" + rest.lstrip("/")
         if locator == "/":
-            raise EmptyLocator(f"empty path in {url!r}")
+            raise ValidationError(f"empty path in {url!r}")
         return ImageRef(scheme, locator)
     if scheme is ImageScheme.HTTP:
         locator = rest
@@ -151,7 +141,7 @@ def parse_image_url(url: str) -> ImageRef:
         if ":" in last:
             locator, tag = locator.rsplit(":", 1)
     if not locator:
-        raise EmptyLocator(f"empty locator in image URL: {url!r}")
+        raise ValidationError(f"empty locator in image URL: {url!r}")
     return ImageRef(scheme, locator, tag)
 
 
@@ -159,18 +149,18 @@ def parse_mount_spec(s: str) -> MountSpec:
     """Parse ``src-dir:dest-dir[:options]`` into a MountSpec."""
     parts = s.split(":")
     if len(parts) < 2:
-        raise MalformedMount(f"need src and dst in mount spec: {s!r}")
+        raise ValidationError(f"need src and dst in mount spec: {s!r}")
     if len(parts) > 3:
-        raise MalformedMount(f"too many fields in mount spec: {s!r}")
+        raise ValidationError(f"too many fields in mount spec: {s!r}")
     src, dst = parts[0], parts[1]
     if not src.startswith("/") or not dst.startswith("/"):
-        raise MalformedMount(f"mount paths must be absolute: {s!r}")
+        raise ValidationError(f"mount paths must be absolute: {s!r}")
     options: tuple[str, ...] = ()
     if len(parts) == 3:
         options = tuple(tok for tok in parts[2].split(",") if tok)
         for tok in options:
             if tok not in MOUNT_OPTIONS:
-                raise UnknownOption(f"unknown mount option {tok!r} in {s!r}")
+                raise ValidationError(f"unknown mount option {tok!r} in {s!r}")
     return MountSpec(src, dst, options)
 
 
@@ -178,14 +168,14 @@ def _parse_profiles(raw: object, where: str) -> dict[str, str]:
     if raw is None:
         return {}
     if not isinstance(raw, list):
-        raise CatalogSyntaxError(f"{where}: profile must be a sequence")
+        raise ValidationError(f"{where}: profile must be a sequence")
     env: dict[str, str] = {}
     for item in raw:
         if not isinstance(item, dict):
-            raise CatalogSyntaxError(f"{where}: bad profile entry {item!r}")
+            raise ValidationError(f"{where}: bad profile entry {item!r}")
         for key, values in item.items():
             if key != "env":
-                raise CatalogSyntaxError(
+                raise ValidationError(
                     f"{where}: only env profiles are supported, got {key!r}"
                 )
             env.update(read_value(dict[str, str], values, "catalog", "env"))
@@ -196,35 +186,35 @@ def _required(raw: dict, keys: tuple[str, ...], entry: str) -> list[str]:
     """The values of ``keys`` in catalog entry ``raw``, each a string."""
     for key in keys:
         if key not in raw:
-            raise CatalogSyntaxError(f"{entry} missing field {key!r}")
+            raise ValidationError(f"{entry} missing field {key!r}")
     return [read_value(str, raw[key], "catalog", key) for key in keys]
 
 
 def _parse_container(raw: dict, seen: set[str]) -> ContainerDef:
     name, image_url, runtime_s = _required(raw, ("name", "image", "type"), "cont entry")
     if not name:
-        raise CatalogSyntaxError("cont entry: container name must not be empty")
+        raise ValidationError("cont entry: container name must not be empty")
     if name in seen:
-        raise DuplicateName(f"duplicate container name {name!r}")
+        raise ValidationError(f"duplicate container name {name!r}")
     try:
         runtime = ContainerRuntime(runtime_s.lower())
     except ValueError:
-        raise CatalogSyntaxError(f"unknown container type {runtime_s!r}") from None
+        raise ValidationError(f"unknown container type {runtime_s!r}") from None
     image = parse_image_url(image_url)
     if runtime is ContainerRuntime.SHIFTER and image.scheme is not ImageScheme.SHIFTER:
-        raise CatalogSyntaxError(
+        raise ValidationError(
             f"container {name!r}: shifter containers require a shifter image URL"
         )
     mount_specs = raw.get("mount") or []
     if not isinstance(mount_specs, list):
-        raise CatalogSyntaxError(f"container {name!r}: mount must be a sequence")
+        raise ValidationError(f"container {name!r}: mount must be a sequence")
     cdef = read_record(
         ContainerDef, raw, "catalog", name=name, image=image, runtime=runtime,
         mounts=tuple(parse_mount_spec(str(m)) for m in mount_specs),
         profiles=_parse_profiles(raw.get("profile"), f"cont {name!r}"),
     )
     if cdef.image_size_bytes < 0:
-        raise CatalogSyntaxError(f"container {name!r}: negative image_size_bytes")
+        raise ValidationError(f"container {name!r}: negative image_size_bytes")
     return cdef
 
 
@@ -233,13 +223,13 @@ def _parse_transformation(raw: dict) -> list[TransformationEntry]:
         raw, ("namespace", "name", "version"), "transformation")
     sites = raw.get("site") or []
     if not isinstance(sites, list):
-        raise CatalogSyntaxError(f"transformation {name!r}: site must be a sequence")
+        raise ValidationError(f"transformation {name!r}: site must be a sequence")
     entries = []
     for site_raw in sites:
         if not isinstance(site_raw, dict) or "name" not in site_raw:
-            raise CatalogSyntaxError(f"transformation {name!r}: bad site entry")
+            raise ValidationError(f"transformation {name!r}: bad site entry")
         if "profile" in site_raw:
-            raise CatalogSyntaxError(
+            raise ValidationError(
                 f"transformation {name!r}: env profiles go on the container, not the site")
         entries.append(read_record(
             TransformationEntry, site_raw, "catalog",
@@ -254,20 +244,17 @@ def parse_catalog(text: str) -> Catalog:
     Accepts either a top-level mapping with ``transformations``/``cont`` keys
     or a sequence of single-key mappings carrying the same content.
     """
-    try:
-        doc = load_yaml(text, "catalog", (dict, list))
-        if isinstance(doc, list):
-            merged: dict = {}
-            for item in doc:
-                if not isinstance(item, dict):
-                    raise CatalogSyntaxError(f"unexpected top-level entry {item!r}")
-                merged.update(item)
-            doc = merged
-        conts = read_value(list[dict], doc.get("cont", []), "catalog", "cont")
-        raw_transformations = read_value(
-            list[dict], doc.get("transformations", []), "catalog", "transformations")
-    except ValidationError as exc:
-        raise CatalogSyntaxError(str(exc)) from None
+    doc = load_yaml(text, "catalog", (dict, list))
+    if isinstance(doc, list):
+        merged: dict = {}
+        for item in doc:
+            if not isinstance(item, dict):
+                raise ValidationError(f"unexpected top-level entry {item!r}")
+            merged.update(item)
+        doc = merged
+    conts = read_value(list[dict], doc.get("cont", []), "catalog", "cont")
+    raw_transformations = read_value(
+        list[dict], doc.get("transformations", []), "catalog", "transformations")
 
     containers: dict[str, ContainerDef] = {}
     loaded_as: dict[str, str] = {}  # Docker load key -> container
@@ -277,7 +264,7 @@ def parse_catalog(text: str) -> Catalog:
         if cdef.runtime is ContainerRuntime.DOCKER:
             key = load_key(cdef.image.url())
             if key in loaded_as:
-                raise DuplicateName(
+                raise ValidationError(
                     f"containers {loaded_as[key]!r} and {cdef.name!r} load as one "
                     f"Docker image {key!r}")
             loaded_as[key] = cdef.name
@@ -288,12 +275,12 @@ def parse_catalog(text: str) -> Catalog:
         for entry in _parse_transformation(raw):
             key = (entry.namespace, entry.name, entry.version, entry.site)
             if key in seen_keys:
-                raise DuplicateName(
+                raise ValidationError(
                     f"duplicate transformation {entry.logical_id!r} at site {entry.site!r}"
                 )
             seen_keys.add(key)
             if entry.container is not None and entry.container not in containers:
-                raise DanglingContainerRef(
+                raise ValidationError(
                     f"transformation {entry.logical_id!r} references unknown "
                     f"container {entry.container!r}"
                 )

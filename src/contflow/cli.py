@@ -17,12 +17,7 @@ from pathlib import Path
 
 from . import launcher, planner, simulator
 from .catalog import parse_catalog
-from .errors import (
-    ContflowError,
-    DestinationUnwritable,
-    SimError,
-    ValidationError,
-)
+from .errors import ContflowError, SimError, ValidationError
 from .planner import PlanConfig, parse_executable, parse_sites, serialize_executable
 from .simulator import SimConfig, parse_topology
 from .workflow import load_yaml, parse_workflow, read_record, read_value
@@ -48,14 +43,14 @@ def _output_dir(out: str | Path):
     """Make directory ``out`` and yield it for the writes in the block.
 
     An OSError from making or writing under it, such as ``out`` lying under a
-    regular file, raises DestinationUnwritable (exit 2).
+    regular file, raises SimError (exit 2).
     """
     out = Path(out)
     try:
         out.mkdir(parents=True, exist_ok=True)
         yield out
     except OSError as exc:
-        raise DestinationUnwritable(str(exc)) from None
+        raise SimError(str(exc)) from None
 
 
 def _plan_config(args) -> PlanConfig:

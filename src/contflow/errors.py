@@ -1,4 +1,11 @@
-"""Exception hierarchy shared across contflow modules."""
+"""Exception hierarchy shared across contflow modules.
+
+A class is kept only where code tells it apart: ``cli.main`` catches
+ContflowError (exit 1) and SimError (exit 2), the result reader catches
+ValidationError, the planner's site binding catches NotFound,
+RuntimeUnavailable and InconsistentPlacement, and CycleDetected carries its
+cycle.  Every other refusal raises one of these with its own message.
+"""
 
 from __future__ import annotations
 
@@ -7,48 +14,8 @@ class ContflowError(Exception):
     """Base class for all contflow errors."""
 
 
-# --- catalog ---------------------------------------------------------------
-
-class CatalogError(ContflowError):
-    pass
-
-
-class CatalogSyntaxError(CatalogError):
-    pass
-
-
-class DanglingContainerRef(CatalogError):
-    pass
-
-
-class DuplicateName(CatalogError):
-    pass
-
-
-class UnknownScheme(CatalogError):
-    pass
-
-
-class EmptyLocator(CatalogError):
-    pass
-
-
-class MalformedMount(CatalogError):
-    pass
-
-
-class UnknownOption(CatalogError):
-    pass
-
-
-class NotFound(CatalogError):
-    pass
-
-
-# --- workflow --------------------------------------------------------------
-
 class ValidationError(ContflowError):
-    pass
+    """A document, flag or file that contflow refuses (exit 1)."""
 
 
 class CycleDetected(ValidationError):
@@ -57,49 +24,17 @@ class CycleDetected(ValidationError):
         super().__init__(f"cycle detected: {' -> '.join(cycle)}")
 
 
-class DanglingEdge(ValidationError):
-    pass
+class NotFound(ValidationError):
+    """No catalog transformation of that id at that site."""
 
 
-class MultipleProducers(ValidationError):
-    pass
+class RuntimeUnavailable(ValidationError):
+    """A container's runtime is not available at a site."""
 
 
-class OrphanInput(ValidationError):
-    pass
+class InconsistentPlacement(ValidationError):
+    """A container cannot reach a job the way its placement says."""
 
-
-# --- planner ---------------------------------------------------------------
-
-class PlanError(ContflowError):
-    pass
-
-
-class UnresolvableTransformation(PlanError):
-    pass
-
-
-class RuntimeUnavailable(PlanError):
-    pass
-
-
-class InconsistentPlacement(PlanError):
-    pass
-
-
-# --- simulator -------------------------------------------------------------
 
 class SimError(ContflowError):
-    pass
-
-
-class UnmappedSite(SimError):
-    pass
-
-
-class MissingSize(SimError):
-    pass
-
-
-class DestinationUnwritable(SimError):
-    pass
+    """A simulation that cannot finish, or an output that cannot be written (exit 2)."""

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass, field
 
 from .catalog import Catalog, ContainerDef, ContainerRuntime, MountSpec, load_key
-from .errors import DanglingContainerRef, InconsistentPlacement, ValidationError
+from .errors import InconsistentPlacement, ValidationError
 from .planner import (
     ComputePayload,
     ExecutableWorkflow,
@@ -241,7 +241,7 @@ def build_plans(
         if payload.container is not None:
             cdef = cat.containers.get(payload.container)
             if cdef is None:
-                raise DanglingContainerRef(
+                raise ValidationError(
                     f"job {job.id!r} references container {payload.container!r}, "
                     f"which the catalog does not define"
                 )

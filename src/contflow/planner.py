@@ -25,9 +25,7 @@ from .catalog import (
 from .errors import (
     InconsistentPlacement,
     NotFound,
-    PlanError,
     RuntimeUnavailable,
-    UnresolvableTransformation,
     ValidationError,
 )
 from .workflow import (
@@ -183,19 +181,19 @@ class ExecutableWorkflow:
 def validate_executable(ewf: ExecutableWorkflow) -> None:
     """Check an executable workflow, whether plan() made it or a document held it.
 
-    Raise PlanError for a duplicate job id, an edge that names an unknown job,
-    a negative file, transfer or image size, or a compute job whose runtime is
-    negative or not finite, whose container name is empty, whose task list is
-    empty, or whose image is pulled or symlinked without exactly one
+    Raise ValidationError for a duplicate job id, an edge that names an unknown
+    job, a negative file, transfer or image size, or a compute job whose runtime
+    is negative or not finite, whose container name is empty, whose task list
+    is empty, or whose image is pulled or symlinked without exactly one
     container-fetch parent; InconsistentPlacement for a compute job whose
     shape is not a row of SHAPES; and CycleDetected for a cycle.
     """
-    refuse_repeats((j.id for j in ewf.jobs), PlanError, "job id")
+    refuse_repeats((j.id for j in ewf.jobs), ValidationError, "job id")
     kinds = {j.id: j.kind for j in ewf.jobs}
     fetch_parents: dict[str, int] = {}
     for u, v in ewf.edges:
         if u not in kinds or v not in kinds:
-            raise PlanError(f"edge ({u!r}, {v!r}) references unknown job")
+            raise ValidationError(f"edge ({u!r}, {v!r}) references unknown job")
         if kinds[u] is JobKind.CONTAINER_FETCH:
             fetch_parents[v] = fetch_parents.get(v, 0) + 1
     for j in ewf.jobs:
@@ -205,20 +203,21 @@ def validate_executable(ewf: ExecutableWorkflow) -> None:
         p = j.payload
         assert isinstance(p, ComputePayload)
         if not (math.isfinite(p.runtime_s) and p.runtime_s >= 0):
-            raise PlanError(
+            raise ValidationError(
                 f"job {j.id!r}: runtime_s must be finite and >= 0, got {p.runtime_s!r}"
             )
         if p.image_bytes < 0:
-            raise PlanError(f"job {j.id!r}: image_bytes must be >= 0, got {p.image_bytes}")
+            raise ValidationError(
+                f"job {j.id!r}: image_bytes must be >= 0, got {p.image_bytes}")
         _check_sizes(j, p.input_files + p.output_files)
         if p.container == "":
-            raise PlanError(f"job {j.id!r}: container name must not be empty")
+            raise ValidationError(f"job {j.id!r}: container name must not be empty")
         materialize = job_shape(j).materialize
         if not p.task_ids:
-            raise PlanError(f"compute job {j.id!r} has an empty task list")
+            raise ValidationError(f"compute job {j.id!r} has an empty task list")
         n_fetch = fetch_parents.get(j.id, 0)
         if materialize is not None and n_fetch != 1:
-            raise PlanError(
+            raise ValidationError(
                 f"compute job {j.id!r} must depend on exactly one container-fetch "
                 f"job, found {n_fetch}"
             )
@@ -226,10 +225,11 @@ def validate_executable(ewf: ExecutableWorkflow) -> None:
 
 
 def _check_sizes(job: Job, files) -> None:
-    """Raise PlanError for the first of ``job``'s (name, bytes) pairs whose size is negative."""
+    """Raise ValidationError for the first of ``job``'s (name, bytes) pairs with a negative size."""
     for name, size in files:
         if size < 0:
-            raise PlanError(f"job {job.id!r}: size of {name!r} must be >= 0, got {size}")
+            raise ValidationError(
+                f"job {job.id!r}: size of {name!r} must be >= 0, got {size}")
 
 
 def bypass_refusal(c: ContainerDef) -> str | None:
@@ -297,7 +297,7 @@ def cluster_jobs(ewf: ExecutableWorkflow, k: int) -> ExecutableWorkflow:
     inter-cluster edges are the union of member edges with self-loops removed.
     """
     if k < 1:
-        raise PlanError("cluster size must be >= 1")
+        raise ValidationError("cluster size must be >= 1")
     if k == 1:
         return ewf
 
@@ -394,13 +394,13 @@ def _bind_sites(
     wf: AbstractWorkflow, cat: Catalog, sites: list[Site], override: str | None
 ) -> dict[str, tuple[Site, TransformationEntry, ContainerDef | None, PlacementMode | None]]:
     """Round-robin tasks over sites able to run their transformation."""
-    resolved: dict[str, tuple[list, PlanError | None]] = {}  # once per transformation
+    resolved: dict[str, tuple[list, ValidationError | None]] = {}  # once per transformation
     binding = {}
     rr = 0
     for task in wf.tasks:
         if task.transformation not in resolved:
             eligible = []
-            refusal: PlanError | None = None
+            refusal: ValidationError | None = None
             for s in sites:
                 try:
                     entry, cdef = resolve_transformation(cat, task.transformation, s.name)
@@ -420,7 +420,7 @@ def _bind_sites(
         if not eligible:
             if refusal is not None:  # the last site's refusal, of its own class
                 raise type(refusal)(f"task {task.id!r}: {refusal}")
-            raise UnresolvableTransformation(
+            raise ValidationError(
                 f"task {task.id!r}: transformation {task.transformation!r} "
                 f"not resolvable at any site"
             )

@@ -22,12 +22,7 @@ import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import (
-    MissingSize,
-    SimError,
-    UnmappedSite,
-    ValidationError,
-)
+from .errors import SimError, ValidationError
 from .planner import (
     ComputePayload,
     ExecutableWorkflow,
@@ -100,7 +95,7 @@ class Topology:
             if n.name == site or n.name.startswith(site + "/")
         ]
         if not out:
-            raise UnmappedSite(f"site {site!r} maps to no topology node")
+            raise SimError(f"site {site!r} maps to no topology node")
         return out
 
     def validate(self) -> None:
@@ -492,7 +487,8 @@ class _Engine:
         return min(free, key=lambda name: (self.running_on[name], name), default=None)
 
     def _staging_node(self, site: str) -> str:
-        # storage nodes are exact-name matches; never a /wN worker
+        # the site's node of its own name if it has one (its storage node),
+        # else its first node, a ``site/...`` worker
         nodes = self._nodes(site)
         for n in nodes:
             if n.name == site:
@@ -572,7 +568,7 @@ class _Engine:
         assert isinstance(p, ComputePayload)
         shape = job_shape(job)
         if shape.materialize and p.image_bytes <= 0:
-            raise MissingSize(
+            raise SimError(
                 f"job {job.id!r}: container {p.container!r} has no image size"
             )
         if shape.materialize == "pull":

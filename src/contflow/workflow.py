@@ -18,13 +18,7 @@ import typing
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .errors import (
-    CycleDetected,
-    DanglingEdge,
-    MultipleProducers,
-    OrphanInput,
-    ValidationError,
-)
+from .errors import CycleDetected, ValidationError
 
 DEFAULT_RUNTIME_S = 1.0
 DEFAULT_FILE_BYTES = 1_048_576
@@ -165,13 +159,13 @@ def require_acyclic(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> N
 
 
 def validate_dag(wf: AbstractWorkflow) -> None:
-    """Raise a ValidationError subclass if the workflow is malformed."""
+    """Raise ValidationError, or CycleDetected for a cycle, if the workflow is malformed."""
     refuse_repeats((t.id for t in wf.tasks), ValidationError, "task id")
     task_ids = {t.id for t in wf.tasks}
 
     for u, v in wf.edges:
         if u not in task_ids or v not in task_ids:
-            raise DanglingEdge(f"edge ({u!r}, {v!r}) references unknown task")
+            raise ValidationError(f"edge ({u!r}, {v!r}) references unknown task")
 
     for name, meta in wf.files.items():
         if meta.size_bytes < 0:
@@ -189,7 +183,7 @@ def validate_dag(wf: AbstractWorkflow) -> None:
             raise ValidationError(f"task {t.id!r}: inputs and outputs overlap")
         for f in t.outputs:
             if f in produced and produced[f] != t.id:
-                raise MultipleProducers(
+                raise ValidationError(
                     f"file {f!r} produced by both {produced[f]!r} and {t.id!r}"
                 )
             produced[f] = t.id
@@ -200,7 +194,7 @@ def validate_dag(wf: AbstractWorkflow) -> None:
                 continue
             meta = wf.files.get(f)
             if meta is None or meta.initial_location is None:
-                raise OrphanInput(
+                raise ValidationError(
                     f"task {t.id!r} input {f!r} has no producer and no initial location"
                 )
 

@@ -21,16 +21,7 @@ from contflow.catalog import (
     resolve_transformation,
     serialize_catalog,
 )
-from contflow.errors import (
-    CatalogSyntaxError,
-    DanglingContainerRef,
-    DuplicateName,
-    EmptyLocator,
-    MalformedMount,
-    NotFound,
-    UnknownOption,
-    UnknownScheme,
-)
+from contflow.errors import NotFound, ValidationError
 from contflow.scenarios import demo_catalog
 
 
@@ -59,19 +50,20 @@ class TestParseImageUrl:
         assert ref.locator == "/images/tool.sif"
 
     def test_unknown_scheme(self):
-        with pytest.raises(UnknownScheme):
+        with pytest.raises(ValidationError, match="^unknown image URL scheme: 'ftp'$"):
             parse_image_url("ftp://host/image")
 
     def test_missing_scheme(self):
-        with pytest.raises(UnknownScheme):
+        with pytest.raises(ValidationError, match="^no scheme in image URL: 'just/a/path'$"):
             parse_image_url("just/a/path")
 
     def test_empty_locator(self):
-        with pytest.raises(EmptyLocator):
+        with pytest.raises(ValidationError,
+                           match="^empty locator in image URL: 'docker:///'$"):
             parse_image_url("docker:///")
 
     def test_empty_file_path(self):
-        with pytest.raises(EmptyLocator, match="^empty path in 'file:///'$"):
+        with pytest.raises(ValidationError, match="^empty path in 'file:///'$"):
             parse_image_url("file:///")
 
     def test_colon_before_last_segment_is_not_a_tag(self):
@@ -98,19 +90,20 @@ class TestParseMountSpec:
         assert parse_mount_spec("/a:/b") == MountSpec("/a", "/b", ())
 
     def test_missing_dst(self):
-        with pytest.raises(MalformedMount):
+        with pytest.raises(ValidationError, match="^need src and dst in mount spec: '/a'$"):
             parse_mount_spec("/a")
 
     def test_relative_path_rejected(self):
-        with pytest.raises(MalformedMount):
+        with pytest.raises(ValidationError, match="^mount paths must be absolute: 'a:/b'$"):
             parse_mount_spec("a:/b")
 
     def test_too_many_fields(self):
-        with pytest.raises(MalformedMount, match="^too many fields in mount spec: '/a:/b:ro:x'$"):
+        with pytest.raises(ValidationError, match="^too many fields in mount spec: '/a:/b:ro:x'$"):
             parse_mount_spec("/a:/b:ro:x")
 
     def test_unknown_option(self):
-        with pytest.raises(UnknownOption):
+        with pytest.raises(ValidationError,
+                           match="^unknown mount option 'zz' in '/a:/b:zz'$"):
             parse_mount_spec("/a:/b:zz")
 
     def test_render_round_trip(self):
@@ -164,8 +157,9 @@ cont:
 transformations:
   - {namespace: ns, name: a, version: "1", site: [{name: s1, container: nope}]}
 """
-        with pytest.raises(DanglingContainerRef):
+        with pytest.raises(ValidationError) as exc:
             parse_catalog(text)
+        assert str(exc.value) == "transformation 'ns::a:1' references unknown container 'nope'"
 
     def test_duplicate_container_name(self):
         text = """
@@ -173,7 +167,7 @@ cont:
   - {name: c1, image: "docker:///x/y:1", type: docker}
   - {name: c1, image: "docker:///x/z:1", type: docker}
 """
-        with pytest.raises(DuplicateName):
+        with pytest.raises(ValidationError, match="^duplicate container name 'c1'$"):
             parse_catalog(text)
 
     @pytest.mark.parametrize("first, second, key", [
@@ -187,7 +181,7 @@ cont:
   - {{name: c1, image: "{first}", type: docker}}
   - {{name: c2, image: "{second}", type: docker}}
 """
-        with pytest.raises(DuplicateName) as exc:
+        with pytest.raises(ValidationError) as exc:
             parse_catalog(text)
         assert str(exc.value) == f"containers 'c1' and 'c2' load as one Docker image '{key}'"
 
@@ -205,12 +199,18 @@ cont:
 transformations:
   - {namespace: ns, name: a, version: "1", site: [{name: s1}, {name: s1}]}
 """
-        with pytest.raises(DuplicateName):
+        with pytest.raises(ValidationError) as exc:
             parse_catalog(text)
+        assert str(exc.value) == "duplicate transformation 'ns::a:1' at site 's1'"
 
     def test_malformed_document(self):
-        with pytest.raises(CatalogSyntaxError):
+        with pytest.raises(ValidationError) as exc:
             parse_catalog("{unbalanced")
+        assert str(exc.value) == (
+            "catalog document is not valid YAML: while parsing a flow mapping\n"
+            '  in "<unicode string>", line 1, column 1\n'
+            "did not find expected ',' or '}'\n"
+            '  in "<unicode string>", line 2, column 1')
 
     def test_non_env_profile_rejected(self):
         text = """
@@ -221,23 +221,25 @@ cont:
     profile:
       - condor: {universe: vanilla}
 """
-        with pytest.raises(CatalogSyntaxError):
+        with pytest.raises(ValidationError) as exc:
             parse_catalog(text)
+        assert str(exc.value) == "cont 'c1': only env profiles are supported, got 'condor'"
 
     def test_shifter_requires_shifter_url(self):
         text = """
 cont:
   - {name: c1, image: "docker:///x/y:1", type: shifter}
 """
-        with pytest.raises(CatalogSyntaxError):
+        with pytest.raises(ValidationError) as exc:
             parse_catalog(text)
+        assert str(exc.value) == "container 'c1': shifter containers require a shifter image URL"
 
     def test_mount_not_a_sequence(self):
         text = """
 cont:
   - {name: c1, image: "docker:///x/y:1", type: docker, mount: 5}
 """
-        with pytest.raises(CatalogSyntaxError, match="mount must be a sequence"):
+        with pytest.raises(ValidationError, match="^container 'c1': mount must be a sequence$"):
             parse_catalog(text)
 
     @pytest.mark.parametrize("text, message", [
@@ -256,7 +258,7 @@ cont:
     ], ids=["profile-not-a-list", "profile-entry-not-a-mapping", "negative-image-size",
             "top-level-entry-not-a-mapping", "empty-container-name", "transformation-profile"])
     def test_malformed_entry_names_its_fault(self, text, message):
-        with pytest.raises(CatalogSyntaxError) as exc:
+        with pytest.raises(ValidationError) as exc:
             parse_catalog(text)
         assert str(exc.value) == message
 

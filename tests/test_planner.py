@@ -18,9 +18,7 @@ from contflow.catalog import (
     parse_image_url,
     serialize_catalog,
 )
-from contflow.errors import (
-    InconsistentPlacement, PlanError, RuntimeUnavailable, UnresolvableTransformation,
-)
+from contflow.errors import InconsistentPlacement, RuntimeUnavailable, ValidationError
 from contflow.launcher import build_plans, render_wrapper
 from contflow.planner import (
     ComputePayload,
@@ -219,7 +217,8 @@ class TestPlan:
 
     def test_unresolvable_transformation(self):
         wf = AbstractWorkflow(tasks=(Task("a", "ns::missing:9"),))
-        with pytest.raises(UnresolvableTransformation):
+        with pytest.raises(ValidationError, match="^task 'a': transformation "
+                           "'ns::missing:9' not resolvable at any site$"):
             plan(wf, Catalog(), [make_site()], PlanConfig())
 
     def test_runtime_unavailable_propagates(self):
@@ -432,6 +431,29 @@ class TestClusterJobs:
         )
         assert len(out.jobs_of_kind(JobKind.COMPUTE)) == 2
         assert len(out.edges) == 1
+
+    def test_fetch_stage_and_cleanup_jobs_pass_through_with_their_edges_remapped(self):
+        from contflow.planner import CleanupPayload, Job, TransferPayload
+        fetch = Job("fetch_c1_staging0", JobKind.CONTAINER_FETCH, "staging0",
+                    TransferPayload((("docker:///x/y:1", "c1.tar", 10),), "", "staging0"))
+        stage_in = Job("in_a", JobKind.STAGE_IN, "compute",
+                       TransferPayload((("http://x/f", "f", 5),), "", "compute"))
+        a, b = (_compute_job(jid, "c1", "staging0") for jid in ("a", "b"))
+        stage_out = Job("out_b", JobKind.STAGE_OUT, "compute",
+                        TransferPayload((("ob", "http://x/ob", 5),), "compute", ""))
+        cleanup = Job("clean_b", JobKind.CLEANUP, "compute", CleanupPayload("b"))
+        ewf = ExecutableWorkflow(
+            jobs=(fetch, stage_in, a, b, stage_out, cleanup),
+            edges=((fetch.id, "a"), (fetch.id, "b"), ("in_a", "a"), ("b", "out_b"),
+                   ("out_b", "clean_b")),
+        )
+        out = cluster_jobs(ewf, 2)
+        [cluster] = out.jobs_of_kind(JobKind.COMPUTE)
+        assert (cluster.id, cluster.payload.task_ids) == ("cluster_l0_compute_c1_000", ("a", "b"))
+        assert out.jobs == (cluster, fetch, stage_in, stage_out, cleanup)
+        assert out.edges == ((fetch.id, cluster.id), ("in_a", cluster.id),
+                             (cluster.id, "out_b"), ("out_b", "clean_b"))
+        validate_executable(out)
 
     def test_monotone_in_k(self):
         rng = random.Random(3)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from contflow.catalog import ContainerRuntime
-from contflow.errors import MissingSize, SimError, UnmappedSite
+from contflow.errors import SimError
 from contflow.planner import (
     ComputePayload,
     ExecutableWorkflow,
@@ -160,13 +160,13 @@ class TestErrors:
         topo = Topology(submit=NodeSpec("submit"), nfs=None,
                         workers=(NodeSpec("elsewhere/w1"),),
                         links={("submit", "elsewhere/w1"): 1e8})
-        with pytest.raises(UnmappedSite):
+        with pytest.raises(SimError, match="^site 'site' maps to no topology node$"):
             simulate(ExecutableWorkflow(jobs=(job,)), topo, SimConfig())
 
     def test_missing_image_size(self):
         job = compute_job(container="tools", placement=PlacementMode.STAGE_COPY,
                           backend=ContainerRuntime.DOCKER, image_bytes=0)
-        with pytest.raises(MissingSize):
+        with pytest.raises(SimError, match="^job 'c0': container 'tools' has no image size$"):
             simulate(ExecutableWorkflow(jobs=(job,)), tiny_topology(),
                      SimConfig())
 

@@ -1,4 +1,4 @@
-"""Every record field, import and command-line option in ``contflow`` is read.
+"""Every record field, import, command-line option and function in ``contflow`` is used.
 
 A field that only the ``serialize_*`` writers touch is parsed, carried and
 written back, but changes nothing: it is dead weight in every document and
@@ -12,10 +12,13 @@ its name is read on any object.  So it misses a field whose name another
 class's field shares; it could not see that nothing read
 ``TransformationEntry.profiles``, because ``ContainerDef.profiles`` is read.
 
-Two more scans work the same way.  One fails on a name that a module imports
-but never names again; ``__init__`` is left out, since its imports are the
-package's public names.  The other fails on an option of ``contflow``'s
-command line whose ``dest`` no code reads as ``args.<dest>``.
+Three more scans work the same way.  One fails on a name that a module
+imports but never names again; ``__init__`` is left out, since its imports are
+the package's public names.  One fails on an option of ``contflow``'s command
+line whose ``dest`` no code reads as ``args.<dest>``.  The last fails on a
+top-level function or method that no code in the package names (as ``f`` or
+``x.f``) and that ``__init__`` does not export; dunder methods, which Python
+calls, are left out.
 """
 
 from __future__ import annotations
@@ -113,3 +116,40 @@ def test_every_command_line_option_is_read_or_allowed():
               for command, sub in commands.choices.items() for action in sub._actions
               if action.dest not in read | {"help", "func"}]
     assert sorted(unread) == sorted(ALLOWED_OPTIONS)
+
+
+# each function or method that no code in the package names, and why it stays
+ALLOWED_FUNCTIONS = {
+    "catalog.InstallType._missing_": "Enum calls it to read a catalog's type "
+                                     "case-insensitively",
+    "launcher.ExecutionReport.ok": "a mock run's verdict, for a caller of execute_local()",
+    "launcher.ExecutionReport.count_effects": "one of the acceptance suite's measures",
+    "simulator.SimResult.total_transfer_bytes": "one of the acceptance suite's measures",
+    "simulator.SimResult.saturation_window_s": "one of the acceptance suite's measures",
+    "simulator.SimResult.mean_io_wait_ms": "one of the acceptance suite's measures",
+    "simulator.serialize_topology": "writes the topology documents the tests feed "
+                                    "to the command line",
+    "scenarios.demo_scenarios": "README's ready-made rows for simulator.sweep",
+}
+
+
+def test_every_function_is_named_exported_or_allowed():
+    defined, named, exported = [], set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        if path.stem == "__init__":
+            exported.update(a.asname or a.name for node in ast.walk(tree)
+                            if isinstance(node, ast.ImportFrom) for a in node.names)
+            continue
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+            defined += [(f"{path.stem}.{prefix}{f.name}", f.name) for f in members
+                        if isinstance(f, ast.FunctionDef)]
+        named.update(node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(tree)
+                     if isinstance(node, (ast.Name, ast.Attribute)))
+    unnamed = [qualified for qualified, name in defined
+               if name not in named | exported
+               and not (name.startswith("__") and name.endswith("__"))]
+    assert sorted(unnamed) == sorted(ALLOWED_FUNCTIONS)

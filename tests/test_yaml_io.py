@@ -215,6 +215,12 @@ def test_fast_emitter_leaves_keys_of_128_characters_to_pyyaml():
     assert fast_text({"k" * 128: 1}) is None
 
 
+def test_a_key_that_is_not_a_string_is_left_to_pyyaml():
+    doc = {1: "a", "b": [2]}
+    assert fast_text(doc) is None
+    assert workflow.dump_yaml(doc) == libyaml_text(doc) == "1: a\nb:\n- 2\n"
+
+
 def read(text: str):
     """load_yaml's outcome: the repr of the document (types included), or the error."""
     try:
@@ -394,6 +400,22 @@ def test_reader_reads_quoted_hand_written_documents_itself(doc):
         assert repr(workflow._fast_load(text)) == repr(doc)
     else:
         assert read(text) == libyaml_read(text)
+
+
+@pytest.mark.parametrize("depth, fast", [(65, True), (66, False)])
+def test_list_items_nested_past_column_128_are_left_to_libyaml(depth, fast):
+    # the innermost of ``depth`` item markers on one line opens a list at
+    # column 2 * (depth - 1)
+    text = "- " * depth + "x\n"
+    doc = "x"
+    for _ in range(depth):
+        doc = [doc]
+    if fast:
+        assert workflow._fast_load(text) == doc
+    else:
+        with pytest.raises(workflow._Unsure):
+            workflow._fast_load(text)
+    assert read(text) == libyaml_read(text) == ("ok", repr(doc))
 
 
 def test_repeated_key_is_left_to_pyyaml():
