@@ -21,6 +21,7 @@ from .planner import (
     JobKind,
     PlacementMode,
     bypass_refusal,
+    container_def,
     job_shape,
 )
 from .workflow import ReadySet, require_acyclic
@@ -235,17 +236,8 @@ def build_plans(
     """Wrapper plans for every compute job of an executable workflow."""
     plans: dict[str, WrapperPlan] = {}
     for job in ewf.jobs_of_kind(JobKind.COMPUTE):
-        payload = job.payload
-        assert isinstance(payload, ComputePayload)
-        cdef = None
-        if payload.container is not None:
-            cdef = cat.containers.get(payload.container)
-            if cdef is None:
-                raise ValidationError(
-                    f"job {job.id!r} references container {payload.container!r}, "
-                    f"which the catalog does not define"
-                )
-        plans[job.id] = build_wrapper_plan(job, cdef, staging_inside=staging_inside,
+        plans[job.id] = build_wrapper_plan(job, container_def(job, cat),
+                                           staging_inside=staging_inside,
                                            dedup_load=dedup_load)
     return plans
 

@@ -273,13 +273,14 @@ def decide_placement(c: ContainerDef, s: Site, override: str | None = None) -> P
     return PlacementMode.STAGE_COPY
 
 
-def _distinct(ids: list[str]) -> list[str]:
-    """``ids`` with each repeat of an earlier id given the first suffix ``_2``,
-    ``_3``, ... that no id in the list has or gets; every other id stays."""
-    taken = set(ids)
-    seen: set[str] = set()
+def _distinct(names: list[str], given: set[str]) -> list[str]:
+    """Ids for the jobs a pass generates, named ``names``: a name that repeats
+    a ``given`` id (a job the pass was handed) or an earlier name takes the
+    first suffix ``_2``, ``_3``, ... that no given id and no name has or gets."""
+    taken = given | set(names)
+    seen = set(given)
     out = []
-    for base in ids:
+    for base in names:
         new, n = base, 1
         while base in seen and new in taken:
             n += 1
@@ -290,11 +291,27 @@ def _distinct(ids: list[str]) -> list[str]:
     return out
 
 
+def container_def(job: Job, cat: Catalog) -> ContainerDef | None:
+    """The catalog's definition of compute job ``job``'s container, or None
+    for a job without one; a container the catalog lacks is refused."""
+    name = job.payload.container
+    if name is None:
+        return None
+    cdef = cat.containers.get(name)
+    if cdef is None:
+        raise ValidationError(
+            f"job {job.id!r} references container {name!r}, "
+            f"which the catalog does not define"
+        )
+    return cdef
+
+
 def cluster_jobs(ewf: ExecutableWorkflow, k: int) -> ExecutableWorkflow:
     """Merge same-level, same-site, same-container compute jobs into clusters of <= k.
 
     k = 1 is the identity.  Tasks inside a cluster keep topological order;
     inter-cluster edges are the union of member edges with self-loops removed.
+    A job alone in its chunk, like every job that is not compute, stays as given.
     """
     if k < 1:
         raise ValidationError("cluster size must be >= 1")
@@ -312,19 +329,18 @@ def cluster_jobs(ewf: ExecutableWorkflow, k: int) -> ExecutableWorkflow:
         members = sorted(groups[key], key=lambda j: j.id)
         chunks += [(key, i, members[i * k:(i + 1) * k])
                    for i in range(math.ceil(len(members) / k))]
-    ids = _distinct([
-        chunk[0].id if len(chunk) == 1 else
+    ids = iter(_distinct([
         f"cluster_l{level}_{site}_{container or 'plain'}_{i:03d}"
-        for (level, site, container), i, chunk in chunks
-    ])
+        for (level, site, container), i, chunk in chunks if len(chunk) > 1
+    ], {j.id for j in ewf.jobs}))
 
     remap: dict[str, str] = {}
     new_jobs: list[Job] = []
-    for ((_, site, _), _, chunk), cid in zip(chunks, ids):
+    for (_, site, _), _, chunk in chunks:
         if len(chunk) == 1:
             new_jobs.append(chunk[0])
-            remap[cid] = cid
             continue
+        cid = next(ids)
         payloads = [m.payload for m in chunk]
         produced = {f for p in payloads for f, _ in p.output_files}
         # dicts keep the first occurrence of each file in member order
@@ -341,38 +357,30 @@ def cluster_jobs(ewf: ExecutableWorkflow, k: int) -> ExecutableWorkflow:
         new_jobs.append(Job(id=cid, kind=JobKind.COMPUTE, site=site, payload=merged))
         for m in chunk:
             remap[m.id] = cid
+    new_jobs += [j for j in ewf.jobs if j.kind is not JobKind.COMPUTE]
 
-    for j in ewf.jobs:
-        if j.id not in remap:
-            remap[j.id] = j.id
-            new_jobs.append(j)
-
-    edges: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
-    for u, v in ewf.edges:
-        e = (remap[u], remap[v])
-        if e[0] != e[1] and e not in seen:
-            seen.add(e)
-            edges.append(e)
-    return ExecutableWorkflow(jobs=tuple(new_jobs), edges=tuple(edges))
+    edges = dict.fromkeys((remap.get(u, u), remap.get(v, v)) for u, v in ewf.edges)
+    return ExecutableWorkflow(jobs=tuple(new_jobs),
+                              edges=tuple((u, v) for u, v in edges if u != v))
 
 
 def insert_container_fetch_jobs(ewf: ExecutableWorkflow, cat: Catalog) -> ExecutableWorkflow:
     """Add exactly one fetch job per (container, staging site) pair in use."""
-    pairs: dict[tuple[str, str], list[str]] = {}
+    pairs: dict[tuple[str, str], list[Job]] = {}
     for j in ewf.jobs_of_kind(JobKind.COMPUTE):
         p = j.payload
         assert isinstance(p, ComputePayload)
         if job_shape(j).materialize is None:
             continue
-        pairs.setdefault((p.container, p.staging_site), []).append(j.id)
+        pairs.setdefault((p.container, p.staging_site), []).append(j)
 
     new_jobs = list(ewf.jobs)
     new_edges = list(ewf.edges)
     pairs = sorted(pairs.items())
-    ids = _distinct([f"fetch_{cname}_{staging}" for (cname, staging), _ in pairs])
+    ids = _distinct([f"fetch_{cname}_{staging}" for (cname, staging), _ in pairs],
+                    {j.id for j in ewf.jobs})
     for ((cname, staging), dependents), fetch_id in zip(pairs, ids):
-        cdef = cat.containers[cname]
+        cdef = container_def(dependents[0], cat)
         dst = f"file:///staging/{staging}/containers/{cname}.img"
         fetch = Job(
             id=fetch_id,
@@ -386,7 +394,7 @@ def insert_container_fetch_jobs(ewf: ExecutableWorkflow, cat: Catalog) -> Execut
         )
         new_jobs.append(fetch)
         for dep in dependents:
-            new_edges.append((fetch.id, dep))
+            new_edges.append((fetch.id, dep.id))
     return ExecutableWorkflow(jobs=tuple(new_jobs), edges=tuple(new_edges))
 
 

@@ -410,19 +410,17 @@ class _Engine:
                     count[k] -= n
             del count[best_key]
 
-    def _advance(self, t_next: float) -> list[_Flow]:
-        """Send every live flow's bytes up to t_next, move the clock there, and
-        return the flows that finish at t_next, in flow order.
+    def _advance(self, t_next: float) -> None:
+        """Send every live flow's bytes up to t_next and move the clock there.
 
-        A flow finishes at the event time it projected, ``now + remaining /
-        rate``, whatever bytes rounding leaves; it never drops below zero
-        bytes.  Every flow sends over [now, t_next), so all of them add to the
-        same egress buckets.  A bucket wholly inside the interval is touched by
-        no other event: it gets its source's rates summed in flow order, and
-        the whole stretch is one run.  The partial first and last buckets get
-        each flow's bytes in flow order too, so every bucket rounds as if the
-        flows were added to it one at a time.  Only the last bucket of a series
-        is ever added to again: the next event starts where this one ends.
+        A flow never drops below zero bytes.  Every flow sends over [now,
+        t_next), so all of them add to the same egress buckets.  A bucket
+        wholly inside the interval is touched by no other event: it gets its
+        source's rates summed in flow order, and the whole stretch is one run.
+        The partial first and last buckets get each flow's bytes in flow order
+        too, so every bucket rounds as if the flows were added to it one at a
+        time.  Only the last bucket of a series is ever added to again: the
+        next event starts where this one ends.
         """
         egress = self.egress_buckets
         now = self.now
@@ -432,12 +430,9 @@ class _Engine:
         head: dict[str, float] = {}  # bucket first, per source
         tail: dict[str, float] = {}  # bucket stop
         whole_rates: dict[str, float] = {}
-        finished = []
         for f in self.flows:
             rate = f.pair.rate
             if rate > 0:
-                if now + f.remaining / rate == t_next:
-                    finished.append(f)
                 left = f.remaining - rate * dt
                 f.remaining = 0.0 if left < 0.0 else left
                 if first is None:
@@ -460,7 +455,6 @@ class _Engine:
             if span1 is not None:
                 series._append(tail[src], 1)
         self.now = t_next
-        return finished
 
     # -- disk model ---------------------------------------------------------
 
@@ -610,21 +604,22 @@ class _Engine:
         self.dispatch()
         while self.flows or self.timers:
             self._solve_rates()
+            # A flow finishes at the end it projects here, whatever bytes
+            # rounding leaves when _advance sends them.
             now = self.now
-            t_next = self.timers[0][0] if self.timers else math.inf
-            for f in self.flows:
-                rate = f.pair.rate
-                if rate > 0:
-                    end = now + f.remaining / rate
-                    if end < t_next:
-                        t_next = end
+            ends = [now + f.remaining / f.pair.rate if f.pair.rate > 0 else math.inf
+                    for f in self.flows]
+            t_next = min(ends, default=math.inf)
+            if self.timers and self.timers[0][0] < t_next:
+                t_next = self.timers[0][0]
             if math.isinf(t_next):
                 stuck = [j for j in self.jobs if j not in self.done]
                 raise SimError(f"simulation stalled; unfinished jobs: {stuck[:5]}")
-            finished = self._advance(t_next)
-            if finished:
-                gone = set(finished)
-                self.flows = [f for f in self.flows if f not in gone]
+            self._advance(t_next)
+            finished = []
+            if t_next in ends:
+                finished = [f for f, end in zip(self.flows, ends) if end == t_next]
+                self.flows = [f for f, end in zip(self.flows, ends) if end != t_next]
 
             for f in finished:
                 self.egress_totals[f.src] += f.total

@@ -7,6 +7,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contflow.catalog import (
     Catalog,
@@ -388,6 +389,21 @@ class TestInsertContainerFetchJobs:
         assert len(fetches) == 1
         assert sum(1 for u, _ in out.edges if u == fetches[0].id) == 63
 
+    def test_a_fetch_id_that_a_given_job_has_takes_the_first_free_suffix(self):
+        cat = Catalog(containers={"radar-tools": make_container(name="radar-tools")})
+        job = _compute_job("fetch_radar-tools_submit", "radar-tools", "submit")
+        out = insert_container_fetch_jobs(ExecutableWorkflow(jobs=(job,)), cat)
+        assert [j.id for j in out.jobs] == ["fetch_radar-tools_submit",
+                                            "fetch_radar-tools_submit_2"]
+        assert out.jobs[0] is job
+        validate_executable(out)
+
+    def test_a_container_the_catalog_lacks_is_refused(self):
+        ewf = ExecutableWorkflow(jobs=(_compute_job("j0", "zz", "staging0"),))
+        with pytest.raises(ValidationError, match="^job 'j0' references container 'zz', "
+                           "which the catalog does not define$"):
+            insert_container_fetch_jobs(ewf, Catalog(containers={"c1": make_container()}))
+
 
 def _compute_job(jid, container, staging, placement=PlacementMode.STAGE_COPY,
                  level=0, site="compute", tasks=None):
@@ -455,6 +471,23 @@ class TestClusterJobs:
                              (cluster.id, "out_b"), ("out_b", "clean_b"))
         validate_executable(out)
 
+    def test_a_lone_job_keeps_its_id_when_a_cluster_is_spelled_like_it(self):
+        a1, a2 = (_compute_job(jid, "a", "staging0") for jid in ("a1", "a2"))
+        lone = _compute_job("cluster_l0_compute_a_000", "b", "staging0")
+        out = cluster_jobs(ExecutableWorkflow(jobs=(a1, a2, lone)), 2)
+        assert [j.id for j in out.jobs] == ["cluster_l0_compute_a_000_2",
+                                            "cluster_l0_compute_a_000"]
+        assert out.jobs[1] is lone
+        cat = Catalog(containers={n: make_container(name=n) for n in ("a", "b")})
+        validate_executable(insert_container_fetch_jobs(out, cat))
+
+    def test_an_edge_to_an_unknown_job_is_left_for_validation_to_refuse(self):
+        a, b = (_compute_job(jid, None, "staging0") for jid in ("a", "b"))
+        out = cluster_jobs(ExecutableWorkflow(jobs=(a, b), edges=(("a", "zz"),)), 2)
+        assert out.edges == (("cluster_l0_compute_plain_000", "zz"),)
+        with pytest.raises(ValidationError, match="references unknown job"):
+            validate_executable(out)
+
     def test_monotone_in_k(self):
         rng = random.Random(3)
         prev = None
@@ -470,7 +503,57 @@ class TestClusterJobs:
             prev = n
 
 
+# Names with "_" inside, so that generated ids spell alike: container a_b
+# staged at c and container a staged at b_c both fetch as fetch_a_b_c, and
+# container b at site c_a clusters like container a_b at site c.
+_CONTAINERS = ("a", "a_b", "b", "plain")
+_SITES = ("c", "c_a")
+_STAGING = ("c", "b_c")
+_GENERATED_SPELLINGS = st.one_of(
+    st.builds("cluster_l{}_{}_{}_{:03d}".format, st.integers(0, 1), st.sampled_from(_SITES),
+              st.sampled_from(_CONTAINERS), st.integers(0, 2)),
+    st.builds("fetch_{}_{}".format, st.sampled_from(_CONTAINERS), st.sampled_from(_STAGING)),
+)
+
+
+@st.composite
+def executables_with_generated_spellings(draw):
+    """Compute jobs at two levels whose ids spell like cluster and fetch ids,
+    with edges from level 0 to level 1."""
+    ids = draw(st.lists(_GENERATED_SPELLINGS, min_size=1, max_size=8, unique=True))
+    jobs = tuple(
+        _compute_job(jid, draw(st.sampled_from((None,) + _CONTAINERS)),
+                     draw(st.sampled_from(_STAGING)), level=draw(st.integers(0, 1)),
+                     site=draw(st.sampled_from(_SITES)), tasks=(f"t{n}",))
+        for n, jid in enumerate(ids)
+    )
+    pairs = [(u.id, v.id) for u in jobs for v in jobs
+             if u.payload.level == 0 and v.payload.level == 1]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return ExecutableWorkflow(jobs=jobs, edges=tuple(edges))
+
+
+
 class TestProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(executables_with_generated_spellings())
+    def test_passes_never_rename_a_given_job(self, ewf):
+        cat = Catalog(containers={n: make_container(name=n) for n in _CONTAINERS})
+        given_jobs = {j.id: j for j in ewf.jobs}
+        tasks = sorted(t for j in ewf.jobs for t in j.payload.task_ids)
+        for k in range(1, 5):
+            out = insert_container_fetch_jobs(cluster_jobs(ewf, k), cat)
+            ids = [j.id for j in out.jobs]
+            assert len(set(ids)) == len(ids)
+            compute = out.jobs_of_kind(JobKind.COMPUTE)
+            assert sorted(t for j in compute for t in j.payload.task_ids) == tasks
+            for j in compute:
+                if len(j.payload.task_ids) == 1:
+                    assert j is given_jobs[j.id]
+                else:
+                    assert j.id not in given_jobs
+            validate_executable(out)
+
     def test_fetch_dedup_over_random_workflows(self):
         for seed in range(40):
             rng = random.Random(seed)
