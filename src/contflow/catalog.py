@@ -102,11 +102,6 @@ class Catalog:
     transformations: tuple[TransformationEntry, ...] = ()
     containers: dict[str, ContainerDef] = field(default_factory=dict)
 
-    def container_for(self, entry: TransformationEntry) -> ContainerDef | None:
-        if entry.container is None:
-            return None
-        return self.containers[entry.container]
-
 
 def load_key(url: str) -> str:
     """The name of the Docker image at ``url`` in a node's load lock and marker."""
@@ -344,5 +339,6 @@ def resolve_transformation(
     for entry in cat.transformations:
         if (entry.namespace, entry.name, entry.version, entry.site) == \
                 (namespace, name, version, site):
-            return entry, cat.container_for(entry)
+            cdef = None if entry.container is None else cat.containers[entry.container]
+            return entry, cdef
     raise NotFound(f"no transformation {logical_id!r} at site {site!r}")

@@ -263,12 +263,9 @@ def job_steps(job: Job, plan: WrapperPlan | None) -> list[Step]:
 
 @dataclass
 class StepRecord:
-    job_id: str
     kind: StepKind
-    node: str
-    started: int  # logical ticks, see execute_local
-    ended: int
-    effect: str = ""
+    started: int  # logical tick; a step ends one tick later, see execute_local
+    effect: str
 
 
 @dataclass
@@ -285,24 +282,12 @@ class ExecutionReport:
     jobs: dict[str, JobReport] = field(default_factory=dict)
 
     @property
-    def ok(self) -> bool:
-        return all(j.status == "ok" for j in self.jobs.values())
-
-    @property
     def error(self) -> str:
         """The first failed job's failure, in dispatch order; "" if none failed."""
         for jr in self.jobs.values():
             if jr.status == "failed":
                 return f"job {jr.job_id}: step {jr.steps[-1].kind.value} failed: {jr.error}"
         return ""
-
-    def count_effects(self, effect: str) -> int:
-        return sum(
-            1
-            for j in self.jobs.values()
-            for s in j.steps
-            if s.effect == effect
-        )
 
 
 def execute_local(
@@ -319,10 +304,11 @@ def execute_local(
     node0, node1, ... in the order they start, runs their steps on this thread
     and then releases the jobs that finished ok.  That is what ``slots``
     workers would do if every job took the same time, and the same inputs
-    always give the same report.  Each step is simulated and its effect
-    recorded, with a logical clock for its start and end: a step takes one
-    tick, the jobs of a round start together at the round's first tick, and
-    the next round starts when the round's longest job ends.  A step that
+    always give the same report.  Each step is simulated, and its record
+    holds its kind, its start tick on a logical clock and its effect: a step
+    ends one tick after it starts, the jobs of a round start together at the
+    round's first tick, and the next round starts when the round's longest
+    job ends.  A step that
     fails, by injection or by raising, fails its job and skips the job's
     descendants while every other job runs; the failure comes back in the
     report, as its ``error``.  ``slots`` or ``node_count`` below 1, and a
@@ -361,7 +347,7 @@ def execute_local(
                     effect = "files-written"
             except Exception as exc:  # a malformed step fails its job, not the run
                 jr.error = f"{type(exc).__name__}: {exc}"
-            jr.steps.append(StepRecord(job.id, step.kind, node, tick, tick + 1, effect))
+            jr.steps.append(StepRecord(step.kind, tick, effect))
             if jr.error:
                 jr.status = "failed"
                 return jr

@@ -33,7 +33,6 @@ from .planner import (
 )
 from .workflow import (
     ReadySet,
-    dump_yaml,
     load_yaml,
     read_record,
     read_value,
@@ -224,35 +223,10 @@ class SimResult:
     ingress_totals: dict[str, float]
     flow_ledger: list[FlowRecord] = field(metadata={"rows": True})  # rows in result.json
 
-    @property
-    def total_transfer_bytes(self) -> float:
-        return sum(f.bytes for f in self.flow_ledger)
-
     def container_bytes_from(self, node: str) -> float:
         return sum(
             f.bytes for f in self.flow_ledger if f.kind == "container" and f.src == node
         )
-
-    def saturation_window_s(self, node: str, cap: float, frac: float = 0.95) -> int:
-        """Longest contiguous run of 1-second buckets with egress >= frac * cap."""
-        best = run = 0
-        for v, count in self.per_node_egress.get(node, Runs()).runs():
-            if v >= frac * cap:
-                run += count
-                best = max(best, run)
-            else:
-                run = 0
-        return best
-
-    def mean_io_wait_ms(self, nodes: list[str] | None = None) -> float:
-        total, n = 0.0, 0
-        for node, series in sorted(self.per_node_io_wait_ms.items()):
-            if nodes is not None and node not in nodes:
-                continue
-            for v, count in series.runs():
-                total += v * count
-                n += count
-        return total / n if n else 0.0
 
 
 class _Pair:
@@ -1080,16 +1054,6 @@ def parse_topology(text: str) -> Topology:
     refuse_repeats(((link.src, link.dst) for link in links), SimError, "link")
     return read_record(Topology, doc, "topology",
                        links={(link.src, link.dst): link.bandwidth for link in links})
-
-
-def serialize_topology(topo: Topology) -> str:
-    doc = {
-        "submit": write_record(topo.submit),
-        "nfs": write_record(topo.nfs) if topo.nfs else None,
-        "workers": [write_record(w) for w in topo.workers],
-        "links": [write_record(LinkSpec(a, b, bw)) for (a, b), bw in topo.links.items()],
-    }
-    return dump_yaml(doc)
 
 
 def format_sweep(rows: list[dict]) -> str:

@@ -214,10 +214,6 @@ def topological_levels(wf: AbstractWorkflow) -> dict[str, int]:
     return levels
 
 
-_LOADER: type  # both set by _pyyaml()
-_DUMPER: type
-
-
 def _pyyaml():
     """PyYAML, imported on first use: contflow's own documents never need it.
 
@@ -228,13 +224,6 @@ def _pyyaml():
     globals().setdefault("_LOADER", getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     globals().setdefault("_DUMPER", getattr(yaml, "CSafeDumper", yaml.SafeDumper))
     return yaml
-
-
-def __getattr__(name: str):
-    if name in ("_LOADER", "_DUMPER"):
-        _pyyaml()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # A string PyYAML writes unquoted and reads back as a string: ASCII, no spaces,

@@ -17,8 +17,9 @@ from contflow.catalog import (
     parse_image_url,
 )
 from contflow.planner import SHAPES, PlanConfig, Site, plan
-from contflow.simulator import NodeSpec, Topology
-from contflow.workflow import AbstractWorkflow, FileMeta, Task
+from contflow.launcher import ExecutionReport
+from contflow.simulator import LinkSpec, NodeSpec, Runs, SimResult, Topology
+from contflow.workflow import AbstractWorkflow, FileMeta, Task, dump_yaml, write_record
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -194,3 +195,45 @@ def random_model_topology(sites: list[Site], workers_per_site: int = 2) -> Topol
     names = ["submit"] + [n.name for n in nodes]
     links = {(a, b): 1e8 for a in names for b in names if a != b}
     return Topology(submit=NodeSpec("submit"), workers=tuple(nodes), links=links)
+
+
+def serialize_topology(topo: Topology) -> str:
+    """``topo`` as the topology document ``parse_topology`` reads."""
+    doc = {
+        "submit": write_record(topo.submit),
+        "nfs": write_record(topo.nfs) if topo.nfs else None,
+        "workers": [write_record(w) for w in topo.workers],
+        "links": [write_record(LinkSpec(a, b, bw)) for (a, b), bw in topo.links.items()],
+    }
+    return dump_yaml(doc)
+
+
+# --- measures the acceptance criteria are stated in ---------------------------
+
+def saturation_window_s(res: SimResult, node: str, cap: float, frac: float = 0.95) -> int:
+    """Longest contiguous run of 1-second buckets with egress >= frac * cap."""
+    best = run = 0
+    for v, count in res.per_node_egress.get(node, Runs()).runs():
+        if v >= frac * cap:
+            run += count
+            best = max(best, run)
+        else:
+            run = 0
+    return best
+
+
+def mean_io_wait_ms(res: SimResult, nodes: list[str] | None = None) -> float:
+    """The mean of the 1-second io-wait buckets of ``nodes``, all nodes by default."""
+    total, n = 0.0, 0
+    for node, series in sorted(res.per_node_io_wait_ms.items()):
+        if nodes is not None and node not in nodes:
+            continue
+        for v, count in series.runs():
+            total += v * count
+            n += count
+    return total / n if n else 0.0
+
+
+def count_effects(report: ExecutionReport, effect: str) -> int:
+    """How many steps of a mock run had ``effect``."""
+    return sum(1 for jr in report.jobs.values() for s in jr.steps if s.effect == effect)

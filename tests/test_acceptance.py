@@ -35,7 +35,14 @@ from contflow.scenarios import (
 )
 from contflow.simulator import SimConfig, report, simulate
 
-from conftest import GOLDEN, TRANSFERABLE_PLACEMENTS, plan_random
+from conftest import (
+    GOLDEN,
+    TRANSFERABLE_PLACEMENTS,
+    count_effects,
+    mean_io_wait_ms,
+    plan_random,
+    saturation_window_s,
+)
 from test_launcher import make_cdef, make_job
 from test_planner import _reachability
 
@@ -201,8 +208,8 @@ def test_criterion_5_experiment_trends(capfd, sim_results):
 
 def test_criterion_6_network_saturation(capfd, sim_results):
     with criterion(6, "sustained submit-link saturation at k=1 vs k=12", capfd):
-        window_k1 = sim_results[("docker", 1)].saturation_window_s("submit", GBPS)
-        window_k12 = sim_results[("docker", 12)].saturation_window_s("submit", GBPS)
+        window_k1 = saturation_window_s(sim_results[("docker", 1)], "submit", GBPS)
+        window_k12 = saturation_window_s(sim_results[("docker", 12)], "submit", GBPS)
         assert window_k1 >= 5 * max(window_k12, 1)
 
 
@@ -217,9 +224,9 @@ def test_criterion_7_symlink_optimization(capfd, sim_results):
                              topo, SimConfig())
         assert docker_link.container_bytes_from("submit") == \
             pytest.approx(DOCKER_IMAGE_BYTES)
-        baseline = sim_results[(None, 1)].mean_io_wait_ms(workers)
-        assert docker_link.mean_io_wait_ms(workers) > 1.2 * baseline
-        assert sing_link.mean_io_wait_ms(workers) < 1.2 * baseline
+        baseline = mean_io_wait_ms(sim_results[(None, 1)], workers)
+        assert mean_io_wait_ms(docker_link, workers) > 1.2 * baseline
+        assert mean_io_wait_ms(sing_link, workers) < 1.2 * baseline
 
 
 def test_criterion_8_conservation_and_determinism(capfd, tmp_path):
@@ -259,5 +266,5 @@ def test_criterion_9_docker_load_dedup(capfd):
             ewf, build_plans(ewf, cat, dedup_load=False),
             slots=8, node_count=1,
         )
-        assert on.count_effects("load") == 1
-        assert off.count_effects("load") == 12
+        assert count_effects(on, "load") == 1
+        assert count_effects(off, "load") == 12

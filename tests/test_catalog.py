@@ -149,7 +149,7 @@ cont:
         # oracle: brute-force scan of entries referencing c1
         refs = [e for e in cat.transformations if e.container == "c1"]
         assert len(refs) == 3
-        resolved = {id(cat.container_for(e)) for e in refs}
+        resolved = {id(cat.containers[e.container]) for e in refs}
         assert len(resolved) == 1  # one shared definition
 
     def test_dangling_container_ref(self):

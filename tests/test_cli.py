@@ -13,8 +13,9 @@ from contflow import launcher, planner
 from contflow.cli import main
 from contflow.planner import JobKind, parse_executable
 from contflow.scenarios import demo_catalog, demo_topology, demo_workflow
-from contflow.simulator import serialize_topology
 from contflow.workflow import dump_yaml, require_acyclic, serialize_workflow
+
+from conftest import serialize_topology
 
 SITES_YML = """
 sites:

@@ -24,8 +24,8 @@ from contflow.catalog import parse_image_url, serialize_catalog
 from contflow.cli import main
 from contflow.planner import parse_executable, serialize_executable
 from contflow.scenarios import demo_catalog, demo_topology, demo_workflow
-from contflow.simulator import serialize_topology
 from contflow.workflow import serialize_workflow
+from conftest import serialize_topology
 from test_cli import SITES_YML
 
 FETCH_JOB = "fetch_radar-tools_submit"

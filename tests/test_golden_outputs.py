@@ -31,9 +31,8 @@ from contflow.scenarios import (
     demo_topology,
     demo_workflow,
 )
-from contflow.simulator import serialize_topology
 
-from conftest import GOLDEN, plan_random
+from conftest import GOLDEN, plan_random, serialize_topology
 
 DIGESTS = GOLDEN / "sim_digests.json"
 EXECUTABLE_DIGESTS = GOLDEN / "executable_digests.json"

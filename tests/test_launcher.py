@@ -43,7 +43,7 @@ from contflow.planner import (
 from contflow.scenarios import demo_catalog, demo_sites, demo_topology, demo_workflow
 from contflow.simulator import SimConfig, _Engine
 
-from conftest import GOLDEN, IMAGE_URL, plan_random, random_model_topology
+from conftest import GOLDEN, IMAGE_URL, count_effects, plan_random, random_model_topology
 
 
 def make_job(runtime=ContainerRuntime.DOCKER, placement=PlacementMode.STAGE_COPY,
@@ -257,9 +257,9 @@ class TestDockerBypass:
     def test_mock_run_loads_once_per_node(self, bypassed):
         ewf, plans = bypassed
         report = execute_local(ewf, plans, slots=8, node_count=4)
-        assert report.ok
-        assert report.count_effects("load") == 4
-        assert report.count_effects("cache-hit") == len(plans) - 4
+        assert not report.error
+        assert count_effects(report, "load") == 4
+        assert count_effects(report, "cache-hit") == len(plans) - 4
 
     @pytest.mark.parametrize("site_local, image", [
         (False, SITE_IMAGE), (True, "docker:///imaging/radar-tools:latest"),
@@ -310,7 +310,7 @@ def layer_counts(ewf, cat, topo, staging_inside, *, dedup=False, node_count=None
     ledger = engine.run().flow_ledger
     mock = execute_local(ewf, plans, slots=4, node_count=node_count or len(topo.workers))
     loads = {
-        "mock": mock.count_effects("load"),
+        "mock": count_effects(mock, "load"),
         "simulator": sum(len(records) for records in engine.untar_records.values()),
     }
     if not dedup:
@@ -425,9 +425,9 @@ class TestExecuteLocal:
         ewf = ExecutableWorkflow(jobs=ewf.jobs, edges=(("j00", "j01"), ("j01", "j02")))
         plans = build_plans(ewf, cat)
         report = execute_local(ewf, plans, slots=4)
-        assert report.ok
+        assert not report.error
         ends = {
-            jid: max(s.ended for s in jr.steps)
+            jid: max(s.started + 1 for s in jr.steps)
             for jid, jr in report.jobs.items()
         }
         starts = {
@@ -440,21 +440,20 @@ class TestExecuteLocal:
         ewf, cat = shared_image_workflow(12)
         plans = build_plans(ewf, cat, dedup_load=True)
         report = execute_local(ewf, plans, slots=8, node_count=1)
-        assert report.count_effects("load") == 1
-        assert report.count_effects("cache-hit") == 11
+        assert count_effects(report, "load") == 1
+        assert count_effects(report, "cache-hit") == 11
 
     def test_no_dedup_loads_every_time(self):
         ewf, cat = shared_image_workflow(12)
         plans = build_plans(ewf, cat, dedup_load=False)
         report = execute_local(ewf, plans, slots=8, node_count=1)
-        assert report.count_effects("load") == 12
+        assert count_effects(report, "load") == 12
 
     def test_injected_failure_skips_downstream(self):
         ewf, cat = shared_image_workflow(3)
         ewf = ExecutableWorkflow(jobs=ewf.jobs, edges=(("j00", "j01"), ("j01", "j02")))
         plans = build_plans(ewf, cat)
         report = execute_local(ewf, plans, fail_step=("j00", StepKind.STAGE_IN))
-        assert not report.ok
         assert report.error == "job j00: step stage-in failed: injected failure at stage-in"
         assert report.jobs["j00"].status == "failed"
         assert report.jobs["j00"].steps[-1].kind is StepKind.STAGE_IN
@@ -467,7 +466,6 @@ class TestExecuteLocal:
         plans = build_plans(ewf, cat)
         plans["j00"] = with_malformed_load(plans["j00"])
         report = run_within(lambda: execute_local(ewf, plans), timeout=10)
-        assert not report.ok
         assert report.error == "job j00: step load-image failed: KeyError: 'image'"
         assert report.jobs["j00"].status == "failed"
         assert report.jobs["j00"].steps[-1].kind is StepKind.LOAD_IMAGE
@@ -509,7 +507,7 @@ class TestExecuteLocal:
         ewf = ExecutableWorkflow(jobs=ewf.jobs + (clustered, plain))
         plans = build_plans(ewf, cat, staging_inside=False)
         report = execute_local(ewf, plans)
-        assert report.ok
+        assert not report.error
         for job in ewf.jobs:
             ran = [s.kind for s in report.jobs[job.id].steps]
             assert ran.count(StepKind.WORKER_SETUP) == 1
@@ -543,7 +541,7 @@ class TestExecuteLocal:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         ewf, cat = shared_image_workflow(12)
         report = execute_local(ewf, build_plans(ewf, cat), slots=8, node_count=3)
-        assert report.ok
+        assert not report.error
 
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
@@ -598,8 +596,7 @@ class TestDeterministicRounds:
         assert {jr.steps[0].started for jr in second} == {longest}
         for jr in report.jobs.values():  # one tick per step, back to back
             start = jr.steps[0].started
-            assert [(s.started, s.ended) for s in jr.steps] == [
-                (start + i, start + i + 1) for i in range(len(jr.steps))]
+            assert [s.started for s in jr.steps] == list(range(start, start + len(jr.steps)))
 
     @pytest.mark.parametrize("slots", [1, 2, 64])
     def test_one_load_per_image_and_node_and_parents_first(self, mixed_executable, slots):
@@ -607,13 +604,13 @@ class TestDeterministicRounds:
         ewf = parse_executable(Path(exe).read_text())
         plans = build_plans(ewf, parse_catalog(Path(catalog).read_text()))
         report = execute_local(ewf, plans, slots=slots, node_count=4)
-        assert report.ok
+        assert not report.error
         image = {jid: step.args["image"] for jid, plan in plans.items()
                  for step in plan.host_steps if step.kind is StepKind.LOAD_IMAGE}
         pairs = {(image[jr.job_id], jr.node) for jr in report.jobs.values() if jr.job_id in image}
-        assert report.count_effects("load") == len(pairs) > 0
+        assert count_effects(report, "load") == len(pairs) > 0
         for u, v in ewf.edges:
-            assert (max(s.ended for s in report.jobs[u].steps)
+            assert (max(s.started + 1 for s in report.jobs[u].steps)
                     <= min(s.started for s in report.jobs[v].steps))
 
 
@@ -711,7 +708,7 @@ class TestRoundsAtScale:
         for u, v in ewf.edges:
             if v not in by_status["skipped"]:
                 assert report.jobs[u].status == "ok"
-                assert (max(s.ended for s in report.jobs[u].steps)
+                assert (max(s.started + 1 for s in report.jobs[u].steps)
                         <= min(s.started for s in report.jobs[v].steps))
 
         assert run_summary(report_of(*run)) == run_summary(report)

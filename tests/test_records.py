@@ -47,7 +47,6 @@ from contflow.simulator import (
     Topology,
     _result_from_doc,
     parse_topology,
-    serialize_topology,
     simulate,
 )
 from contflow.workflow import (
@@ -60,6 +59,8 @@ from contflow.workflow import (
     serialize_workflow,
     write_record,
 )
+
+from conftest import serialize_topology
 
 
 def one_job(kind: str, payload: str) -> str:

@@ -43,10 +43,11 @@ from contflow.simulator import (
     critical_path_lower_bound,
     parse_topology,
     report,
-    serialize_topology,
     simulate,
     sweep,
 )
+
+from conftest import serialize_topology
 
 
 def tiny_topology(workers=1, slots=4, bw=1e8, untar_rate=1e8):
@@ -200,7 +201,7 @@ class TestConservationAndBounds:
         # every byte leaving a node arrives at exactly one other node
         assert sum(res.egress_totals.values()) == \
             pytest.approx(sum(res.ingress_totals.values()))
-        assert res.total_transfer_bytes == \
+        assert sum(f.bytes for f in res.flow_ledger) == \
             pytest.approx(sum(res.egress_totals.values()))
         # brute-force re-count of the ledger agrees with the kind tallies
         by_kind: dict[str, float] = {}
@@ -402,7 +403,7 @@ class TestFlowCompletion:
         res = simulate_within(ewf, topo, SimConfig())
         assert f"{res.makespan_s:.6f}" == f"{makespan:.6f}"
         assert sum(res.egress_totals.values()) == sum(res.ingress_totals.values())
-        assert res.total_transfer_bytes == sum(res.egress_totals.values())
+        assert sum(f.bytes for f in res.flow_ledger) == sum(res.egress_totals.values())
         assert len(res.job_timeline) == len(ewf.jobs)
 
 

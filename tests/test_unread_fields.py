@@ -1,21 +1,24 @@
 """Every record field, import, command-line option and function in ``contflow`` is used.
 
-A field that only the ``serialize_*`` writers touch is parsed, carried and
-written back, but changes nothing: it is dead weight in every document and
-every record.  The scan collects the name of each attribute read (``x.name``
-in a load context) in the package's source, outside functions named
-``serialize_*``, and fails on a dataclass field of the scanned modules that no
-such read names.
+A field that only the writers touch is parsed, carried and written back, but
+changes nothing: it is dead weight in every document and every record.  The
+field gate finds the fields that ``contflow``'s commands read, class by class.
+It replaces ``__getattribute__`` on each dataclass of the scanned modules with
+a probe that notes ``Class.field`` when the frame that reads the field runs
+code from a package source file, other than ``write_record``, which writes
+every field back.  So neither the tests' own reads count nor those of the
+``__eq__``, ``__hash__`` and ``__repr__`` that ``dataclasses`` generates,
+which run code from ``<string>``.  Under the probe the gate runs ``plan``,
+``wrappers`` with staging inside and outside, ``run``, ``simulate`` and
+``report`` on forty random models that reach every placement shape, then one
+``sweep`` and one ``run`` with an injected failure, and fails on a field that
+no read names, unless it is allowed below.  A field is not counted as read
+because a field of another class has its name.
 
-It matches by name, not by class: a field counts as read when an attribute of
-its name is read on any object.  So it misses a field whose name another
-class's field shares; it could not see that nothing read
-``TransformationEntry.profiles``, because ``ContainerDef.profiles`` is read.
-
-Three more scans work the same way.  One fails on a name that a module
-imports but never names again; ``__init__`` is left out, since its imports are
-the package's public names.  One fails on an option of ``contflow``'s command
-line whose ``dest`` no code reads as ``args.<dest>``.  The last fails on a
+Three more scans read the source.  One fails on a name that a module imports
+but never names again; ``__init__`` is left out, since its imports are the
+package's public names.  One fails on an option of ``contflow``'s command line
+whose ``dest`` no code reads as ``args.<dest>``.  The last fails on a
 top-level function or method that no code in the package names (as ``f`` or
 ``x.f``) and that ``__init__`` does not export; dunder methods, which Python
 calls, are left out.
@@ -28,55 +31,143 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import random
+import sys
 from pathlib import Path
 
-import contflow
+import pytest
+import yaml
 
-from contflow.cli import build_parser
+import contflow
+from contflow.catalog import serialize_catalog
+from contflow.cli import build_parser, main
+from contflow.planner import ComputePayload, ExecutableWorkflow, Job, JobKind, cluster_jobs
+from contflow.workflow import dump_yaml, serialize_workflow, write_record
+
+from conftest import plan_random, random_model_topology, serialize_topology
 
 PACKAGE = Path(contflow.__file__).parent
+SOURCES = {str(path) for path in PACKAGE.glob("*.py")}
 MODULES = ("catalog", "planner", "simulator", "launcher", "workflow", "cli")
+SEEDS = range(40)  # fewer miss reads that only some models reach
 
-# each field that no code reads, and why it stays
+# each field that no command reads, and why it stays
 ALLOWED = {
     "TransformationEntry.arch": "a catalog column, kept so a Pegasus catalog reads and "
                                 "writes back whole",
     "TransformationEntry.os": "a catalog column, kept for the same reason as arch",
     "CleanupPayload.target_job": "names, in the executable document, the job whose "
                                  "directory the cleanup job removes",
-    "FlowRecord.ended": "the flow ledger's end time, for a caller of simulate()",
-    "StepRecord.ended": "the mock run's end tick of a step, for a caller of execute_local()",
+    "FlowRecord.dst": "a column of result.json's flow ledger",
+    "FlowRecord.started": "a column of result.json's flow ledger; benchmarks/checks.py "
+                          "reads started and ended",
+    "FlowRecord.ended": "a column of result.json's flow ledger; benchmarks/checks.py "
+                        "reads started and ended",
+    "StepRecord.started": "a step's start tick on the mock run's logical clock, "
+                          "for a caller of execute_local()",
+    "StepRecord.effect": "whether a load-image step loaded its image or hit the cache; "
+                         "benchmarks/checks.py counts both",
 }
 
 
-def record_fields() -> set[str]:
-    """``Class.field`` for each field of each dataclass the scanned modules define."""
-    out = set()
+def record_classes() -> list[type]:
+    """Each dataclass the scanned modules define."""
+    out = []
     for name in MODULES:
         module = importlib.import_module(f"contflow.{name}")
-        for _, cls in inspect.getmembers(module, inspect.isclass):
-            if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__:
-                out.update(f"{cls.__name__}.{f.name}" for f in dataclasses.fields(cls))
+        out += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__]
     return out
 
 
-def attributes_read(node: ast.AST, out: set[str]) -> set[str]:
-    """The attribute names read under ``node``, outside ``serialize_*`` functions."""
-    if isinstance(node, ast.FunctionDef) and node.name.startswith("serialize_"):
-        return out
-    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-        out.add(node.attr)
-    for child in ast.iter_child_nodes(node):
-        attributes_read(child, out)
-    return out
-
-
-def test_every_record_field_is_read_or_allowed():
+def unread_fields(classes: list[type], run) -> set[str]:
+    """``Class.field`` for each field of ``classes`` that no package code reads
+    while ``run()`` runs.  The classes are patched for the call only."""
     read: set[str] = set()
-    for path in PACKAGE.glob("*.py"):
-        attributes_read(ast.parse(path.read_text(), str(path)), read)
-    unread = sorted(f for f in record_fields() if f.split(".")[1] not in read)
-    assert unread == sorted(ALLOWED)
+
+    def probe(cls):
+        names = {f.name for f in dataclasses.fields(cls)}
+
+        def getattribute(self, name):
+            if name in names:
+                code = sys._getframe(1).f_code
+                if code.co_filename in SOURCES and code.co_name != "write_record":
+                    read.add(f"{cls.__name__}.{name}")
+            return object.__getattribute__(self, name)
+        return getattribute
+
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in classes:
+            patch.setattr(cls, "__getattribute__", probe(cls))
+        run()
+    return {f"{cls.__name__}.{f.name}" for cls in classes
+            for f in dataclasses.fields(cls)} - read
+
+
+def command_lines(tmp_path: Path) -> list[tuple[list[str], int]]:
+    """Each command the gate runs, in order, with its exit code.
+
+    The input documents are written here, so their writers run outside the probe.
+    """
+    commands = []
+    for seed in SEEDS:
+        ewf, wf, cat, sites, cfg = plan_random(random.Random(seed), every_shape=True)
+        d = tmp_path / str(seed)
+        d.mkdir()
+        docs = {
+            "workflow": serialize_workflow(wf),
+            "catalog": serialize_catalog(cat),
+            "sites": dump_yaml({"sites": [write_record(s) for s in sites]}),
+            "topology": serialize_topology(random_model_topology(sites)),
+        }
+        for name, text in docs.items():
+            (d / f"{name}.yml").write_text(text)
+        w, c, s, t, exe = (str(d / f"{n}.yml") for n in (*docs, "executable"))
+        commands += [
+            (["plan", w, c, s, "--out", exe, "--cluster-size", str(cfg.cluster_size),
+              "--output-site", cfg.output_site, "--cleanup", "on" if cfg.cleanup else "off",
+              "--placement", cfg.placement_override or "auto"], 0),
+            (["wrappers", exe, c, "--out", str(d / "in")], 0),
+            (["wrappers", exe, c, "--staging-inside", "off", "--out", str(d / "out")], 0),
+            (["run", exe, c, "--nodes", "2"], 0),
+            (["simulate", exe, t, "--out", str(d / "sim")], 0),
+            (["report", str(d / "sim" / "result.json"), "--out", str(d / "report")], 0),
+        ]
+        if seed == 0:
+            sweep = d / "sweep.yml"
+            sweep.write_text(yaml.safe_dump({"scenarios": [{
+                "label": "seed0", "workflow": w, "catalog": c, "sites": s, "topology": t,
+                "cluster_size": 2, "output_site": cfg.output_site, "cleanup": False}]}))
+            commands += [
+                (["sweep", str(sweep)], 0),
+                (["run", exe, c, "--fail-step", f"{ewf.jobs[0].id}:launch-task"], 2),
+            ]
+    return commands
+
+
+def test_every_record_field_is_read_or_allowed(tmp_path):
+    commands = command_lines(tmp_path)
+
+    def run():
+        for argv, code in commands:
+            assert main(argv) == code, argv
+
+    assert sorted(unread_fields(record_classes(), run)) == sorted(ALLOWED)
+
+
+def test_a_field_is_read_by_its_class_not_its_name():
+    @dataclasses.dataclass
+    class Probe:
+        kind: str  # Job.kind shares its name
+
+    job = Job("c0", JobKind.COMPUTE, "site", ComputePayload(task_ids=("t0",)))
+
+    def run():
+        assert Probe("x").kind == "x"  # a test's read does not count
+        cluster_jobs(ExecutableWorkflow(jobs=(job,)), 2)  # reads each field of Job
+
+    assert unread_fields([Probe, Job], run) == {"Probe.kind"}
+    assert "__getattribute__" not in vars(Probe) and "__getattribute__" not in vars(Job)
 
 
 # each name imported and not used, or option not read, and why it stays
@@ -122,13 +213,6 @@ def test_every_command_line_option_is_read_or_allowed():
 ALLOWED_FUNCTIONS = {
     "catalog.InstallType._missing_": "Enum calls it to read a catalog's type "
                                      "case-insensitively",
-    "launcher.ExecutionReport.ok": "a mock run's verdict, for a caller of execute_local()",
-    "launcher.ExecutionReport.count_effects": "one of the acceptance suite's measures",
-    "simulator.SimResult.total_transfer_bytes": "one of the acceptance suite's measures",
-    "simulator.SimResult.saturation_window_s": "one of the acceptance suite's measures",
-    "simulator.SimResult.mean_io_wait_ms": "one of the acceptance suite's measures",
-    "simulator.serialize_topology": "writes the topology documents the tests feed "
-                                    "to the command line",
     "scenarios.demo_scenarios": "README's ready-made rows for simulator.sweep",
 }
 

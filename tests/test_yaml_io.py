@@ -28,8 +28,10 @@ from contflow.scenarios import (
     demo_topology,
     demo_workflow,
 )
-from contflow.simulator import parse_topology, serialize_topology
+from contflow.simulator import parse_topology
 from contflow.workflow import parse_workflow, serialize_workflow
+
+from conftest import serialize_topology
 
 needs_libyaml = pytest.mark.skipif(
     not yaml.__with_libyaml__, reason="PyYAML was built without libyaml"
@@ -104,6 +106,7 @@ def test_pure_python_fallback_gives_the_same_bytes_and_objects(monkeypatch):
     monkeypatch.setattr(workflow, "_fast_load", mock.Mock(side_effect=workflow._Unsure))
     monkeypatch.setattr(workflow, "_fast_dump", mock.Mock(side_effect=workflow._Unsure))
     assert round_trip() == default
+    workflow._pyyaml()  # sets _LOADER and _DUMPER, which the patches replace
     monkeypatch.setattr(workflow, "_LOADER", yaml.SafeLoader)
     monkeypatch.setattr(workflow, "_DUMPER", yaml.SafeDumper)
     assert round_trip() == default
@@ -172,6 +175,7 @@ def nested_docs(key, leaf, max_leaves=12):
 
 
 def libyaml_text(doc) -> str:
+    workflow._pyyaml()  # sets _DUMPER
     return emit(doc, workflow._DUMPER)
 
 
